@@ -509,6 +509,9 @@ def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0,
     Neither run decays exponentially, so off_rate is the error that loss at
     rate kappa1 produces by t = 1/kappa1, not kappa1 itself; see
     ErrorRateReport.
+
+    The experiment is deterministic: both runs start from the codeword
+    projector, so seed is accepted for call compatibility and ignored.
     """
     t0 = time.time()
     params = GkpParams(epsilon, ETA_QUBIT, dim)

@@ -372,7 +372,7 @@ def build_parser():
     sp.set_defaults(func=cmd_lyapunov)
 
     sp = sub.add_parser("qec-sim", help="photon-loss on/off experiment")
-    common(sp, seed=True)
+    common(sp)
     sp.add_argument("--kappa1", type=float, help="loss rate (default epsilon/5)")
     sp.add_argument("--records", type=int, help="number of record times")
     sp.add_argument("--long-running", action="store_true",

@@ -188,9 +188,8 @@ def _comb_spec(params):
     return spacing, w2, k_max
 
 
-def _comb_on_grid(q, spacing, w2, cosh_eps, tanh_eps, parity):
+def _comb_on_grid(q, spacing, w2, k_max, cosh_eps, tanh_eps, parity):
     psi = np.zeros_like(q)
-    k_max = int(math.ceil(math.sqrt(14.0 * math.log(10.0) / w2)))
     for j in range(-k_max - 1, k_max + 2):
         if parity is not None and j % 2 != parity:
             continue
@@ -237,12 +236,12 @@ def build_codewords(params, grid_step=None, grid_halfwidth=None, drop_budget=1e-
 
     basis = hermite_functions(params.dim, q)
     if params.lattice == "sensor":
-        psi = _comb_on_grid(q, spacing, w2, ch, th, parity=None)
+        psi = _comb_on_grid(q, spacing, w2, k_max, ch, th, parity=None)
         coeff = basis @ (weights * psi)
         return [coeff / np.linalg.norm(coeff)]
 
-    even = basis @ (weights * _comb_on_grid(q, spacing, w2, ch, th, parity=0))
-    odd = basis @ (weights * _comb_on_grid(q, spacing, w2, ch, th, parity=1))
+    even = basis @ (weights * _comb_on_grid(q, spacing, w2, k_max, ch, th, parity=0))
+    odd = basis @ (weights * _comb_on_grid(q, spacing, w2, k_max, ch, th, parity=1))
     one = odd - (even @ odd) / (even @ even) * even
     return [even / np.linalg.norm(even), one / np.linalg.norm(one)]
 

@@ -14,6 +14,18 @@ Two properties carry the package's workloads:
   * any exact stationary point of the generator is a fixed point of the step
     for every h (the phi-function combinations telescope), so stationary
     observables can be reached with large fixed steps plus a residual test.
+
+The stages only need J applied, and J can be applied in real arithmetic. In
+the Fock basis the GKP dissipators e^{±iηR} - I and e^{±iηS} - I (R real, S
+purely imaginary) are two exactly real operators and one conjugate pair, and
+a, a†, q and p are real or purely imaginary. Such a conjugation-closed set
+has real Kraus operators for the same map, G is real and its eigenbasis is
+real, so J commutes with complex conjugation and never mixes the real and
+imaginary parts of X. A real X (codeword projectors, S_x, S_z) or a purely
+imaginary one (S_y) then costs two dgemms per Kraus factor, a quarter of the
+complex work, and a general complex X costs twice that. A channel set
+without this symmetry (a generic complex operator with no conjugate partner
+of equal rate) keeps complex Kraus factors and complex GEMMs.
 """
 
 import numpy as np
@@ -52,6 +64,61 @@ def _factorial(n, _cache={0: 1.0}):
     return _cache[n]
 
 
+def _real_kraus(ops, rates):
+    """Real Kraus operators of sum_k r_k V_k X V_k†, or None.
+
+    A real V_k gives sqrt(r)*V, a purely imaginary one sqrt(r)*Im V, and a
+    pair (V, conj(V)) of equal rate gives sqrt(2r)*Re V and sqrt(2r)*Im V:
+    r(V X V† + V̄ X V̄†) = 2r(Re V X Re Vᵀ + Im V X Im Vᵀ). This is a unitary
+    mixing of the Kraus operators, so the map is the same. None when some
+    channel is neither real, imaginary nor bitwise conjugate to a partner.
+    """
+    out, paired = [], set()
+    for i, (v, r) in enumerate(zip(ops, rates)):
+        if i in paired:
+            continue
+        if not v.imag.any():
+            out.append(np.sqrt(r) * v.real)
+        elif not v.real.any():
+            out.append(np.sqrt(r) * v.imag)
+        else:
+            j = next((j for j in range(i + 1, len(ops)) if j not in paired
+                      and rates[j] == r and np.array_equal(ops[j], v.conj())), None)
+            if j is None:
+                return None
+            paired.add(j)
+            out += [np.sqrt(2.0 * r) * v.real, np.sqrt(2.0 * r) * v.imag]
+    return out
+
+
+def _real_sandwich(pairs, x):
+    """sum_j a_j @ x @ b_j for real a_j, b_j and complex x, in real arithmetic.
+
+    A part of x that is exactly zero stays zero and costs nothing, so a real
+    or purely imaginary x takes two dgemms per pair. A general x is viewed as
+    a d x 2d real array whose columns alternate Re and Im; a_j @ x is then one
+    dgemm, and so is b_jᵀ @ (a_j x)ᵀ = (a_j x b_j)ᵀ.
+    """
+    x = np.asarray(x, dtype=complex)
+    has_re, has_im = x.real.any(), x.imag.any()
+    if has_re and has_im:
+        xv = np.ascontiguousarray(x).view(float)
+        acc = np.zeros_like(xv)
+        for a, b in pairs:
+            ax = (a @ xv).view(complex)
+            acc += b.T @ np.ascontiguousarray(ax.T).view(float)
+        return np.ascontiguousarray(acc.view(complex).T)
+    out = np.zeros(x.shape, dtype=complex)
+    for part, nonzero in (("real", has_re), ("imag", has_im)):
+        if nonzero:
+            y = np.ascontiguousarray(getattr(x, part))
+            acc = np.zeros_like(y)
+            for a, b in pairs:
+                acc += a @ y @ b
+            setattr(out, part, acc)
+    return out
+
+
 class SplitPropagator:
     """Krogstad exponential RK4 for d/dt X = sum_k A_k X A_k† - (G X + X G).
 
@@ -59,35 +126,47 @@ class SplitPropagator:
     adjoint=False the Kraus factors are A_k = sqrt(r_k) V_k (forward master
     equation); with adjoint=True they are A_k = sqrt(r_k) V_k† (observable
     evolution), which shares the same drift.
+
+    real_form tells whether the channel set closes under complex conjugation;
+    if so, kraus holds real factors of the same map and the G-eigenbasis is
+    real. States stay complex arrays either way. n_jumps counts the jump
+    applications made so far.
     """
 
     def __init__(self, ops, rates, adjoint=False):
         ops = [np.asarray(v, dtype=complex) for v in ops]
         dim = ops[0].shape[0]
-        g = sum(r * (v.conj().T @ v) for v, r in zip(ops, rates)) / 2.0
-        g = 0.5 * (g + g.conj().T)
-        self.g_eigs, self.basis = np.linalg.eigh(g)
-        kraus = [np.sqrt(r) * (self.basis.conj().T @ v @ self.basis) for v, r in zip(ops, rates)]
-        self.kraus = [k.conj().T for k in kraus] if adjoint else kraus
+        factors = _real_kraus(ops, rates)
+        self.real_form = factors is not None
+        if not self.real_form:
+            factors = [np.sqrt(r) * v for v, r in zip(ops, rates)]
+        g = sum(k.conj().T @ k for k in factors) / 2.0
+        self.g_eigs, self.basis = np.linalg.eigh(0.5 * (g + g.conj().T))
+        kraus = [self.basis.conj().T @ k @ self.basis for k in factors]
+        self.kraus = [np.ascontiguousarray(k.conj().T) for k in kraus] if adjoint else kraus
         self.dim = dim
+        self.n_jumps = 0
         self._zsum = -(self.g_eigs[:, None] + self.g_eigs[None, :])
         self._tables = {}
 
     def to_basis(self, x):
+        if self.real_form:
+            return _real_sandwich([(self.basis.T, self.basis)], x)
         return self.basis.conj().T @ np.asarray(x, dtype=complex) @ self.basis
 
     def from_basis(self, xb):
+        if self.real_form:
+            return _real_sandwich([(self.basis, self.basis.T)], xb)
         return self.basis @ xb @ self.basis.conj().T
 
     def apply_jump(self, xb):
+        self.n_jumps += 1
+        if self.real_form:
+            return _real_sandwich([(k, k.T) for k in self.kraus], xb)
         out = np.zeros_like(xb)
         for k in self.kraus:
             out += k @ xb @ k.conj().T
         return out
-
-    def generator(self, xb):
-        """Full generator in the G-eigenbasis (for residuals)."""
-        return self.apply_jump(xb) + self._zsum * xb
 
     def _phi_tables(self, h):
         tbl = self._tables.get(h)
@@ -100,10 +179,14 @@ class SplitPropagator:
             self._tables[h] = tbl
         return tbl
 
-    def step(self, xb, h):
-        """One Krogstad step of size h in the G-eigenbasis."""
+    def step(self, xb, h, n1=None):
+        """One Krogstad step of size h in the G-eigenbasis.
+
+        n1 is apply_jump(xb) when the caller already has it.
+        """
         e_h, p1_h, p2_h, p3_h, e_2, p1_2, p2_2 = self._phi_tables(h)
-        n1 = self.apply_jump(xb)
+        if n1 is None:
+            n1 = self.apply_jump(xb)
         u2 = e_2 * xb + (0.5 * h) * p1_2 * n1
         n2 = self.apply_jump(u2)
         u3 = e_2 * xb + (0.5 * h) * ((p1_2 - 2.0 * p2_2) * n1 + 2.0 * p2_2 * n2)
@@ -122,11 +205,15 @@ class SplitPropagator:
         """Adaptive propagation by step doubling with local extrapolation.
 
         The doubled half-steps give the Richardson error estimate; the
-        extrapolated value propagates. renorm_trace rescales the state to
-        its initial trace after every accepted step (the exact forward flow
-        conserves it); the largest pre-rescale defect is reported in the
-        returned stats. Record times are hit exactly by step clamping.
+        extrapolated value propagates. The full step and the first half step
+        share their first stage, which a rejected attempt keeps for the
+        retry, so an attempt costs 11 jump applications (10 on a retry).
+        renorm_trace rescales the state to its initial trace after every
+        accepted step (the exact forward flow conserves it); the largest
+        pre-rescale defect is reported in the returned stats, with the number
+        of jump applications. Record times are hit exactly by step clamping.
         """
+        jumps_before = self.n_jumps
         xb = self.to_basis(x0)
         target_trace = np.trace(xb)
         record = sorted(set(float(tr) for tr in record_times if 0.0 < tr <= t_final))
@@ -139,6 +226,7 @@ class SplitPropagator:
         ri = 0
         n_accept = n_reject = 0
         trace_defect = 0.0
+        n1 = None
         while t < t_final - 1e-14 * max(1.0, t_final):
             if n_accept + n_reject > max_steps:
                 raise StepSizeUnderflowError(f"step budget exhausted at t={t:.6g}")
@@ -146,8 +234,10 @@ class SplitPropagator:
             h_try = min(h, t_stop - t)
             if h_try < 1e4 * np.finfo(float).eps * max(abs(t), 1.0):
                 raise StepSizeUnderflowError(f"step size underflow at t={t:.6g}")
-            big = self.step(xb, h_try)
-            half = self.step(self.step(xb, 0.5 * h_try), 0.5 * h_try)
+            if n1 is None:
+                n1 = self.apply_jump(xb)
+            big = self.step(xb, h_try, n1)
+            half = self.step(self.step(xb, 0.5 * h_try, n1), 0.5 * h_try)
             err_mat = np.abs(big - half)
             err = err_mat.max() / 15.0
             scale = atol + rtol * max(np.abs(xb).max(), np.abs(half).max())
@@ -157,6 +247,7 @@ class SplitPropagator:
                 continue
             if err <= scale:
                 xb = half + (half - big) / 15.0
+                n1 = None
                 if hermitize:
                     xb = 0.5 * (xb + xb.conj().T)
                 if renorm_trace:
@@ -176,6 +267,7 @@ class SplitPropagator:
         return self.from_basis(xb), {
             "n_accept": n_accept,
             "n_reject": n_reject,
+            "n_jumps": self.n_jumps - jumps_before,
             "trace_defect": float(abs(trace_defect)),
             "h_final": h,
         }
@@ -185,20 +277,24 @@ class SplitPropagator:
 
         Exact stationary points are fixed points of the step for any h, so
         the limit does not depend on h; h only sets how fast the decaying
-        part dies. Returns (X, relative residual, reached time, steps).
+        part dies. The jump inside each residual is the next step's first
+        stage, so n steps cost 4n + 1 jump applications. Returns
+        (X, relative residual, reached time, steps).
         """
         xb = self.to_basis(x0)
+        n1 = self.apply_jump(xb)
         t = 0.0
         n = 0
         resid = np.inf
         while t < t_max:
             hh = min(h, t_max - t)
-            xb = self.step(xb, hh)
+            xb = self.step(xb, hh, n1)
             if hermitize:
                 xb = 0.5 * (xb + xb.conj().T)
             t += hh
             n += 1
-            resid = np.linalg.norm(self.generator(xb)) / max(np.linalg.norm(xb), 1e-300)
+            n1 = self.apply_jump(xb)
+            resid = np.linalg.norm(n1 + self._zsum * xb) / max(np.linalg.norm(xb), 1e-300)
             if resid <= residual_tol:
                 break
         return self.from_basis(xb), float(resid), t, n

@@ -84,11 +84,6 @@ def frobenius_inner(a, b):
     return complex(np.vdot(a, b))
 
 
-def dagger(a):
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
-
-
 def is_hermitian(a, tol=1e-12):
     a = np.asarray(a)
     return bool(np.abs(a - a.conj().T).max() <= tol)

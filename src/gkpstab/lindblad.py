@@ -184,6 +184,8 @@ class Trajectory:
 
     records maps column name -> array aligned with times. Columns always
     include "trace"; "lyapunov", "nbar", "jx", "jy", "jz" appear per spec.
+    meta holds the backend's stats: "method", "n_accept", "n_reject" and
+    "h_final", plus "n_jumps" and "trace_defect" from the etd4 backend.
     """
 
     times: np.ndarray
@@ -346,10 +348,13 @@ def logical_operators(model, code, horizon_multiplier=20.0, tol=1e-7):
     the (irrelevant) stiff transient would only slow the march down. A
     ConvergenceWarning reports a residual still above tol at the horizon;
     the operators are returned regardless. Note the Frobenius residual has a
-    roundoff floor of roughly ||W|| * 1e-13 (corner entries of X at machine
-    noise are amplified by the stiff drift); at the 20/eps truncation the
-    floor sits well below the default tol, but harsher truncations may need
-    a looser tol even though the operators themselves are converged.
+    roundoff floor: corner entries of X at machine noise are amplified by
+    the stiff drift. Measured as the smallest residual over a 20/kappa march
+    (worst of x, y, z): 7.4e-5 at eps=0.14, dim 143, where the default tol
+    cannot be met and the march warns at the horizon although the operators
+    are converged; 4.8e-8 at eps=0.1, dim 200, where the march stops at
+    8.6e-8 after 16 steps per operator, only a factor of 2 inside tol;
+    1.3e-10 at eps=0.05, dim 400, where it stops after 17 to 21 steps.
     """
     if code.params.lattice != "qubit":
         raise ValueError("logical operators need the two-codeword lattice")

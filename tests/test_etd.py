@@ -3,7 +3,8 @@
 The dense superoperator of a small stabilizer model fits in memory, so the
 exact propagator is available through its eigendecomposition; the split
 exponential stepper must reproduce it. The phi functions are checked
-against high-precision arithmetic.
+against high-precision arithmetic, the real Kraus form against the complex
+channel operators, and the jump counts against the stage structure.
 """
 
 import mpmath
@@ -13,6 +14,7 @@ import pytest
 from gkpstab import GkpParams, build_dissipators
 from gkpstab.etd import SplitPropagator, _phi123
 from gkpstab.analysis import random_density_matrix
+from gkpstab.fock import make_ladder
 
 
 def test_phi_functions_against_mpmath():
@@ -53,14 +55,10 @@ def _dense_superoperator(dim, vs):
     return sup
 
 
-def test_krogstad_matches_dense_propagator(tiny_model):
-    dim, vs = tiny_model
-    sup = _dense_superoperator(dim, vs)
+def _assert_matches_dense(prop, dim, sup):
     evals, evecs = np.linalg.eig(sup)
     coeffs = np.linalg.solve(evecs, random_density_matrix(
         dim, np.random.default_rng(2)).flatten())
-
-    prop = SplitPropagator(vs, [1.0] * len(vs))
     rho0 = (evecs @ coeffs).reshape(dim, dim)
 
     for t_final, h in ((0.4, 0.002), (1.2, 0.004)):
@@ -70,6 +68,79 @@ def test_krogstad_matches_dense_propagator(tiny_model):
             xb = prop.step(xb, h)
         got = prop.from_basis(xb)
         assert np.abs(got - exact).max() <= 5e-9, f"t={t_final}"
+
+
+def test_krogstad_matches_dense_propagator(tiny_model):
+    dim, vs = tiny_model
+    prop = SplitPropagator(vs, [1.0] * len(vs))
+    _assert_matches_dense(prop, dim, _dense_superoperator(dim, vs))
+
+
+def test_unclosed_channel_set_takes_complex_path(tiny_model):
+    # one generic complex channel has no conjugate partner, so there is no
+    # real Kraus form; the complex path must still be exact
+    dim, vs = tiny_model
+    rng = np.random.default_rng(5)
+    extra = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(dim)
+    prop = SplitPropagator(vs + [extra], [1.0] * len(vs) + [0.05])
+    assert not prop.real_form
+    assert all(np.iscomplexobj(k) for k in prop.kraus)
+    _assert_matches_dense(prop, dim, _dense_superoperator(dim, vs + [np.sqrt(0.05) * extra]))
+
+
+@pytest.mark.parametrize("with_loss", [False, True], ids=["stabilizers", "plus_loss"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_real_form_jump_matches_complex_operators(tiny_model, with_loss, adjoint):
+    dim, vs = tiny_model
+    ops, rates = list(vs), [1.0] * len(vs)
+    if with_loss:
+        ops.append(make_ladder(dim).astype(complex))
+        rates.append(0.02)
+    prop = SplitPropagator(ops, rates, adjoint=adjoint)
+    assert prop.real_form
+    assert all(np.isrealobj(k) for k in prop.kraus) and np.isrealobj(prop.basis)
+
+    rho = random_density_matrix(dim, np.random.default_rng(6))
+    sym = rho.real.astype(complex)             # real symmetric
+    anti = 1j * rho.imag                       # purely imaginary Hermitian
+    for x in (sym, anti, rho):
+        want = sum(r * (v.conj().T @ x @ v if adjoint else v @ x @ v.conj().T)
+                   for v, r in zip(ops, rates))
+        got = prop.from_basis(prop.apply_jump(prop.to_basis(x)))
+        assert got.dtype == complex
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        if x is sym:
+            assert not got.imag.any()
+        if x is anti:
+            assert not got.real.any()
+
+
+def test_run_counts_jump_applications(tiny_model):
+    dim, vs = tiny_model
+    prop = SplitPropagator(vs, [1.0] * len(vs))
+    calls = []
+    apply_jump = prop.apply_jump
+    prop.apply_jump = lambda xb: calls.append(1) or apply_jump(xb)
+    rho0 = random_density_matrix(dim, np.random.default_rng(7))
+
+    # passing the first stage in is the same computation as letting step make it
+    xb = prop.to_basis(rho0)
+    assert np.array_equal(prop.step(xb, 0.1, prop.apply_jump(xb)), prop.step(xb, 0.1))
+
+    # an oversized first step forces rejections: an attempt costs 11 jump
+    # applications, a retry keeps its first stage and costs 10
+    calls.clear()
+    _, stats = prop.run(rho0, 1.0, rtol=1e-9, atol=1e-12, h0=1.0)
+    assert stats["n_reject"] >= 1
+    assert stats["n_jumps"] == len(calls)
+    assert stats["n_jumps"] == 11 * stats["n_accept"] + 10 * stats["n_reject"]
+
+    # the residual's jump is the next step's first stage: 4 per step, plus 1
+    adj = SplitPropagator(vs, [1.0] * len(vs), adjoint=True)
+    before = adj.n_jumps
+    *_, steps = adj.run_to_stationary(np.eye(dim) + rho0, h=0.5, residual_tol=0.0, t_max=3.0)
+    assert steps == 6
+    assert adj.n_jumps - before == 4 * steps + 1
 
 
 def test_step_size_far_beyond_explicit_stability(tiny_model):

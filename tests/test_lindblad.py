@@ -151,6 +151,7 @@ def test_trace_preserved_both_backends(small_stiff_case):
         assert np.abs(traj.column("trace") - 1.0).max() <= 1e-8
         if method == "etd4":
             assert traj.meta["trace_defect"] <= 1e-6
+            assert traj.meta["n_jumps"] == 11 * traj.meta["n_accept"] + 10 * traj.meta["n_reject"]
 
 
 def test_hermitian_at_record_points(small_stiff_case):
