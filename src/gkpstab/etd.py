@@ -94,24 +94,15 @@ def _real_kraus(ops, rates):
 def _real_sandwich(pairs, x):
     """sum_j a_j @ x @ b_j for real a_j, b_j and complex x, in real arithmetic.
 
-    A part of x that is exactly zero stays zero and costs nothing, so a real
-    or purely imaginary x takes two dgemms per pair. A general x is viewed as
-    a d x 2d real array whose columns alternate Re and Im; a_j @ x is then one
-    dgemm, and so is b_jᵀ @ (a_j x)ᵀ = (a_j x b_j)ᵀ.
+    The real and imaginary parts are sandwiched separately, two dgemms per
+    pair each; a part that is exactly zero stays zero and costs nothing, so a
+    real or purely imaginary x costs half as much as a general one.
     """
     x = np.asarray(x, dtype=complex)
-    has_re, has_im = x.real.any(), x.imag.any()
-    if has_re and has_im:
-        xv = np.ascontiguousarray(x).view(float)
-        acc = np.zeros_like(xv)
-        for a, b in pairs:
-            ax = (a @ xv).view(complex)
-            acc += b.T @ np.ascontiguousarray(ax.T).view(float)
-        return np.ascontiguousarray(acc.view(complex).T)
     out = np.zeros(x.shape, dtype=complex)
-    for part, nonzero in (("real", has_re), ("imag", has_im)):
-        if nonzero:
-            y = np.ascontiguousarray(getattr(x, part))
+    for part in ("real", "imag"):
+        y = np.ascontiguousarray(getattr(x, part))
+        if y.any():
             acc = np.zeros_like(y)
             for a, b in pairs:
                 acc += a @ y @ b
