@@ -16,7 +16,10 @@ import numpy as np
 from .codes import (
     GkpParams,
     build_code,
+    build_codewords,
     build_conjugated_quadratures,
+    build_dissipators,
+    build_lyapunov,
     convergence_rate,
     ETA_QUBIT,
 )
@@ -174,25 +177,20 @@ def verify_lyapunov_derivative_identity(epsilon, eta=ETA_QUBIT, dim=None, tol=1e
     """Check sum_k D*_k(W) = sum_{k,l} W_k† T_kl W_l on the interior block.
 
     W_k = exp(-i eta R_k†) V_k chains two displacement-type exponentials, so
-    the default margin uses order=2 corner clearance.
+    the default margin uses order=2 corner clearance. exp(-i eta R_k†) is
+    (exp(i eta R_k))† = (V_k + I)†, so W_k = (V_k + I)† V_k.
     """
     params = GkpParams(epsilon, eta, dim)
     dim = params.dim
     if margin is None:
         margin = interior_margin(dim, eta, order=2)
-    code_r, code_s = build_conjugated_quadratures(params)
-    eye = np.eye(dim)
-    gens = [code_r, code_s, -code_r, -code_s]
-    vs = [matrix_exponential(1j * eta * g) - eye for g in gens]
-    w = hermitian_part(sum(v.conj().T @ v for v in vs))
-
-    lhs = np.zeros_like(w)
-    for v in vs:
-        model = LindbladModel(((v, 1.0),))
-        lhs += adjoint_rhs(model, w)
+    vs = build_dissipators(params)
+    w = build_lyapunov(vs)
+    lhs = adjoint_rhs(LindbladModel(tuple((v, 1.0) for v in vs)), w)
 
     t = build_t_matrix(epsilon, eta).matrix
-    wk = [matrix_exponential(-1j * eta * g.conj().T) @ v for g, v in zip(gens, vs)]
+    eye = np.eye(dim)
+    wk = [(v + eye).conj().T @ v for v in vs]
     rhs = np.zeros_like(w)
     for k in range(4):
         for l in range(4):
@@ -303,14 +301,17 @@ def commutation_check(code, margin=None):
 def glauber_check(code, margin=None):
     """Max interior entry of e^{i eta R} e^{i eta S} - e^{-eta^2 [R,S]/2} e^{i eta (R+S)}.
 
-    [R,S] = i I, so the prefactor is the scalar e^{-i eta^2 / 2}.
+    [R,S] = i I, so the prefactor is the scalar e^{-i eta^2 / 2}. The two
+    factors on the left are V + I for the first two dissipators.
     """
     params = code.params
     if margin is None:
         margin = interior_margin(params.dim, params.eta, order=2)
     eta = params.eta
-    lhs = matrix_exponential(1j * eta * code.conj_q) @ matrix_exponential(1j * eta * code.conj_p)
-    rhs = np.exp(-0.5j * eta * eta) * matrix_exponential(1j * eta * (code.conj_q + code.conj_p))
+    eye = np.eye(params.dim)
+    r, s = build_conjugated_quadratures(params)
+    lhs = (code.dissipators[0] + eye) @ (code.dissipators[1] + eye)
+    rhs = np.exp(-0.5j * eta * eta) * matrix_exponential(1j * eta * (r + s))
     return _interior_max(lhs - rhs, margin), margin
 
 
@@ -568,8 +569,6 @@ def truncation_convergence_check(epsilon, eta=ETA_QUBIT, dim=None, factor=1.5):
     of the lowest non-kernel eigenvalue of W; both should be tiny when the
     20/eps rule is adequate.
     """
-    from .codes import build_codewords, build_lyapunov, build_dissipators
-
     params = GkpParams(epsilon, eta, dim)
     big = GkpParams(epsilon, eta, int(math.ceil(factor * params.dim)))
     small_words = build_codewords(params)

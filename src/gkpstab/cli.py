@@ -119,7 +119,6 @@ def _outdir(args, resolver):
 
 def _solver_options(args, resolver):
     return SolverOptions(
-        method=resolver.get(args.method, "solver.method", "auto"),
         rtol=resolver.get(args.rtol, "solver.rtol", 1e-8, float),
         atol=resolver.get(args.atol, "solver.atol", 1e-10, float),
     )
@@ -334,6 +333,16 @@ def cmd_logical_ops(args, resolver):
 
 # ---------------------------------------------------------------------------
 
+# shared flags, registered only on the subcommands that read them
+FLAGS = {
+    "epsilon": (float, "regularization strength"),
+    "eta": (str, "lattice constant: qubit, sensor, or a number"),
+    "dim": (int, "Fock truncation override (rule: 20/epsilon)"),
+    "rtol": (float, "solver relative tolerance"),
+    "atol": (float, "solver absolute tolerance"),
+    "seed": (int, "random seed (default 0)"),
+}
+
 
 def build_parser():
     p = argparse.ArgumentParser(prog="gkpstab",
@@ -341,38 +350,33 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=False):
+    def common(sp, *flags):
         sp.add_argument("--config", help="INI config file; flags override its values")
         sp.add_argument("--outdir", help="output directory (default $GKPSTAB_OUTDIR or .)")
         sp.add_argument("--prefix", help="output file prefix")
-        sp.add_argument("--epsilon", type=float, help="regularization strength")
-        sp.add_argument("--eta", help="lattice constant: qubit, sensor, or a number")
-        sp.add_argument("--dim", type=int, help="Fock truncation override (rule: 20/epsilon)")
-        sp.add_argument("--rtol", type=float, help="solver relative tolerance")
-        sp.add_argument("--atol", type=float, help="solver absolute tolerance")
-        sp.add_argument("--method", choices=("auto", "rk45", "etd4"), help="solver backend")
-        if seed:
-            sp.add_argument("--seed", type=int, help="random seed (default 0)")
+        for flag in flags:
+            kind, text = FLAGS[flag]
+            sp.add_argument(f"--{flag}", type=kind, help=text)
 
     sp = sub.add_parser("kappa", help="decay-rate table over an epsilon grid")
-    common(sp)
+    common(sp, "eta")
     sp.add_argument("--epsilons", help="comma-separated epsilon list")
     sp.add_argument("--epsilon-range", help="lo:hi:n or lo:hi:n:log")
     sp.set_defaults(func=cmd_kappa)
 
     sp = sub.add_parser("codewords", help="build codewords and diagnostics")
-    common(sp)
+    common(sp, "epsilon", "eta", "dim")
     sp.set_defaults(func=cmd_codewords)
 
     sp = sub.add_parser("lyapunov", help="random-state decay-rate experiment")
-    common(sp, seed=True)
+    common(sp, "epsilon", "eta", "dim", "rtol", "atol", "seed")
     sp.add_argument("--trials", type=int, help="number of random initial states")
     sp.add_argument("--long-running", action="store_true",
                     help="allow epsilon <= 1/20 tiers")
     sp.set_defaults(func=cmd_lyapunov)
 
     sp = sub.add_parser("qec-sim", help="photon-loss on/off experiment")
-    common(sp)
+    common(sp, "epsilon", "dim", "rtol", "atol")
     sp.add_argument("--kappa1", type=float, help="loss rate (default epsilon/5)")
     sp.add_argument("--records", type=int, help="number of record times")
     sp.add_argument("--long-running", action="store_true",
@@ -380,11 +384,11 @@ def build_parser():
     sp.set_defaults(func=cmd_qec_sim)
 
     sp = sub.add_parser("check", help="closed-form identity verification suite")
-    common(sp)
+    common(sp, "epsilon", "eta", "dim")
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("logical-ops", help="stationary logical observables")
-    common(sp)
+    common(sp, "epsilon", "dim")
     sp.add_argument("--tol", type=float, help="residual stopping tolerance")
     sp.add_argument("--horizon-multiplier", type=float,
                     help="fallback horizon in units of 1/kappa")

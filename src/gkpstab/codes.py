@@ -302,8 +302,6 @@ class GkpCode:
     """
 
     params: GkpParams
-    conj_q: np.ndarray
-    conj_p: np.ndarray
     dissipators: tuple
     lyapunov: np.ndarray
     codewords: tuple
@@ -325,7 +323,6 @@ class GkpCode:
 
 def build_code(params):
     """Construct the full GkpCode bundle for one parameter set."""
-    r, s = build_conjugated_quadratures(params)
     dissipators = build_dissipators(params)
     lyap = build_lyapunov(dissipators)
     codewords = tuple(build_codewords(params))
@@ -335,8 +332,6 @@ def build_code(params):
         s0 = sx = sy = sz = None
     return GkpCode(
         params=params,
-        conj_q=r,
-        conj_p=s,
         dissipators=dissipators,
         lyapunov=lyap,
         codewords=codewords,

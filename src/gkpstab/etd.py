@@ -15,6 +15,10 @@ Two properties carry the package's workloads:
     for every h (the phi-function combinations telescope), so stationary
     observables can be reached with large fixed steps plus a residual test.
 
+Adaptive runs go through ode._drive, the package's one step-size loop; this
+module supplies only the attempt, a step-doubling Richardson estimate built
+from three Krogstad steps.
+
 The stages only need J applied, and J can be applied in real arithmetic. In
 the Fock basis the GKP dissipators e^{±iηR} - I and e^{±iηS} - I (R real, S
 purely imaginary) are two exactly real operators and one conjugate pair, and
@@ -30,7 +34,7 @@ of equal rate) keeps complex Kraus factors and complex GEMMs.
 
 import numpy as np
 
-from .errors import StepSizeUnderflowError
+from .ode import _drive
 
 
 def _phi123(z):
@@ -50,7 +54,6 @@ def _phi123(z):
         w = z[small]
         for k, out in ((1, p1), (2, p2), (3, p3)):
             acc = np.zeros_like(w)
-            fact = 1.0
             for j in range(13, -1, -1):
                 # coefficient 1/(j+k)!
                 acc = acc * w + 1.0 / _factorial(j + k)
@@ -120,7 +123,8 @@ class SplitPropagator:
 
     real_form tells whether the channel set closes under complex conjugation;
     if so, kraus holds real factors of the same map and the G-eigenbasis is
-    real. States stay complex arrays either way. n_jumps counts the jump
+    real. States stay complex arrays either way. adjoint is kept, because run
+    rescales the trace of forward states only. n_jumps counts the jump
     applications made so far.
     """
 
@@ -136,6 +140,7 @@ class SplitPropagator:
         kraus = [self.basis.conj().T @ k @ self.basis for k in factors]
         self.kraus = [np.ascontiguousarray(k.conj().T) for k in kraus] if adjoint else kraus
         self.dim = dim
+        self.adjoint = adjoint
         self.n_jumps = 0
         self._zsum = -(self.g_eigs[:, None] + self.g_eigs[None, :])
         self._tables = {}
@@ -191,70 +196,51 @@ class SplitPropagator:
         )
 
     def run(self, x0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
-            on_record=None, hermitize=True, renorm_trace=False,
-            h0=1e-3, max_steps=1_000_000):
+            on_record=None, h0=1e-3, max_steps=1_000_000):
         """Adaptive propagation by step doubling with local extrapolation.
 
-        The doubled half-steps give the Richardson error estimate; the
-        extrapolated value propagates. The full step and the first half step
-        share their first stage, which a rejected attempt keeps for the
+        Each attempt of ode._drive takes one step of size h and two of size
+        h/2; their difference over 15 is the Richardson error estimate and
+        the extrapolated value propagates. The full step and the first half
+        step share their first stage, which a rejected attempt keeps for the
         retry, so an attempt costs 11 jump applications (10 on a retry).
-        renorm_trace rescales the state to its initial trace after every
-        accepted step (the exact forward flow conserves it); the largest
-        pre-rescale defect is reported in the returned stats, with the number
-        of jump applications. Record times are hit exactly by step clamping.
+        Every accepted state is made Hermitian. A forward propagator also
+        rescales it to the initial trace, which the exact forward flow
+        conserves (the adjoint flow does not conserve trace, so it is left
+        alone); the largest pre-rescale defect is reported in the returned
+        stats, with the number of jump applications. Record times are hit
+        exactly by step clamping.
         """
         jumps_before = self.n_jumps
         xb = self.to_basis(x0)
         target_trace = np.trace(xb)
-        record = sorted(set(float(tr) for tr in record_times if 0.0 < tr <= t_final))
-        if not record or record[-1] < t_final:
-            record.append(t_final)
-        if on_record is not None and any(np.isclose(tr, 0.0) for tr in record_times):
-            on_record(0.0, self.from_basis(xb))
-        t = 0.0
-        h = float(h0)
-        ri = 0
-        n_accept = n_reject = 0
         trace_defect = 0.0
         n1 = None
-        while t < t_final - 1e-14 * max(1.0, t_final):
-            if n_accept + n_reject > max_steps:
-                raise StepSizeUnderflowError(f"step budget exhausted at t={t:.6g}")
-            t_stop = record[ri]
-            h_try = min(h, t_stop - t)
-            if h_try < 1e4 * np.finfo(float).eps * max(abs(t), 1.0):
-                raise StepSizeUnderflowError(f"step size underflow at t={t:.6g}")
+
+        def attempt(xb, h):
+            nonlocal n1
             if n1 is None:
                 n1 = self.apply_jump(xb)
-            big = self.step(xb, h_try, n1)
-            half = self.step(self.step(xb, 0.5 * h_try, n1), 0.5 * h_try)
-            err_mat = np.abs(big - half)
-            err = err_mat.max() / 15.0
+            big = self.step(xb, h, n1)
+            half = self.step(self.step(xb, 0.5 * h, n1), 0.5 * h)
+            err = np.abs(big - half).max() / 15.0
             scale = atol + rtol * max(np.abs(xb).max(), np.abs(half).max())
-            if not np.isfinite(err):
-                h = 0.25 * h_try
-                n_reject += 1
-                continue
-            if err <= scale:
-                xb = half + (half - big) / 15.0
-                n1 = None
-                if hermitize:
-                    xb = 0.5 * (xb + xb.conj().T)
-                if renorm_trace:
-                    tr = np.trace(xb)
-                    trace_defect = max(trace_defect, abs(tr - target_trace))
-                    xb *= target_trace / tr
-                t += h_try
-                n_accept += 1
-                if t >= t_stop - 1e-14 * max(1.0, t_final):
-                    if on_record is not None:
-                        on_record(t_stop, self.from_basis(xb))
-                    ri += 1
-            else:
-                n_reject += 1
-            factor = 0.9 * (scale / err) ** 0.25 if err > 0 else 4.0
-            h = h_try * min(4.0, max(0.2, factor))
+            return half + (half - big) / 15.0, err, scale
+
+        def accept(xb):
+            nonlocal n1, trace_defect
+            n1 = None
+            xb = 0.5 * (xb + xb.conj().T)
+            if not self.adjoint:
+                tr = np.trace(xb)
+                trace_defect = max(trace_defect, abs(tr - target_trace))
+                xb *= target_trace / tr
+            return xb
+
+        record = None if on_record is None else (lambda t, xb: on_record(t, self.from_basis(xb)))
+        xb, n_accept, n_reject, h = _drive(
+            attempt, xb, t_final, float(h0), record_times, exponent=0.25, max_growth=4.0,
+            accept=accept, on_record=record, max_steps=max_steps)
         return self.from_basis(xb), {
             "n_accept": n_accept,
             "n_reject": n_reject,
@@ -263,14 +249,15 @@ class SplitPropagator:
             "h_final": h,
         }
 
-    def run_to_stationary(self, x0, h, residual_tol, t_max, hermitize=True):
+    def run_to_stationary(self, x0, h, residual_tol, t_max):
         """Fixed-step march until ||L(X)||_F <= residual_tol * ||X||_F.
 
         Exact stationary points are fixed points of the step for any h, so
         the limit does not depend on h; h only sets how fast the decaying
         part dies. The jump inside each residual is the next step's first
-        stage, so n steps cost 4n + 1 jump applications. Returns
-        (X, relative residual, reached time, steps).
+        stage, so n steps cost 4n + 1 jump applications. Every step's state
+        is made Hermitian. Returns (X, relative residual, reached time,
+        steps).
         """
         xb = self.to_basis(x0)
         n1 = self.apply_jump(xb)
@@ -280,8 +267,7 @@ class SplitPropagator:
         while t < t_max:
             hh = min(h, t_max - t)
             xb = self.step(xb, hh, n1)
-            if hermitize:
-                xb = 0.5 * (xb + xb.conj().T)
+            xb = 0.5 * (xb + xb.conj().T)
             t += hh
             n += 1
             n1 = self.apply_jump(xb)

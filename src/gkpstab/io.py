@@ -128,17 +128,3 @@ def parse_config(path):
             flat[f"{section}.{key}"] = val
     return flat, raw
 
-
-def config_text(flat):
-    """Serialize a flat 'section.key' dict back to INI text (sorted, canonical)."""
-    by_section = {}
-    for full_key, val in flat.items():
-        section, _, key = full_key.partition(".")
-        by_section.setdefault(section, {})[key] = val
-    lines = []
-    for section in sorted(by_section):
-        lines.append(f"[{section}]")
-        for key in sorted(by_section[section]):
-            lines.append(f"{key} = {by_section[section][key]}")
-        lines.append("")
-    return "\n".join(lines)

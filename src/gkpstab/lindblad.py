@@ -3,11 +3,13 @@ logical observables, and Bloch coordinates.
 
 The Hamiltonian is identically zero throughout; dynamics is a sum of
 dissipation channels (operator, rate). Two integration backends sit behind
-evolve(): the contracted adaptive explicit 5(4) pair, and an exponential
-integrator that treats the stiff drift exactly (see etd.py). The stabilizer
-channels make the truncated generator stiff (spectral radius ~ ||W||, which
-grows exponentially with eps*dim), so production-size runs auto-select the
-exponential backend.
+evolve(), both driven by the one adaptive step loop in ode.py: the explicit
+Dormand-Prince 5(4) pair, and an exponential integrator that treats the stiff
+drift exactly (see etd.py). evolve() picks the backend from the model and
+the horizon alone: the stabilizer channels make the truncated generator
+stiff (spectral radius ~ ||W||, which grows exponentially with eps*dim), so
+production-size runs take the exponential backend, while a loss-only or
+short run takes the explicit pair.
 """
 
 import warnings
@@ -141,23 +143,12 @@ def validate_density_matrix(rho, trace_tol=1e-8, herm_tol=1e-10, psd_tol=1e-8):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Integration controls.
+    """Integration controls. Tolerances apply to the max-norm local error of
+    the state; max_steps caps the accepted plus rejected steps of one run."""
 
-    method: "auto" picks rk45 unless the explicit-stability step estimate
-    would need more than max_explicit_steps; "rk45" and "etd4" force a
-    backend. Tolerances apply to the max-norm local error of the state.
-    """
-
-    method: str = "auto"
     rtol: float = 1e-8
     atol: float = 1e-10
     max_steps: int = 10_000_000
-    max_explicit_steps: int = 50_000
-    renorm_trace: bool = True
-
-    def __post_init__(self):
-        if self.method not in ("auto", "rk45", "etd4"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -197,35 +188,20 @@ class Trajectory:
         return np.asarray(self.records[name])
 
 
-def _spectral_norm_estimate(g, iters=30, seed=0):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(g.shape[0]) + 1j * rng.standard_normal(g.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = g @ v
-        lam = np.linalg.norm(w)
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-    return float(lam)
-
-
-def _pick_method(model, t_final, options):
-    if options.method != "auto":
-        return options.method
-    g = sum(r * (op.conj().T @ op) for op, r in model.channels) / 2.0
-    gmax = _spectral_norm_estimate(hermitian_part(g))
-    # explicit 5(4) stability reach is ~3.3/|lambda|, spectrum reaches ~ -2*gmax
-    explicit_steps = 2.0 * gmax * t_final / 3.3
-    return "rk45" if explicit_steps <= options.max_explicit_steps else "etd4"
+# evolve integrates with the explicit pair while its stability-limited step
+# count stays at or below this, and with the exponential integrator beyond
+MAX_EXPLICIT_STEPS = 50_000
 
 
 def evolve(model, rho0, t_final, record_times=None, options=None, observables=None):
     """Integrate the master equation and record observables.
 
-    record_times defaults to 200 evenly spaced points. The Hermitian part is
-    enforced after every accepted step on both backends. Emits
+    record_times defaults to 200 evenly spaced points. The backend is "rk45"
+    when the explicit pair's stability-limited step count, estimated from
+    ||G||_1, is at most MAX_EXPLICIT_STEPS, and "etd4" otherwise; the choice
+    is stored in meta["method"]. The Hermitian part is enforced after every
+    accepted step on both backends, and the exponential backend also
+    rescales the trace to its initial value. Emits
     PositivityWarning if the state acquires an eigenvalue below
     -positivity_tol at a record point.
     """
@@ -280,16 +256,14 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
                     PositivityWarning,
                 )
 
-    method = _pick_method(model, t_final, options)
+    # ||G||_1 bounds the spectral radius of the Hermitian drift G; the
+    # spectrum of L reaches ~ -2||G|| and the explicit 5(4) pair is stable
+    # for steps up to ~3.3/|lambda|
+    g_norm = np.linalg.norm(sum(r * (op.conj().T @ op) for op, r in model.channels) / 2.0, 1)
+    method = "rk45" if 2.0 * g_norm * t_final / 3.3 <= MAX_EXPLICIT_STEPS else "etd4"
     if method == "rk45":
-        def rhs(_t, y):
-            return lindblad_rhs(model, y)
-
-        max_rate_norm = max(
-            r * np.linalg.norm(op, 2) ** 2 for op, r in model.channels
-        )
         stats = ode.integrate(
-            rhs,
+            lambda y: lindblad_rhs(model, y),
             rho0,
             t_final,
             rtol=options.rtol,
@@ -298,7 +272,7 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
             post_step=hermitian_part,
             on_record=on_record,
             max_steps=options.max_steps,
-            diagnostics=f"dominant channel norm^2*rate = {max_rate_norm:.3e}",
+            diagnostics=f"drift norm ||G||_1 = {g_norm:.3e}",
         )
     else:
         prop = SplitPropagator(model.operators, model.rates, adjoint=False)
@@ -309,8 +283,6 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
             atol=options.atol,
             record_times=all_stops,
             on_record=on_record,
-            hermitize=True,
-            renorm_trace=options.renorm_trace,
             max_steps=options.max_steps,
         )
     stats["method"] = method

@@ -1,9 +1,18 @@
-"""Adaptive embedded Runge-Kutta 5(4) for matrix-valued ODEs.
+"""Adaptive step-size control, and the embedded Runge-Kutta 5(4) pair that
+is one of its two users.
 
-Dormand-Prince pair: the 5th-order solution propagates, the embedded
-4th-order difference drives the step controller. The state is a dense
-complex matrix and the right-hand side is evaluated in matrix form; no
-superoperator is ever materialized.
+`_drive` is the one adaptive loop in the package. It clamps steps to the
+record times, enforces the step budget and the underflow guard, retreats
+from non-finite error estimates, and updates the step size. A backend only
+supplies attempt(y, h) -> (candidate, err, tol); the attempt is accepted iff
+err <= tol, and the next step is h * clip(0.9 * (tol/err)**exponent, 0.2,
+max_growth). The Dormand-Prince pair below is one backend; the step-doubling
+exponential integrator in etd.py is the other.
+
+Dormand-Prince: the 5th-order solution propagates, the embedded 4th-order
+difference drives the controller. The state is a dense complex matrix and
+the autonomous right-hand side is evaluated in matrix form; no superoperator
+is ever materialized.
 """
 
 import numpy as np
@@ -11,7 +20,6 @@ import numpy as np
 from .errors import StepSizeUnderflowError
 
 # Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
     [],
     [1 / 5],
@@ -28,15 +36,64 @@ _B4 = np.array(
 _ERR = _B5 - _B4
 
 
-def _initial_step(f, t0, y0, rtol, atol):
+def _drive(attempt, y, t_final, h, record_times, exponent, max_growth,
+           accept=None, on_record=None, max_steps=10_000_000, diagnostics=None):
+    """Adaptive march from t=0 to t_final, stopping exactly at each record time.
+
+    accept(candidate) -> y post-processes every accepted step; on_record(t, y)
+    fires at every record time and at t_final (and at t=0 when 0 is among
+    record_times). Raises StepSizeUnderflowError when the step budget is
+    spent or the controller is driven below ~1e4 ulp of the current time,
+    appending `diagnostics` (a string) to the message. Returns
+    (y, accepted steps, rejected steps, next step size).
+    """
+    t = 0.0
+    record = sorted(set(float(tr) for tr in record_times if 0.0 < tr <= t_final))
+    if not record or record[-1] < t_final:
+        record.append(t_final)
+    if on_record is not None and any(np.isclose(tr, 0.0) for tr in record_times):
+        on_record(0.0, y)
+    suffix = f"; {diagnostics}" if diagnostics else ""
+    n_accept = n_reject = 0
+    ri = 0
+    while t < t_final - 1e-14 * max(1.0, t_final):
+        if n_accept + n_reject > max_steps:
+            raise StepSizeUnderflowError(
+                f"step budget {max_steps} exhausted at t={t:.6g}{suffix}")
+        t_stop = record[ri]
+        h_try = min(h, t_stop - t)
+        if h_try < 1e4 * np.finfo(float).eps * max(abs(t), 1.0):
+            raise StepSizeUnderflowError(
+                f"step size underflow at t={t:.6g} (h={h_try:.3e}){suffix}")
+        candidate, err, tol = attempt(y, h_try)
+        if not np.isfinite(err):
+            h = 0.25 * h_try
+            n_reject += 1
+            continue
+        if err <= tol:
+            t += h_try
+            y = candidate if accept is None else accept(candidate)
+            n_accept += 1
+            if t >= t_stop - 1e-14 * max(1.0, t_final):
+                if on_record is not None:
+                    on_record(t_stop, y)
+                ri += 1
+        else:
+            n_reject += 1
+        factor = 0.9 * (tol / err) ** exponent if err > 0 else max_growth
+        h = h_try * min(max_growth, max(0.2, factor))
+    return y, n_accept, n_reject, h
+
+
+def _initial_step(f, y0, rtol, atol):
     """Standard Hairer-Norsett-Wanner h0 heuristic adapted to max-norm."""
     scale = atol + rtol * np.abs(y0).max()
-    f0 = f(t0, y0)
+    f0 = f(y0)
     d0 = np.abs(y0).max() / scale
     d1 = np.abs(f0).max() / scale
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     y1 = y0 + h0 * f0
-    f1 = f(t0 + h0, y1)
+    f1 = f(y1)
     d2 = np.abs(f1 - f0).max() / scale / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -48,63 +105,27 @@ def _initial_step(f, t0, y0, rtol, atol):
 def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
               post_step=None, on_record=None, max_steps=10_000_000,
               h0=None, diagnostics=None):
-    """Integrate y' = f(t, y) from t=0 to t_final, stopping exactly at each
-    record time.
+    """Integrate the autonomous y' = f(y) from t=0 to t_final with the
+    Dormand-Prince pair, stopping exactly at each record time.
 
     post_step(y) -> y runs after every accepted step (e.g. Hermitian
     projection); on_record(t, y) fires at every record time and at t_final.
-    Raises StepSizeUnderflowError when the controller is driven below
-    ~1e4 ulp of the current time, appending `diagnostics` (a string) to the
-    message. Returns integration stats.
+    Raises StepSizeUnderflowError as described in _drive. Returns
+    integration stats.
     """
-    t = 0.0
     y = np.array(y0, dtype=complex)
-    record = sorted(set(float(tr) for tr in record_times if 0.0 < tr <= t_final))
-    if not record or record[-1] < t_final:
-        record.append(t_final)
-    if on_record is not None and any(np.isclose(tr, 0.0) for tr in record_times):
-        on_record(0.0, y)
 
-    h = _initial_step(f, t, y, rtol, atol) if h0 is None else float(h0)
-    n_accept = n_reject = 0
-    ri = 0
-    k = [None] * 7
-    while t < t_final - 1e-14 * max(1.0, t_final):
-        if n_accept + n_reject > max_steps:
-            raise StepSizeUnderflowError(
-                f"step budget {max_steps} exhausted at t={t:.6g}"
-                + (f"; {diagnostics}" if diagnostics else "")
-            )
-        t_stop = record[ri]
-        h_try = min(h, t_stop - t)
-        h_min = 1e4 * np.finfo(float).eps * max(abs(t), 1.0)
-        if h_try < h_min:
-            raise StepSizeUnderflowError(
-                f"step size underflow at t={t:.6g} (h={h_try:.3e})"
-                + (f"; {diagnostics}" if diagnostics else "")
-            )
-        k[0] = f(t, y)
+    def attempt(y, h):
+        k = [f(y)]
         for i in range(1, 7):
-            yi = y + h_try * sum(aij * k[j] for j, aij in enumerate(_A[i]))
-            k[i] = f(t + _C[i] * h_try, yi)
-        y5 = y + h_try * sum(b * k[i] for i, b in enumerate(_B5) if b != 0.0)
-        err_mat = h_try * sum(e * k[i] for i, e in enumerate(_ERR) if e != 0.0)
+            k.append(f(y + h * sum(aij * k[j] for j, aij in enumerate(_A[i]))))
+        y5 = y + h * sum(b * k[i] for i, b in enumerate(_B5) if b != 0.0)
+        err_mat = h * sum(e * k[i] for i, e in enumerate(_ERR) if e != 0.0)
         scale = atol + rtol * max(np.abs(y).max(), np.abs(y5).max())
-        err = np.abs(err_mat).max() / scale
-        if not np.isfinite(err):
-            h = 0.25 * h_try
-            n_reject += 1
-            continue
-        if err <= 1.0:
-            t = t + h_try
-            y = y5 if post_step is None else post_step(y5)
-            n_accept += 1
-            if t >= t_stop - 1e-14 * max(1.0, t_final):
-                if on_record is not None:
-                    on_record(t_stop, y)
-                ri += 1
-        else:
-            n_reject += 1
-        factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
-        h = h_try * min(5.0, max(0.2, factor))
+        return y5, np.abs(err_mat).max() / scale, 1.0
+
+    h = _initial_step(f, y, rtol, atol) if h0 is None else float(h0)
+    _, n_accept, n_reject, h = _drive(
+        attempt, y, t_final, h, record_times, exponent=0.2, max_growth=5.0,
+        accept=post_step, on_record=on_record, max_steps=max_steps, diagnostics=diagnostics)
     return {"n_accept": n_accept, "n_reject": n_reject, "h_final": h}

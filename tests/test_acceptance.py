@@ -16,7 +16,6 @@ from gkpstab import (
     GkpParams,
     LindbladModel,
     ObservableSpec,
-    SolverOptions,
     adjoint_rhs,
     build_code,
     evolve,
@@ -293,8 +292,8 @@ def test_criterion_9_engine_properties():
     rho0 = random_density_matrix(40, rng)
     traj = evolve(stabilizer_model(code), rho0, 2.0,
                   record_times=np.linspace(0, 2, 9),
-                  options=SolverOptions(method="rk45"),
                   observables=ObservableSpec(positivity_tol=None))
+    assert traj.meta["method"] == "rk45"
     trace_dev = float(np.abs(traj.column("trace") - 1.0).max())
 
     # single-channel loss on the one-photon state

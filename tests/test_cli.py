@@ -5,7 +5,6 @@ import pytest
 
 from gkpstab import GkpParams, build_code
 from gkpstab.cli import EXIT_OK, EXIT_USAGE, main
-from gkpstab.io import config_text, parse_config
 
 
 def read_json(path):
@@ -80,14 +79,27 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert read_json(tmp_path / "b.json")["payload"]["dim"] == 72
 
 
-def test_config_text_round_trip(tmp_path):
-    cfg = tmp_path / "c.ini"
-    cfg.write_text("[run]\nepsilon = 0.1\nseed = 3\n\n[solver]\nrtol = 1e-9\n")
-    flat, _ = parse_config(cfg)
-    rendered = tmp_path / "r.ini"
-    rendered.write_text(config_text(flat))
-    flat2, _ = parse_config(rendered)
-    assert flat == flat2
+# flags that a subcommand would not read are not registered on it
+@pytest.mark.parametrize("argv", [
+    ["kappa", "--epsilons", "0.1", "--epsilon", "0.1"],
+    ["kappa", "--epsilons", "0.1", "--dim", "50"],
+    ["kappa", "--epsilons", "0.1", "--rtol", "1e-6"],
+    ["kappa", "--epsilons", "0.1", "--atol", "1e-6"],
+    ["codewords", "--epsilon", "0.2", "--rtol", "1e-6"],
+    ["codewords", "--epsilon", "0.2", "--atol", "1e-6"],
+    ["check", "--epsilon", "0.2", "--rtol", "1e-6"],
+    ["check", "--epsilon", "0.2", "--atol", "1e-6"],
+    ["qec-sim", "--epsilon", "0.2", "--eta", "sensor"],
+    ["logical-ops", "--epsilon", "0.2", "--eta", "sensor"],
+    ["logical-ops", "--epsilon", "0.2", "--rtol", "1e-6"],
+    ["logical-ops", "--epsilon", "0.2", "--atol", "1e-6"],
+    ["lyapunov", "--epsilon", "0.2", "--method", "rk45"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_unread_flag_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert argv[-2] in capsys.readouterr().err
 
 
 def test_check_subcommand_passes(tmp_path, capsys):

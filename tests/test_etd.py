@@ -176,10 +176,31 @@ def test_adaptive_run_hits_tolerance(tiny_model):
     exact = (evecs @ (np.exp(evals * t_final) * coeffs)).reshape(dim, dim)
 
     prop = SplitPropagator(vs, [1.0] * len(vs))
-    got, stats = prop.run(rho0, t_final, rtol=1e-9, atol=1e-12, renorm_trace=True)
+    got, stats = prop.run(rho0, t_final, rtol=1e-9, atol=1e-12)
     assert np.abs(got - exact).max() <= 1e-7
     assert stats["trace_defect"] <= 1e-8
     assert abs(np.trace(got) - 1.0) <= 1e-12
+
+
+def test_adjoint_run_matches_dense_propagator(tiny_model):
+    # the adjoint flow does not conserve trace, so run must leave it alone:
+    # a rescale to the initial trace would miss the exact propagator by the
+    # trace change, which is far above the tolerance here
+    dim, vs = tiny_model
+    sup = _dense_superoperator(dim, vs).conj().T   # L* in the Hilbert-Schmidt product
+    evals, evecs = np.linalg.eig(sup)
+    rng = np.random.default_rng(8)
+    x0 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    x0 = x0 + x0.conj().T
+    coeffs = np.linalg.solve(evecs, x0.flatten())
+    t_final = 2.0
+    exact = (evecs @ (np.exp(evals * t_final) * coeffs)).reshape(dim, dim)
+    assert abs(np.trace(exact) - np.trace(x0)) >= 1e-3
+
+    prop = SplitPropagator(vs, [1.0] * len(vs), adjoint=True)
+    got, stats = prop.run(x0, t_final, rtol=1e-9, atol=1e-12)
+    assert np.abs(got - exact).max() <= 1e-7 * np.abs(exact).max()
+    assert stats["trace_defect"] == 0.0
 
 
 def test_stationary_fixed_point_h_independent(small_code):

@@ -25,6 +25,7 @@ from gkpstab import (
     validate_density_matrix,
 )
 from gkpstab.analysis import random_density_matrix
+from gkpstab.etd import SplitPropagator
 
 
 def loss_model(dim, rate=1.0):
@@ -125,33 +126,45 @@ def small_stiff_case():
     return code, model, rho0
 
 
+def _etd_run(model, rho0, t_final, record_times, lyapunov=None):
+    # the exponential backend, called directly: evolve picks rk45 here
+    prop = SplitPropagator(model.operators, model.rates)
+    traces, lyap = [], []
+
+    def on_record(_t, rho):
+        traces.append(np.trace(rho).real)
+        if lyapunov is not None:
+            lyap.append(np.vdot(lyapunov, rho).real)
+
+    rho, stats = prop.run(rho0, t_final, record_times=record_times, on_record=on_record)
+    return rho, np.array(traces), np.array(lyap), stats
+
+
 def test_backends_agree(small_stiff_case):
     code, model, rho0 = small_stiff_case
     t_final = 1.5
-    kw = dict(
-        record_times=[0.0, 0.7, t_final],
-        observables=ObservableSpec(lyapunov=code.lyapunov,
-                                   snapshot_times=(t_final,), positivity_tol=None),
-    )
-    rk = evolve(model, rho0, t_final, options=SolverOptions(method="rk45"), **kw)
-    etd = evolve(model, rho0, t_final, options=SolverOptions(method="etd4"), **kw)
+    grid = [0.0, 0.7, t_final]
+    rk = evolve(model, rho0, t_final, record_times=grid,
+                observables=ObservableSpec(lyapunov=code.lyapunov,
+                                           snapshot_times=(t_final,), positivity_tol=None))
     assert rk.meta["method"] == "rk45"
-    assert etd.meta["method"] == "etd4"
-    assert np.abs(rk.snapshots[t_final] - etd.snapshots[t_final]).max() <= 5e-7
-    np.testing.assert_allclose(rk.column("lyapunov"), etd.column("lyapunov"),
-                               rtol=1e-5, atol=1e-8)
+    rho, _, lyap, _ = _etd_run(model, rho0, t_final, grid, code.lyapunov)
+    assert np.abs(rk.snapshots[t_final] - rho).max() <= 5e-7
+    np.testing.assert_allclose(rk.column("lyapunov"), lyap, rtol=1e-5, atol=1e-8)
 
 
 def test_trace_preserved_both_backends(small_stiff_case):
     code, model, rho0 = small_stiff_case
-    for method in ("rk45", "etd4"):
-        traj = evolve(model, rho0, 2.0, record_times=np.linspace(0, 2, 9),
-                      options=SolverOptions(method=method),
-                      observables=ObservableSpec(positivity_tol=None))
-        assert np.abs(traj.column("trace") - 1.0).max() <= 1e-8
-        if method == "etd4":
-            assert traj.meta["trace_defect"] <= 1e-6
-            assert traj.meta["n_jumps"] == 11 * traj.meta["n_accept"] + 10 * traj.meta["n_reject"]
+    grid = np.linspace(0, 2, 9)
+    traj = evolve(model, rho0, 2.0, record_times=grid,
+                  observables=ObservableSpec(positivity_tol=None))
+    assert traj.meta["method"] == "rk45"
+    assert np.abs(traj.column("trace") - 1.0).max() <= 1e-8
+    _, traces, _, stats = _etd_run(model, rho0, 2.0, grid)
+    assert len(traces) == len(grid)
+    assert np.abs(traces - 1.0).max() <= 1e-8
+    assert stats["trace_defect"] <= 1e-6
+    assert stats["n_jumps"] == 11 * stats["n_accept"] + 10 * stats["n_reject"]
 
 
 def test_hermitian_at_record_points(small_stiff_case):
@@ -206,7 +219,7 @@ def test_positivity_warning():
 def test_step_budget_guard(small_stiff_case):
     code, model, rho0 = small_stiff_case
     with pytest.raises(StepSizeUnderflowError):
-        evolve(model, rho0, 5.0, options=SolverOptions(method="rk45", max_steps=5))
+        evolve(model, rho0, 5.0, options=SolverOptions(max_steps=5))
 
 
 def test_invalid_inputs(small_stiff_case):
