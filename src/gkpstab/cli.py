@@ -91,6 +91,9 @@ class Resolver:
 
     def __init__(self, config_path):
         self.flat, self.raw = ({}, "") if not config_path else io.parse_config(config_path)
+        if "solver.method" in self.flat:
+            raise UsageError("config key solver.method is not read: the integrator "
+                             "is chosen from the model")
 
     def get(self, flag_value, key, default, cast=str):
         if flag_value is not None:

@@ -204,43 +204,42 @@ class SplitPropagator:
         the extrapolated value propagates. The full step and the first half
         step share their first stage, which a rejected attempt keeps for the
         retry, so an attempt costs 11 jump applications (10 on a retry).
-        Every accepted state is made Hermitian. A forward propagator also
-        rescales it to the initial trace, which the exact forward flow
-        conserves (the adjoint flow does not conserve trace, so it is left
-        alone); the largest pre-rescale defect is reported in the returned
-        stats, with the number of jump applications. Record times are hit
-        exactly by step clamping.
+        ode._drive makes every accepted state Hermitian. A forward
+        propagator also rescales it to the initial trace, which the exact
+        forward flow conserves (the adjoint flow does not conserve trace, so
+        it is left alone); the largest pre-rescale defect is reported in the
+        returned stats, with the number of jump applications. Record times
+        are hit exactly by step clamping.
         """
         jumps_before = self.n_jumps
         xb = self.to_basis(x0)
         target_trace = np.trace(xb)
         trace_defect = 0.0
-        n1 = None
+        n1 = n1_of = None
 
         def attempt(xb, h):
-            nonlocal n1
-            if n1 is None:
-                n1 = self.apply_jump(xb)
+            nonlocal n1, n1_of
+            # _drive passes a new array after an accepted step and the same
+            # one again after a rejection
+            if xb is not n1_of:
+                n1, n1_of = self.apply_jump(xb), xb
             big = self.step(xb, h, n1)
             half = self.step(self.step(xb, 0.5 * h, n1), 0.5 * h)
             err = np.abs(big - half).max() / 15.0
             scale = atol + rtol * max(np.abs(xb).max(), np.abs(half).max())
             return half + (half - big) / 15.0, err, scale
 
-        def accept(xb):
-            nonlocal n1, trace_defect
-            n1 = None
-            xb = 0.5 * (xb + xb.conj().T)
-            if not self.adjoint:
-                tr = np.trace(xb)
-                trace_defect = max(trace_defect, abs(tr - target_trace))
-                xb *= target_trace / tr
-            return xb
+        def renormalize(xb):
+            nonlocal trace_defect
+            tr = np.trace(xb)
+            trace_defect = max(trace_defect, abs(tr - target_trace))
+            xb *= target_trace / tr
 
         record = None if on_record is None else (lambda t, xb: on_record(t, self.from_basis(xb)))
         xb, n_accept, n_reject, h = _drive(
             attempt, xb, t_final, float(h0), record_times, exponent=0.25, max_growth=4.0,
-            accept=accept, on_record=record, max_steps=max_steps)
+            on_accept=None if self.adjoint else renormalize, on_record=record,
+            max_steps=max_steps)
         return self.from_basis(xb), {
             "n_accept": n_accept,
             "n_reject": n_reject,

@@ -269,7 +269,6 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
             rtol=options.rtol,
             atol=options.atol,
             record_times=all_stops,
-            post_step=hermitian_part,
             on_record=on_record,
             max_steps=options.max_steps,
             diagnostics=f"drift norm ||G||_1 = {g_norm:.3e}",

@@ -3,7 +3,8 @@ is one of its two users.
 
 `_drive` is the one adaptive loop in the package. It clamps steps to the
 record times, enforces the step budget and the underflow guard, retreats
-from non-finite error estimates, and updates the step size. A backend only
+from non-finite error estimates, projects every accepted state onto its
+Hermitian part, and updates the step size. A backend only
 supplies attempt(y, h) -> (candidate, err, tol); the attempt is accepted iff
 err <= tol, and the next step is h * clip(0.9 * (tol/err)**exponent, 0.2,
 max_growth). The Dormand-Prince pair below is one backend; the step-doubling
@@ -37,10 +38,11 @@ _ERR = _B5 - _B4
 
 
 def _drive(attempt, y, t_final, h, record_times, exponent, max_growth,
-           accept=None, on_record=None, max_steps=10_000_000, diagnostics=None):
+           on_accept=None, on_record=None, max_steps=10_000_000, diagnostics=None):
     """Adaptive march from t=0 to t_final, stopping exactly at each record time.
 
-    accept(candidate) -> y post-processes every accepted step; on_record(t, y)
+    Every accepted candidate is replaced by its Hermitian part, which
+    on_accept(y) may then modify in place; on_record(t, y)
     fires at every record time and at t_final (and at t=0 when 0 is among
     record_times). Raises StepSizeUnderflowError when the step budget is
     spent or the controller is driven below ~1e4 ulp of the current time,
@@ -72,7 +74,9 @@ def _drive(attempt, y, t_final, h, record_times, exponent, max_growth,
             continue
         if err <= tol:
             t += h_try
-            y = candidate if accept is None else accept(candidate)
+            y = 0.5 * (candidate + candidate.conj().T)
+            if on_accept is not None:
+                on_accept(y)
             n_accept += 1
             if t >= t_stop - 1e-14 * max(1.0, t_final):
                 if on_record is not None:
@@ -103,13 +107,12 @@ def _initial_step(f, y0, rtol, atol):
 
 
 def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
-              post_step=None, on_record=None, max_steps=10_000_000,
-              h0=None, diagnostics=None):
-    """Integrate the autonomous y' = f(y) from t=0 to t_final with the
-    Dormand-Prince pair, stopping exactly at each record time.
+              on_record=None, max_steps=10_000_000, h0=None, diagnostics=None):
+    """Integrate the autonomous y' = f(y) for a Hermitian matrix y from t=0
+    to t_final with the Dormand-Prince pair, stopping exactly at each record
+    time.
 
-    post_step(y) -> y runs after every accepted step (e.g. Hermitian
-    projection); on_record(t, y) fires at every record time and at t_final.
+    on_record(t, y) fires at every record time and at t_final.
     Raises StepSizeUnderflowError as described in _drive. Returns
     integration stats.
     """
@@ -127,5 +130,5 @@ def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
     h = _initial_step(f, y, rtol, atol) if h0 is None else float(h0)
     _, n_accept, n_reject, h = _drive(
         attempt, y, t_final, h, record_times, exponent=0.2, max_growth=5.0,
-        accept=post_step, on_record=on_record, max_steps=max_steps, diagnostics=diagnostics)
+        on_record=on_record, max_steps=max_steps, diagnostics=diagnostics)
     return {"n_accept": n_accept, "n_reject": n_reject, "h_final": h}

@@ -102,6 +102,14 @@ def test_unread_flag_is_usage_error(argv, capsys):
     assert argv[-2] in capsys.readouterr().err
 
 
+def test_solver_method_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nepsilon = 0.25\n\n[solver]\nmethod = rk45\n")
+    assert main(["codewords", "--config", str(cfg), "--outdir", str(tmp_path)]) == EXIT_USAGE
+    assert "solver.method" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_check_subcommand_passes(tmp_path, capsys):
     assert main(["check", "--epsilon", "0.1", "--outdir", str(tmp_path)]) == EXIT_OK
     out = capsys.readouterr().out

@@ -194,6 +194,10 @@ def test_stabilized_codeword_stays_steady(small_code, small_model):
                   observables=ObservableSpec(lyapunov=small_code.lyapunov))
     assert traj.column("lyapunov").max() <= 1e-5
     assert np.abs(traj.column("trace") - 1.0).max() <= 1e-8
+    meta = traj.meta
+    assert meta["method"] == "etd4"
+    assert meta["n_jumps"] == 11 * meta["n_accept"] + 10 * meta["n_reject"]
+    assert meta["trace_defect"] <= 1e-6
 
 
 def test_record_grid_and_columns(small_stiff_case):
