@@ -25,11 +25,15 @@ purely imaginary) are two exactly real operators and one conjugate pair, and
 a, a†, q and p are real or purely imaginary. Such a conjugation-closed set
 has real Kraus operators for the same map, G is real and its eigenbasis is
 real, so J commutes with complex conjugation and never mixes the real and
-imaginary parts of X. A real X (codeword projectors, S_x, S_z) or a purely
-imaginary one (S_y) then costs two dgemms per Kraus factor, a quarter of the
-complex work, and a general complex X costs twice that. A channel set
-without this symmetry (a generic complex operator with no conjugate partner
-of equal rate) keeps complex Kraus factors and complex GEMMs.
+imaginary parts of X. A real congruence also keeps symmetry, so for a
+Hermitian X = S + iA (S symmetric, A antisymmetric) one real sandwich of
+S + A carries both parts. Every X then costs two dgemms per Kraus factor, a
+quarter of the complex work: a real X (codeword projectors, S_x, S_z), a
+purely imaginary one (S_y) and a complex Hermitian state alike. The
+phi-weights are real and symmetric in (i, j), so every stage of an exactly
+Hermitian state is exactly Hermitian. A channel set without this symmetry
+(a generic complex operator with no conjugate partner of equal rate) keeps
+complex Kraus factors and complex GEMMs.
 """
 
 import numpy as np
@@ -94,22 +98,41 @@ def _real_kraus(ops, rates):
     return out
 
 
-def _real_sandwich(pairs, x):
-    """sum_j a_j @ x @ b_j for real a_j, b_j and complex x, in real arithmetic.
+def _real_sandwich(factors, x):
+    """sum_j a_j @ X @ a_j.T for real a_j, in real arithmetic.
 
-    The real and imaginary parts are sandwiched separately, two dgemms per
-    pair each; a part that is exactly zero stays zero and costs nothing, so a
-    real or purely imaginary x costs half as much as a general one.
+    Write X = S + iA. A real congruence a Y aᵀ keeps the symmetry of Y, so
+    for a Hermitian X (S symmetric, A antisymmetric) one real sandwich of
+    M = S + A carries both parts: its symmetric part is the sandwich of S
+    and its antisymmetric part that of A. A real or purely imaginary X of
+    any symmetry is sandwiched as it is, and its result keeps its part.
+    When both parts are non-zero, M is built from the Hermitian part of X,
+    (Re X + Im X + (Re X - Im X)ᵀ)/2, which is bitwise Re X + Im X for an
+    exactly Hermitian X, and the result is exactly Hermitian. Either way a
+    jump costs two dgemms per factor.
     """
     x = np.asarray(x, dtype=complex)
     out = np.zeros(x.shape, dtype=complex)
-    for part in ("real", "imag"):
-        y = np.ascontiguousarray(getattr(x, part))
-        if y.any():
-            acc = np.zeros_like(y)
-            for a, b in pairs:
-                acc += a @ y @ b
-            setattr(out, part, acc)
+    has_re, has_im = x.real.any(), x.imag.any()
+    if has_re and has_im:
+        m = x.real + x.imag
+        m += (x.real - x.imag).T
+        m *= 0.5
+    elif has_re or has_im:
+        m = np.ascontiguousarray(x.real if has_re else x.imag)
+    else:
+        return out
+    acc = np.zeros_like(m)
+    for a in factors:
+        acc += a @ m @ a.T
+    if not has_im:
+        out.real = acc
+    elif not has_re:
+        out.imag = acc
+    else:
+        np.add(acc, acc.T, out=out.real)
+        np.subtract(acc, acc.T, out=out.imag)
+        out *= 0.5
     return out
 
 
@@ -126,6 +149,12 @@ class SplitPropagator:
     real. States stay complex arrays either way. adjoint is kept, because run
     rescales the trace of forward states only. n_jumps counts the jump
     applications made so far.
+
+    The propagator acts on Hermitian matrices. On the real form, the basis
+    changes and the jump cost two dgemms per factor for any X, and a complex
+    Hermitian X gives exactly Hermitian outputs. A real or purely imaginary
+    X of any symmetry gets its exact map; a complex non-Hermitian X gets the
+    map of its Hermitian part.
     """
 
     def __init__(self, ops, rates, adjoint=False):
@@ -143,34 +172,49 @@ class SplitPropagator:
         self.adjoint = adjoint
         self.n_jumps = 0
         self._zsum = -(self.g_eigs[:, None] + self.g_eigs[None, :])
+        self._phi_last = (None, None)
         self._tables = {}
 
     def to_basis(self, x):
         if self.real_form:
-            return _real_sandwich([(self.basis.T, self.basis)], x)
+            return _real_sandwich([self.basis.T], x)
         return self.basis.conj().T @ np.asarray(x, dtype=complex) @ self.basis
 
     def from_basis(self, xb):
         if self.real_form:
-            return _real_sandwich([(self.basis, self.basis.T)], xb)
+            return _real_sandwich([self.basis], xb)
         return self.basis @ xb @ self.basis.conj().T
 
     def apply_jump(self, xb):
         self.n_jumps += 1
         if self.real_form:
-            return _real_sandwich([(k, k.T) for k in self.kraus], xb)
+            return _real_sandwich(self.kraus, xb)
         out = np.zeros_like(xb)
         for k in self.kraus:
             out += k @ xb @ k.conj().T
         return out
 
+    def _phi(self, s):
+        """exp, phi_1, phi_2, phi_3 of s * zsum.
+
+        The last argument is kept: a table of h needs h and h/2, and the
+        table of h/2 that follows it in an attempt needs h/2 again and h/4.
+        """
+        if self._phi_last[0] != s:
+            self._phi_last = (s, _phi123(s * self._zsum))
+        return self._phi_last[1]
+
     def _phi_tables(self, h):
+        """The weight arrays of a step of size h; the last two h are kept."""
         tbl = self._tables.get(h)
         if tbl is None:
-            e_h, p1_h, p2_h, p3_h = _phi123(h * self._zsum)
-            e_2, p1_2, p2_2, _ = _phi123(0.5 * h * self._zsum)
-            tbl = (e_h, p1_h, p2_h, p3_h, e_2, p1_2, p2_2)
-            if len(self._tables) > 8:
+            e_h, p1_h, p2_h, p3_h = self._phi(h)
+            e_2, p1_2, p2_2, _ = self._phi(0.5 * h)
+            tbl = (e_h, e_2,
+                   (0.5 * h) * p1_2, p1_2 - 2.0 * p2_2, 2.0 * p2_2,
+                   p1_h - 2.0 * p2_h, 2.0 * p2_h,
+                   p1_h - 3.0 * p2_h + 4.0 * p3_h, 2.0 * p2_h - 4.0 * p3_h, -p2_h + 4.0 * p3_h)
+            if len(self._tables) >= 2:
                 self._tables.clear()
             self._tables[h] = tbl
         return tbl
@@ -180,20 +224,13 @@ class SplitPropagator:
 
         n1 is apply_jump(xb) when the caller already has it.
         """
-        e_h, p1_h, p2_h, p3_h, e_2, p1_2, p2_2 = self._phi_tables(h)
+        e_h, e_2, a21, a31, a32, a41, a43, b1, b23, b4 = self._phi_tables(h)
         if n1 is None:
             n1 = self.apply_jump(xb)
-        u2 = e_2 * xb + (0.5 * h) * p1_2 * n1
-        n2 = self.apply_jump(u2)
-        u3 = e_2 * xb + (0.5 * h) * ((p1_2 - 2.0 * p2_2) * n1 + 2.0 * p2_2 * n2)
-        n3 = self.apply_jump(u3)
-        u4 = e_h * xb + h * ((p1_h - 2.0 * p2_h) * n1 + 2.0 * p2_h * n3)
-        n4 = self.apply_jump(u4)
-        return e_h * xb + h * (
-            (p1_h - 3.0 * p2_h + 4.0 * p3_h) * n1
-            + (2.0 * p2_h - 4.0 * p3_h) * (n2 + n3)
-            + (-p2_h + 4.0 * p3_h) * n4
-        )
+        n2 = self.apply_jump(e_2 * xb + a21 * n1)
+        n3 = self.apply_jump(e_2 * xb + (0.5 * h) * (a31 * n1 + a32 * n2))
+        n4 = self.apply_jump(e_h * xb + h * (a41 * n1 + a43 * n3))
+        return e_h * xb + h * (b1 * n1 + b23 * (n2 + n3) + b4 * n4)
 
     def run(self, x0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
             on_record=None, h0=1e-3, max_steps=1_000_000):
@@ -236,17 +273,13 @@ class SplitPropagator:
             xb *= target_trace / tr
 
         record = None if on_record is None else (lambda t, xb: on_record(t, self.from_basis(xb)))
-        xb, n_accept, n_reject, h = _drive(
+        xb, stats = _drive(
             attempt, xb, t_final, float(h0), record_times, exponent=0.25, max_growth=4.0,
             on_accept=None if self.adjoint else renormalize, on_record=record,
             max_steps=max_steps)
-        return self.from_basis(xb), {
-            "n_accept": n_accept,
-            "n_reject": n_reject,
-            "n_jumps": self.n_jumps - jumps_before,
-            "trace_defect": float(abs(trace_defect)),
-            "h_final": h,
-        }
+        stats["n_jumps"] = self.n_jumps - jumps_before
+        stats["trace_defect"] = float(abs(trace_defect))
+        return self.from_basis(xb), stats
 
     def run_to_stationary(self, x0, h, residual_tol, t_max):
         """Fixed-step march until ||L(X)||_F <= residual_tol * ||X||_F.

@@ -14,6 +14,7 @@ short run takes the explicit pair.
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,11 @@ class LindbladModel:
     def rates(self):
         return [float(r) for _, r in self.channels]
 
+    @cached_property
+    def drift(self):
+        """G = sum_k r_k A_k†A_k / 2, built on first use."""
+        return sum(r * (op.conj().T @ op) for op, r in zip(self.operators, self.rates)) / 2.0
+
     def with_channel(self, op, rate):
         """New model with one channel appended."""
         return LindbladModel(self.channels + ((np.asarray(op, dtype=complex), float(rate)),))
@@ -100,27 +106,24 @@ def _check_same_dim(model, rho):
 
 
 def lindblad_rhs(model, rho):
-    """sum_k r_k (A rho A† - (A†A rho + rho A†A)/2). Traceless by construction."""
+    """sum_k r_k A rho A† - (G rho + rho G). Traceless by construction."""
     rho = _check_same_dim(model, rho)
-    out = np.zeros_like(rho)
+    g = model.drift
+    out = -(g @ rho + rho @ g)
     for op, rate in model.channels:
-        if rate == 0.0:
-            continue
-        a_rho = op @ rho
-        gram = op.conj().T @ op
-        out += rate * (a_rho @ op.conj().T - 0.5 * (gram @ rho + rho @ gram))
+        if rate != 0.0:
+            out += rate * (op @ rho @ op.conj().T)
     return out
 
 
 def adjoint_rhs(model, x):
-    """sum_k r_k (A†XA - (A†A X + X A†A)/2). Maps the identity to zero."""
+    """sum_k r_k A†XA - (G X + X G). Maps the identity to zero."""
     x = _check_same_dim(model, x)
-    out = np.zeros_like(x)
+    g = model.drift
+    out = -(g @ x + x @ g)
     for op, rate in model.channels:
-        if rate == 0.0:
-            continue
-        gram = op.conj().T @ op
-        out += rate * (op.conj().T @ x @ op - 0.5 * (gram @ x + x @ gram))
+        if rate != 0.0:
+            out += rate * (op.conj().T @ x @ op)
     return out
 
 
@@ -175,8 +178,9 @@ class Trajectory:
 
     records maps column name -> array aligned with times. Columns always
     include "trace"; "lyapunov", "nbar", "jx", "jy", "jz" appear per spec.
-    meta holds the backend's stats: "method", "n_accept", "n_reject" and
-    "h_final", plus "n_jumps" and "trace_defect" from the etd4 backend.
+    meta holds the backend's stats: "method", "n_accept", "n_reject", the
+    smallest and largest accepted step "h_min" and "h_max", and "h_final",
+    plus "n_jumps" and "trace_defect" from the etd4 backend.
     """
 
     times: np.ndarray
@@ -242,10 +246,10 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
         if "nbar" in recs:
             recs["nbar"].append(float(np.real(np.sum(n_op_diag * np.diag(rho)))))
         if "jx" in recs:
-            j = observables.logicals
-            recs["jx"].append(float(np.real(np.trace(j.jx @ rho))))
-            recs["jy"].append(float(np.real(np.trace(j.jy @ rho))))
-            recs["jz"].append(float(np.real(np.trace(j.jz @ rho))))
+            # Tr(J rho) without forming J rho
+            for name in ("jx", "jy", "jz"):
+                j = getattr(observables.logicals, name)
+                recs[name].append(float(np.real(np.sum(j * rho.T))))
         if observables.positivity_tol is not None and not warned[0]:
             min_eig = float(np.linalg.eigvalsh(hermitian_part(rho))[0])
             if min_eig < -observables.positivity_tol:
@@ -259,7 +263,7 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
     # ||G||_1 bounds the spectral radius of the Hermitian drift G; the
     # spectrum of L reaches ~ -2||G|| and the explicit 5(4) pair is stable
     # for steps up to ~3.3/|lambda|
-    g_norm = np.linalg.norm(sum(r * (op.conj().T @ op) for op, r in model.channels) / 2.0, 1)
+    g_norm = np.linalg.norm(model.drift, 1)
     method = "rk45" if 2.0 * g_norm * t_final / 3.3 <= MAX_EXPLICIT_STEPS else "etd4"
     if method == "rk45":
         stats = ode.integrate(
@@ -363,7 +367,7 @@ def bloch_coordinates(logicals, rho, imag_tol=1e-8):
     for j in (logicals.jx, logicals.jy, logicals.jz):
         if j.shape != rho.shape:
             raise ShapeMismatchError(f"operator shape {j.shape} vs state {rho.shape}")
-        val = np.trace(j @ rho)
+        val = np.sum(j * rho.T)  # Tr(J rho) without forming J rho
         if abs(val.imag) > imag_tol:
             raise InvalidInputError(f"Bloch coordinate has imaginary part {val.imag:.3e}")
         out.append(float(val.real))

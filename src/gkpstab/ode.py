@@ -46,8 +46,10 @@ def _drive(attempt, y, t_final, h, record_times, exponent, max_growth,
     fires at every record time and at t_final (and at t=0 when 0 is among
     record_times). Raises StepSizeUnderflowError when the step budget is
     spent or the controller is driven below ~1e4 ulp of the current time,
-    appending `diagnostics` (a string) to the message. Returns
-    (y, accepted steps, rejected steps, next step size).
+    appending `diagnostics` (a string) to the message. Returns (y, stats):
+    the accepted and rejected steps "n_accept" and "n_reject", the smallest
+    and largest accepted step "h_min" and "h_max" (None when no step was
+    taken) and the next step size "h_final".
     """
     t = 0.0
     record = sorted(set(float(tr) for tr in record_times if 0.0 < tr <= t_final))
@@ -57,6 +59,7 @@ def _drive(attempt, y, t_final, h, record_times, exponent, max_growth,
         on_record(0.0, y)
     suffix = f"; {diagnostics}" if diagnostics else ""
     n_accept = n_reject = 0
+    h_min, h_max = np.inf, 0.0
     ri = 0
     while t < t_final - 1e-14 * max(1.0, t_final):
         if n_accept + n_reject > max_steps:
@@ -78,6 +81,7 @@ def _drive(attempt, y, t_final, h, record_times, exponent, max_growth,
             if on_accept is not None:
                 on_accept(y)
             n_accept += 1
+            h_min, h_max = min(h_min, h_try), max(h_max, h_try)
             if t >= t_stop - 1e-14 * max(1.0, t_final):
                 if on_record is not None:
                     on_record(t_stop, y)
@@ -86,7 +90,9 @@ def _drive(attempt, y, t_final, h, record_times, exponent, max_growth,
             n_reject += 1
         factor = 0.9 * (tol / err) ** exponent if err > 0 else max_growth
         h = h_try * min(max_growth, max(0.2, factor))
-    return y, n_accept, n_reject, h
+    return y, {"n_accept": n_accept, "n_reject": n_reject,
+               "h_min": h_min if n_accept else None, "h_max": h_max if n_accept else None,
+               "h_final": h}
 
 
 def _initial_step(f, y0, rtol, atol):
@@ -113,8 +119,8 @@ def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
     time.
 
     on_record(t, y) fires at every record time and at t_final.
-    Raises StepSizeUnderflowError as described in _drive. Returns
-    integration stats.
+    Raises StepSizeUnderflowError as described in _drive. Returns _drive's
+    stats.
     """
     y = np.array(y0, dtype=complex)
 
@@ -128,7 +134,7 @@ def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
         return y5, np.abs(err_mat).max() / scale, 1.0
 
     h = _initial_step(f, y, rtol, atol) if h0 is None else float(h0)
-    _, n_accept, n_reject, h = _drive(
+    _, stats = _drive(
         attempt, y, t_final, h, record_times, exponent=0.2, max_growth=5.0,
         on_record=on_record, max_steps=max_steps, diagnostics=diagnostics)
-    return {"n_accept": n_accept, "n_reject": n_reject, "h_final": h}
+    return stats

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from gkpstab import GkpParams, build_dissipators
-from gkpstab.etd import SplitPropagator, _phi123
+from gkpstab import etd
+from gkpstab.etd import SplitPropagator, _phi123, _real_sandwich
 from gkpstab.analysis import random_density_matrix
 from gkpstab.fock import make_ladder
 
@@ -106,13 +107,46 @@ def test_real_form_jump_matches_complex_operators(tiny_model, with_loss, adjoint
     for x in (sym, anti, rho):
         want = sum(r * (v.conj().T @ x @ v if adjoint else v @ x @ v.conj().T)
                    for v, r in zip(ops, rates))
-        got = prop.from_basis(prop.apply_jump(prop.to_basis(x)))
+        xb = prop.to_basis(x)
+        nb = prop.apply_jump(xb)
+        got = prop.from_basis(nb)
         assert got.dtype == complex
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         if x is sym:
             assert not got.imag.any()
         if x is anti:
             assert not got.real.any()
+        if x is rho:
+            # a complex Hermitian X stays exactly Hermitian through every map
+            for y in (xb, nb, got):
+                assert np.array_equal(y, y.conj().T)
+
+
+def test_real_sandwich_of_one_part_is_the_plain_sum(tiny_model):
+    # a real or purely imaginary X, of any symmetry, is sandwiched as it is
+    dim, vs = tiny_model
+    prop = SplitPropagator(vs, [1.0] * len(vs))
+    rng = np.random.default_rng(9)
+    y = rng.standard_normal((dim, dim))
+    want = np.zeros_like(y)
+    for a in prop.kraus:
+        want += a @ y @ a.T
+    real = _real_sandwich(prop.kraus, y.astype(complex))
+    imag = _real_sandwich(prop.kraus, 1j * y)
+    assert np.array_equal(real.real, want) and not real.imag.any()
+    assert np.array_equal(imag.imag, want) and not imag.real.any()
+
+
+def test_non_hermitian_jump_maps_the_hermitian_part(tiny_model):
+    dim, vs = tiny_model
+    prop = SplitPropagator(vs, [1.0] * len(vs))
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    herm = 0.5 * (x + x.conj().T)
+    got = prop.from_basis(prop.apply_jump(prop.to_basis(x)))
+    want = sum(v @ herm @ v.conj().T for v in vs)
+    assert np.array_equal(got, got.conj().T)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_run_counts_jump_applications(tiny_model):
@@ -141,6 +175,21 @@ def test_run_counts_jump_applications(tiny_model):
     *_, steps = adj.run_to_stationary(np.eye(dim) + rho0, h=0.5, residual_tol=0.0, t_max=3.0)
     assert steps == 6
     assert adj.n_jumps - before == 4 * steps + 1
+
+
+def test_attempt_evaluates_three_phi_tables(tiny_model, monkeypatch):
+    # a step of h needs phi at h and h/2, each step of h/2 at h/2 and h/4:
+    # h/2 is evaluated once and reused
+    dim, vs = tiny_model
+    prop = SplitPropagator(vs, [1.0] * len(vs))
+    args = []
+    monkeypatch.setattr(etd, "_phi123", lambda z: args.append(z) or _phi123(z))
+    _, stats = prop.run(random_density_matrix(dim, np.random.default_rng(11)), 0.01,
+                        h0=0.01, rtol=1e-3, atol=1e-3)
+    assert (stats["n_accept"], stats["n_reject"]) == (1, 0)
+    assert len(args) == 3
+    for z, s in zip(args, (0.01, 0.005, 0.0025)):
+        assert np.array_equal(z, s * prop._zsum)
 
 
 def test_step_size_far_beyond_explicit_stability(tiny_model):

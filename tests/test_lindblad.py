@@ -200,6 +200,21 @@ def test_stabilized_codeword_stays_steady(small_code, small_model):
     assert meta["trace_defect"] <= 1e-6
 
 
+def test_meta_reports_accepted_step_range(small_stiff_case, small_code, small_model):
+    code, model, rho0 = small_stiff_case
+    codeword = np.outer(small_code.codewords[0], small_code.codewords[0].conj())
+    quiet = ObservableSpec(photon_number=False, positivity_tol=None)
+    t_final = 0.2
+    for mdl, rho, method in ((model, rho0, "rk45"), (small_model, codeword, "etd4")):
+        meta = evolve(mdl, rho, t_final, record_times=[t_final], observables=quiet).meta
+        assert meta["method"] == method
+        # the accepted steps tile [0, t_final]
+        n = meta["n_accept"]
+        assert 0.0 < meta["h_min"] <= meta["h_max"] <= t_final
+        assert n * meta["h_min"] <= t_final * (1 + 1e-12)
+        assert n * meta["h_max"] >= t_final * (1 - 1e-12)
+
+
 def test_record_grid_and_columns(small_stiff_case):
     code, model, rho0 = small_stiff_case
     grid = np.linspace(0.0, 0.4, 5)
