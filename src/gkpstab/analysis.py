@@ -16,7 +16,6 @@ import numpy as np
 from .codes import (
     GkpParams,
     build_code,
-    build_codewords,
     build_conjugated_quadratures,
     build_dissipators,
     build_lyapunov,
@@ -560,28 +559,6 @@ def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0,
         record, jz_on, jz_off, logicals.convergence_residual, time.time() - t0,
         traj_on, traj_off,
     )
-
-
-def truncation_convergence_check(epsilon, eta=ETA_QUBIT, dim=None, factor=1.5):
-    """Compare codewords and kernel eigenvalues at dim and factor*dim.
-
-    Returns max |coefficient difference| over the shared range and the shift
-    of the lowest non-kernel eigenvalue of W; both should be tiny when the
-    20/eps rule is adequate.
-    """
-    params = GkpParams(epsilon, eta, dim)
-    big = GkpParams(epsilon, eta, int(math.ceil(factor * params.dim)))
-    small_words = build_codewords(params)
-    big_words = build_codewords(big)
-    coeff_dev = max(
-        float(np.abs(bw[: params.dim] - sw).max()) for sw, bw in zip(small_words, big_words)
-    )
-    gap_small = np.linalg.eigvalsh(build_lyapunov(build_dissipators(params)))
-    gap_big = np.linalg.eigvalsh(build_lyapunov(build_dissipators(big)))
-    n_kernel = params.codespace_dim
-    gap_shift = abs(float(gap_small[n_kernel]) - float(gap_big[n_kernel]))
-    return {"coefficient_deviation": coeff_dev, "gap_shift": gap_shift,
-            "dim": params.dim, "dim_big": big.dim}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGapError, DimensionError, QuadratureGridError
-from .fock import hermitian_part, make_quadratures, matrix_exponential
+from .fock import hermitian_part, make_quadratures, matrix_exponential, rotate
 from .hermite import hermite_functions
 
 ETA_QUBIT = 2.0 * math.sqrt(math.pi)
@@ -142,15 +142,16 @@ def build_dissipators(params):
     """The four stabilizing jump operators (e^{i eta R} - I, e^{i eta S} - I,
     e^{-i eta R} - I, e^{-i eta S} - I), in that order.
 
-    Built by direct matrix exponential of the non-Hermitian generators; the
-    similarity form with the inverse envelope is numerically explosive.
+    The π/2 rotation F = diag(i^n) maps R to S and S to -R, so the k-th
+    operator is F^k V_0 F^-k: one matrix exponential gives all four, and the
+    other three are V_0 with exact unit phases on its entries (fock.rotate),
+    so the rotation symmetry holds bitwise. Built by direct matrix
+    exponential of the non-Hermitian generator; the similarity form with the
+    inverse envelope is numerically explosive.
     """
-    r, s = build_conjugated_quadratures(params)
-    eye = np.eye(params.dim)
-    eta = params.eta
-    return tuple(
-        matrix_exponential(1j * eta * g) - eye for g in (r, s, -r, -s)
-    )
+    r, _ = build_conjugated_quadratures(params)
+    v = matrix_exponential(1j * params.eta * r) - np.eye(params.dim)
+    return tuple(rotate(v, k) for k in range(4))
 
 
 def build_lyapunov(dissipators):
@@ -207,6 +208,7 @@ def build_codewords(params, grid_step=None, grid_halfwidth=None, drop_budget=1e-
     Hermite functions by trapezoidal quadrature, which is spectrally accurate
     here. The qubit lattice yields |0> from the even comb and |1> from the
     odd comb orthogonalized against it; the sensor lattice yields one vector.
+    The odd Fock coefficients are exactly zero.
 
     Raises QuadratureGridError when the grid extent drops more Gaussian
     weight than `drop_budget` allows.
@@ -234,14 +236,22 @@ def build_codewords(params, grid_step=None, grid_halfwidth=None, drop_budget=1e-
     weights[0] *= 0.5
     weights[-1] *= 0.5
 
-    basis = hermite_functions(params.dim, q)
+    # every comb is even in q, so it has no overlap with the odd Hermite
+    # functions: only the even Fock coefficients are computed, and the odd
+    # ones are exactly zero (the codewords live on two of the four n mod 4
+    # blocks of the rotation symmetry)
+    even_basis = hermite_functions(params.dim, q)[0::2]
+
+    def project(parity):
+        coeff = np.zeros(params.dim)
+        coeff[0::2] = even_basis @ (weights * _comb_on_grid(q, spacing, w2, k_max, ch, th, parity))
+        return coeff
+
     if params.lattice == "sensor":
-        psi = _comb_on_grid(q, spacing, w2, k_max, ch, th, parity=None)
-        coeff = basis @ (weights * psi)
+        coeff = project(None)
         return [coeff / np.linalg.norm(coeff)]
 
-    even = basis @ (weights * _comb_on_grid(q, spacing, w2, k_max, ch, th, parity=0))
-    odd = basis @ (weights * _comb_on_grid(q, spacing, w2, k_max, ch, th, parity=1))
+    even, odd = project(0), project(1)
     one = odd - (even @ odd) / (even @ even) * even
     return [even / np.linalg.norm(even), one / np.linalg.norm(one)]
 

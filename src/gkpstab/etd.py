@@ -19,25 +19,32 @@ Adaptive runs go through ode._drive, the package's one step-size loop; this
 module supplies only the attempt, a step-doubling Richardson estimate built
 from three Krogstad steps.
 
-The stages only need J applied, and J can be applied in real arithmetic. In
-the Fock basis the GKP dissipators e^{±iηR} - I and e^{±iηS} - I (R real, S
-purely imaginary) are two exactly real operators and one conjugate pair, and
-a, a†, q and p are real or purely imaginary. Such a conjugation-closed set
-has real Kraus operators for the same map, G is real and its eigenbasis is
-real, so J commutes with complex conjugation and never mixes the real and
-imaginary parts of X. A real congruence also keeps symmetry, so for a
-Hermitian X = S + iA (S symmetric, A antisymmetric) one real sandwich of
-S + A carries both parts. Every X then costs two dgemms per Kraus factor, a
-quarter of the complex work: a real X (codeword projectors, S_x, S_z), a
-purely imaginary one (S_y) and a complex Hermitian state alike. The
-phi-weights are real and symmetric in (i, j), so every stage of an exactly
-Hermitian state is exactly Hermitian. A channel set without this symmetry
-(a generic complex operator with no conjugate partner of equal rate) keeps
-complex Kraus factors and complex GEMMs.
+The stages only need J applied, and the GKP channels let it run in real
+arithmetic on a quarter of the state. Let F = diag(i^n) be the π/2
+phase-space rotation. The four dissipators are one F-orbit,
+V_k = F^k V_0 F^-k, and the loss channel a has a definite charge,
+F a F† = -i a. Such a channel set has real Kraus factors of definite charge
+(the masks of V_0 to m - n ≡ c mod 4), so G is block-diagonal over n mod 4
+and its eigenbasis is real, and a factor of charge c sends block (i, j) of
+the state to block (i + c, j + c): the 16 blocks fall into four sectors
+j - i (mod 4) that never mix (the weak-symmetry reduction of Albert &
+Jiang, PRA 89, 022118, 2014). The propagator carries only the sectors its
+initial state occupies: 8 blocks for the codeword projectors and S_x, S_y,
+S_z (parity-even), all 16 for a generic state. A real congruence also keeps
+symmetry, so a Hermitian X = S + iA (S symmetric, A antisymmetric) is
+carried as the real M = S + A, and every jump costs two dgemms per factor
+and per occupied block of a quarter of the size. The phi-weights are real
+and symmetric in (i, j), so the state stays Hermitian by construction.
+
+A channel set without the rotation symmetry (q, for instance, is
+conjugation-closed but F maps it to p) runs through the same code with one
+block: real factors when the set closes under complex conjugation
+(_real_kraus), complex factors and a complex carrier otherwise.
 """
 
 import numpy as np
 
+from .fock import rotate
 from .ode import _drive
 
 
@@ -98,41 +105,42 @@ def _real_kraus(ops, rates):
     return out
 
 
-def _real_sandwich(factors, x):
-    """sum_j a_j @ X @ a_j.T for real a_j, in real arithmetic.
+def _charge_kraus(ops, rates):
+    """Real Kraus operators of sum_k r_k V_k X V_k†, each of definite charge
+    under the π/2 rotation F = diag(i^n), as (charge, factor) pairs; or None.
 
-    Write X = S + iA. A real congruence a Y aᵀ keeps the symmetry of Y, so
-    for a Hermitian X (S symmetric, A antisymmetric) one real sandwich of
-    M = S + A carries both parts: its symmetric part is the sandwich of S
-    and its antisymmetric part that of A. A real or purely imaginary X of
-    any symmetry is sandwiched as it is, and its result keeps its part.
-    When both parts are non-zero, M is built from the Hermitian part of X,
-    (Re X + Im X + (Re X - Im X)ᵀ)/2, which is bitwise Re X + Im X for an
-    exactly Hermitian X, and the result is exactly Hermitian. Either way a
-    jump costs two dgemms per factor.
+    A factor of charge c has entries only where m - n ≡ c (mod 4), so that
+    F K F† = i^c K. A channel with a single charge (a, a†) is its own
+    factor. A channel V with several needs its orbit F V F†, F² V F^-2,
+    F³ V F^-3 among the channels, bitwise (fock.rotate) and at its rate r;
+    the four then give the factors 2 sqrt(r) V_c, V_c being V masked to
+    charge c, because sum_k F^k V F^-k X (F^k V F^-k)† = 4 sum_c V_c X V_c†.
+    This is a unitary mixing of the Kraus operators, so the map is the same.
+    Every factor must be exactly real or exactly imaginary. None when some
+    channel fits neither case.
     """
-    x = np.asarray(x, dtype=complex)
-    out = np.zeros(x.shape, dtype=complex)
-    has_re, has_im = x.real.any(), x.imag.any()
-    if has_re and has_im:
-        m = x.real + x.imag
-        m += (x.real - x.imag).T
-        m *= 0.5
-    elif has_re or has_im:
-        m = np.ascontiguousarray(x.real if has_re else x.imag)
-    else:
-        return out
-    acc = np.zeros_like(m)
-    for a in factors:
-        acc += a @ m @ a.T
-    if not has_im:
-        out.real = acc
-    elif not has_re:
-        out.imag = acc
-    else:
-        np.add(acc, acc.T, out=out.real)
-        np.subtract(acc, acc.T, out=out.imag)
-        out *= 0.5
+    n = np.arange(ops[0].shape[0])
+    charge = np.subtract.outer(n, n) % 4
+    out, paired = [], set()
+    for i, (v, r) in enumerate(zip(ops, rates)):
+        if i in paired:
+            continue
+        charges = [c for c in range(4) if v[charge == c].any()]
+        weight = np.sqrt(r)
+        if len(charges) > 1:
+            for k in (1, 2, 3):
+                w = rotate(v, k)
+                j = next((j for j in range(i + 1, len(ops)) if j not in paired
+                          and rates[j] == r and np.array_equal(ops[j], w)), None)
+                if j is None:
+                    return None
+                paired.add(j)
+            weight *= 2.0
+        for c in charges:
+            k = np.where(charge == c, v, 0.0)
+            if k.real.any() and k.imag.any():
+                return None
+            out.append((c, weight * (k.imag if k.imag.any() else k.real)))
     return out
 
 
@@ -144,55 +152,147 @@ class SplitPropagator:
     equation); with adjoint=True they are A_k = sqrt(r_k) V_k† (observable
     evolution), which shares the same drift.
 
-    real_form tells whether the channel set closes under complex conjugation;
-    if so, kraus holds real factors of the same map and the G-eigenbasis is
-    real. States stay complex arrays either way. adjoint is kept, because run
-    rescales the trace of forward states only. n_jumps counts the jump
-    applications made so far.
+    The Fock space splits into nb blocks of n mod nb: nb = 4 when the
+    channels pass the rotation-symmetry detector (_charge_kraus), else 1.
+    real_form tells whether the factors are real (rotation-symmetric or
+    conjugation-closed channels); basis holds the real eigenbasis of each
+    block of G, kraus the factors in it, one block per source block, and a
+    factor of charge c sends block (i, j) of the state to (i + c, j + c).
+    Without real form (a channel set that is not conjugation-closed) the
+    factors and the state are complex, in one block.
 
-    The propagator acts on Hermitian matrices. On the real form, the basis
-    changes and the jump cost two dgemms per factor for any X, and a complex
-    Hermitian X gives exactly Hermitian outputs. A real or purely imaginary
-    X of any symmetry gets its exact map; a complex non-Hermitian X gets the
-    map of its Hermitian part.
+    Between to_basis and from_basis the state is a carrier: a flat array of
+    the occupied blocks, those of the sectors j - i (mod nb) where the input
+    has a non-zero block. The jump and the drift keep every sector, so the
+    others stay exactly zero and are never stored. On the real form the
+    carrier of a Hermitian X = S + iA (S symmetric, A antisymmetric) is the
+    real M = S + A: a real congruence keeps symmetry, so the jump
+    sum K M Kᵀ carries both parts, the phi-weights act on M as on X,
+    Tr X = Tr M and ||X||_F = ||M||_F. A real or purely imaginary X of any
+    symmetry is carried as it is and gets its exact map; a complex
+    non-Hermitian X gets the map of its Hermitian part. to_basis fixes the
+    layout and the kind of input that step, apply_jump and from_basis use
+    until the next to_basis. adjoint is kept, because run rescales the
+    trace of forward states only. n_jumps counts the jump applications made
+    so far.
     """
 
     def __init__(self, ops, rates, adjoint=False):
         ops = [np.asarray(v, dtype=complex) for v in ops]
-        dim = ops[0].shape[0]
-        factors = _real_kraus(ops, rates)
-        self.real_form = factors is not None
-        if not self.real_form:
-            factors = [np.sqrt(r) * v for v, r in zip(ops, rates)]
-        g = sum(k.conj().T @ k for k in factors) / 2.0
-        self.g_eigs, self.basis = np.linalg.eigh(0.5 * (g + g.conj().T))
-        kraus = [self.basis.conj().T @ k @ self.basis for k in factors]
-        self.kraus = [np.ascontiguousarray(k.conj().T) for k in kraus] if adjoint else kraus
-        self.dim = dim
+        self.dim = dim = ops[0].shape[0]
+        factors, nb = _charge_kraus(ops, rates), 4
+        if factors is None:
+            nb, factors = 1, _real_kraus(ops, rates)
+            self.real_form = factors is not None
+            if not self.real_form:
+                factors = [np.sqrt(r) * v for v, r in zip(ops, rates)]
+            factors = [(0, k) for k in factors]
+        else:
+            self.real_form = True
+        self._slices = [slice(b, dim, nb) for b in range(nb)]
+        sl = self._slices
+        # a factor of charge c maps block j to j + c, so G is block-diagonal
+        self._g_eigs, self.basis = [], []
+        for j in range(nb):
+            g = sum(k[sl[(j + c) % nb], sl[j]].conj().T @ k[sl[(j + c) % nb], sl[j]]
+                    for c, k in factors) / 2.0
+            ew, vecs = np.linalg.eigh(0.5 * (g + g.conj().T))
+            self._g_eigs.append(ew)
+            self.basis.append(vecs)
+        if adjoint:
+            factors = [(-c, k.conj().T) for c, k in factors]
+        self._charges = [c % nb for c, _ in factors]
+        self.kraus = [tuple(self.basis[(j + c) % nb].conj().T @ k[sl[(j + c) % nb], sl[j]]
+                            @ self.basis[j] for j in range(nb)) for c, k in factors]
         self.adjoint = adjoint
         self.n_jumps = 0
-        self._zsum = -(self.g_eigs[:, None] + self.g_eigs[None, :])
+        self._layout = None
+        self._kind = None
+
+    def _set_layout(self, sectors):
+        """Carry the blocks (i, i + s) of every sector s, sector by sector."""
+        nb = len(self.basis)
+        blocks = [(i, (i + s) % nb) for s in sorted(sectors) for i in range(nb)]
+        if self._layout is not None and list(self._layout) == blocks:
+            return
+        self._layout, diag, start = {}, [], 0
+        for i, j in blocks:
+            shape = (len(self._g_eigs[i]), len(self._g_eigs[j]))
+            self._layout[i, j] = (start, start + shape[0] * shape[1], shape)
+            if i == j:
+                diag.append(start + np.arange(shape[0]) * (shape[0] + 1))
+            start += shape[0] * shape[1]
+        self._diag = np.concatenate(diag) if diag else np.zeros(0, dtype=int)
+        self._zsum = np.concatenate([-(self._g_eigs[i][:, None] + self._g_eigs[j][None, :]).ravel()
+                                     for i, j in blocks])
         self._phi_last = (None, None)
         self._tables = {}
 
+    def _blocks(self, m):
+        """The blocks of a carrier, as views keyed by (i, j)."""
+        return {ij: m[a:b].reshape(shape) for ij, (a, b, shape) in self._layout.items()}
+
     def to_basis(self, x):
-        if self.real_form:
-            return _real_sandwich([self.basis.T], x)
-        return self.basis.conj().T @ np.asarray(x, dtype=complex) @ self.basis
-
-    def from_basis(self, xb):
-        if self.real_form:
-            return _real_sandwich([self.basis], xb)
-        return self.basis @ xb @ self.basis.conj().T
-
-    def apply_jump(self, xb):
-        self.n_jumps += 1
-        if self.real_form:
-            return _real_sandwich(self.kraus, xb)
-        out = np.zeros_like(xb)
-        for k in self.kraus:
-            out += k @ xb @ k.conj().T
+        x = np.asarray(x, dtype=complex)
+        if not self.real_form:
+            kind, m = "complex", x
+        elif x.real.any() and x.imag.any():
+            kind = "hermitian"
+            m = x.real + x.imag
+            m += (x.real - x.imag).T
+            m *= 0.5
+        else:
+            kind = "imag" if x.imag.any() else "real"
+            m = x.imag if kind == "imag" else x.real
+        sl, nb = self._slices, len(self._slices)
+        sectors = {(j - i) % nb for i in range(nb) for j in range(nb) if m[sl[i], sl[j]].any()}
+        self._set_layout(sectors | {-s % nb for s in sectors} or {0})
+        self._kind = kind
+        out = np.empty(self._zsum.size, dtype=m.dtype)
+        for (i, j), blk in self._blocks(out).items():
+            blk[...] = self.basis[i].conj().T @ m[sl[i], sl[j]] @ self.basis[j]
         return out
+
+    def from_basis(self, m):
+        full = np.zeros((self.dim, self.dim), dtype=m.dtype)
+        sl = self._slices
+        for (i, j), blk in self._blocks(m).items():
+            full[sl[i], sl[j]] = self.basis[i] @ blk @ self.basis[j].conj().T
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        if self._kind == "hermitian":
+            np.add(full, full.T, out=out.real)
+            np.subtract(full, full.T, out=out.imag)
+            out *= 0.5
+        elif self._kind == "imag":
+            out.imag = full
+        else:
+            out[...] = full
+        return out
+
+    def apply_jump(self, m):
+        self.n_jumps += 1
+        nb = len(self.basis)
+        out = np.zeros_like(m)
+        blocks, into = self._blocks(m), self._blocks(out)
+        for c, k in zip(self._charges, self.kraus):
+            for (i, j), blk in blocks.items():
+                into[(i + c) % nb, (j + c) % nb] += k[i] @ blk @ k[j].conj().T
+        return out
+
+    def _max_modulus(self, m):
+        """max |X_ij| of the state a carrier holds.
+
+        On the real form |X_ij| = sqrt((M_ij² + M_ji²)/2); block (j, i)
+        holds the transposes of block (i, j).
+        """
+        if not self.real_form:
+            return np.abs(m).max()
+        blocks = self._blocks(m)
+        return np.sqrt(0.5 * max(np.max(blk * blk + blocks[j, i].T * blocks[j, i].T)
+                                 for (i, j), blk in blocks.items() if i <= j))
+
+    def _trace(self, m):
+        return m[self._diag].sum()
 
     def _phi(self, s):
         """exp, phi_1, phi_2, phi_3 of s * zsum.
@@ -241,16 +341,16 @@ class SplitPropagator:
         the extrapolated value propagates. The full step and the first half
         step share their first stage, which a rejected attempt keeps for the
         retry, so an attempt costs 11 jump applications (10 on a retry).
-        ode._drive makes every accepted state Hermitian. A forward
-        propagator also rescales it to the initial trace, which the exact
-        forward flow conserves (the adjoint flow does not conserve trace, so
-        it is left alone); the largest pre-rescale defect is reported in the
-        returned stats, with the number of jump applications. Record times
-        are hit exactly by step clamping.
+        The error is the max-modulus of the state's difference. A forward
+        propagator rescales every accepted state to the initial trace, which
+        the exact forward flow conserves (the adjoint flow does not conserve
+        trace, so it is left alone); the largest pre-rescale defect is
+        reported in the returned stats, with the number of jump applications
+        and of carried blocks. Record times are hit exactly by step clamping.
         """
         jumps_before = self.n_jumps
         xb = self.to_basis(x0)
-        target_trace = np.trace(xb)
+        target_trace = self._trace(xb)
         trace_defect = 0.0
         n1 = n1_of = None
 
@@ -262,13 +362,13 @@ class SplitPropagator:
                 n1, n1_of = self.apply_jump(xb), xb
             big = self.step(xb, h, n1)
             half = self.step(self.step(xb, 0.5 * h, n1), 0.5 * h)
-            err = np.abs(big - half).max() / 15.0
-            scale = atol + rtol * max(np.abs(xb).max(), np.abs(half).max())
+            err = self._max_modulus(big - half) / 15.0
+            scale = atol + rtol * max(self._max_modulus(xb), self._max_modulus(half))
             return half + (half - big) / 15.0, err, scale
 
         def renormalize(xb):
             nonlocal trace_defect
-            tr = np.trace(xb)
+            tr = self._trace(xb)
             trace_defect = max(trace_defect, abs(tr - target_trace))
             xb *= target_trace / tr
 
@@ -279,6 +379,7 @@ class SplitPropagator:
             max_steps=max_steps)
         stats["n_jumps"] = self.n_jumps - jumps_before
         stats["trace_defect"] = float(abs(trace_defect))
+        stats["blocks"] = len(self._layout)
         return self.from_basis(xb), stats
 
     def run_to_stationary(self, x0, h, residual_tol, t_max):
@@ -287,9 +388,8 @@ class SplitPropagator:
         Exact stationary points are fixed points of the step for any h, so
         the limit does not depend on h; h only sets how fast the decaying
         part dies. The jump inside each residual is the next step's first
-        stage, so n steps cost 4n + 1 jump applications. Every step's state
-        is made Hermitian. Returns (X, relative residual, reached time,
-        steps).
+        stage, so n steps cost 4n + 1 jump applications. Returns (X,
+        relative residual, reached time, steps).
         """
         xb = self.to_basis(x0)
         n1 = self.apply_jump(xb)
@@ -299,7 +399,6 @@ class SplitPropagator:
         while t < t_max:
             hh = min(h, t_max - t)
             xb = self.step(xb, hh, n1)
-            xb = 0.5 * (xb + xb.conj().T)
             t += hh
             n += 1
             n1 = self.apply_jump(xb)

@@ -75,6 +75,18 @@ def matrix_exponential(m):
     return out
 
 
+def rotate(a, k):
+    """F^k a F^-k for the π/2 phase-space rotation F = diag(i^n).
+
+    Entry (m, n) is multiplied by i^(k(m-n)), an exact unit phase, so
+    rotations compose and compare bitwise. F a F† = -i a, F Q F† = P and
+    F P F† = -Q.
+    """
+    a = np.asarray(a)
+    n = np.arange(a.shape[0])
+    return np.array([1, 1j, -1, -1j])[k * np.subtract.outer(n, n) % 4] * a
+
+
 def frobenius_inner(a, b):
     """Frobenius inner product Tr(a† b)."""
     a = np.asarray(a)

@@ -180,7 +180,10 @@ class Trajectory:
     include "trace"; "lyapunov", "nbar", "jx", "jy", "jz" appear per spec.
     meta holds the backend's stats: "method", "n_accept", "n_reject", the
     smallest and largest accepted step "h_min" and "h_max", and "h_final",
-    plus "n_jumps" and "trace_defect" from the etd4 backend.
+    plus "n_jumps", "trace_defect" and "blocks" from the etd4 backend
+    ("blocks" counts the n mod 4 blocks of the state the run carried: 16
+    for a generic state, 8 for a parity-even one such as a codeword
+    projector, 1 when the channels lack the π/2 rotation symmetry).
     """
 
     times: np.ndarray
@@ -203,8 +206,9 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
     record_times defaults to 200 evenly spaced points. The backend is "rk45"
     when the explicit pair's stability-limited step count, estimated from
     ||G||_1, is at most MAX_EXPLICIT_STEPS, and "etd4" otherwise; the choice
-    is stored in meta["method"]. The Hermitian part is enforced after every
-    accepted step on both backends, and the exponential backend also
+    is stored in meta["method"]. Accepted states are Hermitian on both
+    backends: the explicit pair keeps the Hermitian part of each step, and
+    the exponential backend carries Hermitian states by construction and
     rescales the trace to its initial value. Emits
     PositivityWarning if the state acquires an eigenvalue below
     -positivity_tol at a record point.

@@ -3,8 +3,7 @@ is one of its two users.
 
 `_drive` is the one adaptive loop in the package. It clamps steps to the
 record times, enforces the step budget and the underflow guard, retreats
-from non-finite error estimates, projects every accepted state onto its
-Hermitian part, and updates the step size. A backend only
+from non-finite error estimates, and updates the step size. A backend only
 supplies attempt(y, h) -> (candidate, err, tol); the attempt is accepted iff
 err <= tol, and the next step is h * clip(0.9 * (tol/err)**exponent, 0.2,
 max_growth). The Dormand-Prince pair below is one backend; the step-doubling
@@ -41,8 +40,7 @@ def _drive(attempt, y, t_final, h, record_times, exponent, max_growth,
            on_accept=None, on_record=None, max_steps=10_000_000, diagnostics=None):
     """Adaptive march from t=0 to t_final, stopping exactly at each record time.
 
-    Every accepted candidate is replaced by its Hermitian part, which
-    on_accept(y) may then modify in place; on_record(t, y)
+    on_accept(y) may modify every accepted candidate in place; on_record(t, y)
     fires at every record time and at t_final (and at t=0 when 0 is among
     record_times). Raises StepSizeUnderflowError when the step budget is
     spent or the controller is driven below ~1e4 ulp of the current time,
@@ -77,7 +75,7 @@ def _drive(attempt, y, t_final, h, record_times, exponent, max_growth,
             continue
         if err <= tol:
             t += h_try
-            y = 0.5 * (candidate + candidate.conj().T)
+            y = candidate
             if on_accept is not None:
                 on_accept(y)
             n_accept += 1
@@ -118,6 +116,7 @@ def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
     to t_final with the Dormand-Prince pair, stopping exactly at each record
     time.
 
+    Every accepted state is the Hermitian part of the 5th-order solution.
     on_record(t, y) fires at every record time and at t_final.
     Raises StepSizeUnderflowError as described in _drive. Returns _drive's
     stats.
@@ -131,7 +130,7 @@ def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
         y5 = y + h * sum(b * k[i] for i, b in enumerate(_B5) if b != 0.0)
         err_mat = h * sum(e * k[i] for i, e in enumerate(_ERR) if e != 0.0)
         scale = atol + rtol * max(np.abs(y).max(), np.abs(y5).max())
-        return y5, np.abs(err_mat).max() / scale, 1.0
+        return 0.5 * (y5 + y5.conj().T), np.abs(err_mat).max() / scale, 1.0
 
     h = _initial_step(f, y, rtol, atol) if h0 is None else float(h0)
     _, stats = _drive(

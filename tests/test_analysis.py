@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from gkpstab import GkpParams, ResourceLimitError, SpectrumMismatchError, build_code
+from gkpstab import (
+    GkpParams,
+    ResourceLimitError,
+    SpectrumMismatchError,
+    build_code,
+    build_codewords,
+    build_dissipators,
+    build_lyapunov,
+)
 from gkpstab.analysis import (
     CirculantT,
     build_t_matrix,
@@ -17,7 +25,6 @@ from gkpstab.analysis import (
     random_density_matrix,
     run_identity_suite,
     t_matrix_closed_eigenpairs,
-    truncation_convergence_check,
     verify_lambda_identity,
     verify_lyapunov_derivative_identity,
     verify_t_spectrum,
@@ -219,6 +226,28 @@ def test_error_rate_experiment_no_loss(small_code):
 def test_error_rate_experiment_resource_guard():
     with pytest.raises(ResourceLimitError):
         error_rate_experiment(0.01)  # dim 2000 over the default ceiling
+
+
+def truncation_convergence_check(epsilon, eta=ETA_QUBIT, dim=None, factor=1.5):
+    """Compare codewords and kernel eigenvalues at dim and factor*dim.
+
+    Returns max |coefficient difference| over the shared range and the shift
+    of the lowest non-kernel eigenvalue of W; both should be tiny when the
+    20/eps rule is adequate.
+    """
+    params = GkpParams(epsilon, eta, dim)
+    big = GkpParams(epsilon, eta, int(math.ceil(factor * params.dim)))
+    small_words = build_codewords(params)
+    big_words = build_codewords(big)
+    coeff_dev = max(
+        float(np.abs(bw[: params.dim] - sw).max()) for sw, bw in zip(small_words, big_words)
+    )
+    gap_small = np.linalg.eigvalsh(build_lyapunov(build_dissipators(params)))
+    gap_big = np.linalg.eigvalsh(build_lyapunov(build_dissipators(big)))
+    n_kernel = params.codespace_dim
+    gap_shift = abs(float(gap_small[n_kernel]) - float(gap_big[n_kernel]))
+    return {"coefficient_deviation": coeff_dev, "gap_shift": gap_shift,
+            "dim": params.dim, "dim_big": big.dim}
 
 
 def test_truncation_convergence_rule():

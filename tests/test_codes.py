@@ -21,7 +21,7 @@ from gkpstab import (
     mean_photon_number,
 )
 from gkpstab.codes import ETA_QUBIT, ETA_SENSOR, logical_basis
-from gkpstab.fock import interior_block
+from gkpstab.fock import interior_block, matrix_exponential, rotate
 
 
 # --- parameters ---------------------------------------------------------------
@@ -136,6 +136,20 @@ def test_dissipator_order_and_inverses(dim):
     assert np.abs((v2 + eye) @ (v4 + eye) - eye).max() <= 1e-8
 
 
+@pytest.mark.parametrize("eta", [ETA_QUBIT, ETA_SENSOR], ids=["qubit", "sensor"])
+def test_dissipators_are_one_rotation_orbit(eta):
+    # V_k = F^k V_0 F^-k bitwise, and each agrees with its own matrix
+    # exponential (the four-expm build) to roundoff
+    params = GkpParams(0.14, eta=eta, dim=143)
+    vs = build_dissipators(params)
+    for k, v in enumerate(vs):
+        assert np.array_equal(v, rotate(vs[0], k))
+    r, s = build_conjugated_quadratures(params)
+    for v, g in zip(vs, (r, s, -r, -s)):
+        want = matrix_exponential(1j * eta * g) - np.eye(params.dim)
+        assert np.abs(v - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_lyapunov_hermitian_and_psd(small_code):
     w = small_code.lyapunov
     assert np.abs(w - w.conj().T).max() == 0.0
@@ -177,6 +191,12 @@ def test_codewords_orthonormal(small_code):
 def test_codewords_even_fock_support(small_code):
     for w in small_code.codewords:
         assert float(np.sum(np.abs(w[1::2]) ** 2)) <= 1e-10
+
+
+def test_codewords_are_exactly_parity_even(small_code):
+    sensor = build_codewords(GkpParams(0.14, eta=ETA_SENSOR))
+    for w in list(small_code.codewords) + sensor:
+        assert not w[1::2].any() and w[0::2].any()
 
 
 def test_codeword_dissipator_residuals(small_code):

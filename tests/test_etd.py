@@ -13,9 +13,10 @@ import pytest
 
 from gkpstab import GkpParams, build_dissipators
 from gkpstab import etd
-from gkpstab.etd import SplitPropagator, _phi123, _real_sandwich
+from gkpstab.etd import SplitPropagator, _phi123
 from gkpstab.analysis import random_density_matrix
-from gkpstab.fock import make_ladder
+from gkpstab.codes import ETA_SENSOR
+from gkpstab.fock import make_ladder, make_quadratures
 
 
 def test_phi_functions_against_mpmath():
@@ -91,6 +92,67 @@ def test_unclosed_channel_set_takes_complex_path(tiny_model):
 
 @pytest.mark.parametrize("with_loss", [False, True], ids=["stabilizers", "plus_loss"])
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+@pytest.mark.parametrize("dim", [28, 143])
+def test_blocked_form_matches_one_block_form(small_code, dim, adjoint, with_loss, monkeypatch):
+    # dim 143 has uneven blocks (36, 36, 36, 35)
+    vs = list(small_code.dissipators) if dim == 143 else list(build_dissipators(GkpParams(0.1, dim=dim)))
+    ops, rates = vs, [1.0] * 4
+    if with_loss:
+        ops, rates = vs + [make_ladder(dim)], rates + [0.02]
+    blocked = SplitPropagator(ops, rates, adjoint=adjoint)
+    monkeypatch.setattr(etd, "_charge_kraus", lambda ops, rates: None)
+    dense = SplitPropagator(ops, rates, adjoint=adjoint)
+    assert [len(b) for b in blocked.basis] == [len(range(j, dim, 4)) for j in range(4)]
+    assert len(dense.basis) == 1 and dense.real_form
+
+    rho = random_density_matrix(dim, np.random.default_rng(12))
+    outs = []
+    for prop in (blocked, dense):
+        xb = prop.to_basis(rho)
+        jump = prop.from_basis(prop.apply_jump(xb))
+        for _ in range(3):
+            xb = prop.step(xb, 0.05)
+        outs.append((jump, prop.from_basis(xb)))
+    (jump, stepped), (jump_ref, stepped_ref) = outs
+    assert np.abs(jump - jump_ref).max() <= 1e-12 * np.abs(jump_ref).max()
+    # the stiff drift amplifies roundoff in the stages: at dim 143 three
+    # steps of the one-block form move by up to 1.5e-10 (relative) under a
+    # mere permutation of the Fock basis, so steps are compared at 1e-9
+    assert np.abs(stepped - stepped_ref).max() <= 1e-9 * np.abs(stepped_ref).max()
+
+
+def test_parity_even_state_takes_eight_blocks(small_code):
+    vs = list(small_code.dissipators)
+    prop = SplitPropagator(vs, [1.0] * len(vs))
+    c0 = small_code.codewords[0]
+    xb = prop.to_basis(np.outer(c0, c0))
+    assert len(prop._layout) == 8
+    for _ in range(3):
+        xb = prop.step(xb, 0.05)
+    out = prop.from_basis(xb)
+    # sectors 1 and 3 (odd n - m) are never stored, so they stay exactly zero
+    assert not out[0::2, 1::2].any() and not out[1::2, 0::2].any()
+    assert out[1::2, 1::2].any()
+
+
+def test_rotation_asymmetric_channel_set_takes_one_block(tiny_model):
+    # q is conjugation-closed (real) but F q F† = p is not a channel: one
+    # real block, which must still be exact
+    dim, vs = tiny_model
+    q = make_quadratures(dim)[0]
+    prop = SplitPropagator(vs + [q], [1.0] * len(vs) + [0.02])
+    assert prop.real_form and len(prop.basis) == 1
+    _assert_matches_dense(prop, dim, _dense_superoperator(dim, vs + [np.sqrt(0.02) * q]))
+
+
+def test_sensor_lattice_passes_the_symmetry_detector():
+    vs = build_dissipators(GkpParams(0.1, eta=ETA_SENSOR, dim=40))
+    prop = SplitPropagator(vs, [1.0] * len(vs))
+    assert prop.real_form and len(prop.basis) == 4
+
+
+@pytest.mark.parametrize("with_loss", [False, True], ids=["stabilizers", "plus_loss"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
 def test_real_form_jump_matches_complex_operators(tiny_model, with_loss, adjoint):
     dim, vs = tiny_model
     ops, rates = list(vs), [1.0] * len(vs)
@@ -122,19 +184,17 @@ def test_real_form_jump_matches_complex_operators(tiny_model, with_loss, adjoint
                 assert np.array_equal(y, y.conj().T)
 
 
-def test_real_sandwich_of_one_part_is_the_plain_sum(tiny_model):
-    # a real or purely imaginary X, of any symmetry, is sandwiched as it is
+def test_one_part_state_of_any_symmetry_gets_its_exact_map(tiny_model):
+    # a real or purely imaginary X, of any symmetry, is carried as it is
     dim, vs = tiny_model
     prop = SplitPropagator(vs, [1.0] * len(vs))
-    rng = np.random.default_rng(9)
-    y = rng.standard_normal((dim, dim))
-    want = np.zeros_like(y)
-    for a in prop.kraus:
-        want += a @ y @ a.T
-    real = _real_sandwich(prop.kraus, y.astype(complex))
-    imag = _real_sandwich(prop.kraus, 1j * y)
-    assert np.array_equal(real.real, want) and not real.imag.any()
-    assert np.array_equal(imag.imag, want) and not imag.real.any()
+    y = np.random.default_rng(9).standard_normal((dim, dim))
+    want = sum(v @ y @ v.conj().T for v in vs)
+    real = prop.from_basis(prop.apply_jump(prop.to_basis(y)))
+    imag = prop.from_basis(prop.apply_jump(prop.to_basis(1j * y)))
+    assert not real.imag.any() and not imag.real.any()
+    assert np.abs(real - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(imag - 1j * want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_non_hermitian_jump_maps_the_hermitian_part(tiny_model):

@@ -21,6 +21,7 @@ from gkpstab import (
     lindblad_rhs,
     logical_operators,
     make_ladder,
+    make_quadratures,
     stabilizer_model,
     validate_density_matrix,
 )
@@ -213,6 +214,19 @@ def test_meta_reports_accepted_step_range(small_stiff_case, small_code, small_mo
         assert 0.0 < meta["h_min"] <= meta["h_max"] <= t_final
         assert n * meta["h_min"] <= t_final * (1 + 1e-12)
         assert n * meta["h_max"] >= t_final * (1 - 1e-12)
+
+
+def test_meta_reports_carried_blocks(small_code, small_model):
+    codeword = np.outer(small_code.codewords[0], small_code.codewords[0].conj())
+    mixed = random_density_matrix(small_code.dim, np.random.default_rng(13))
+    # q breaks the rotation symmetry: the fallback carries one block
+    with_q = small_model.with_channel(make_quadratures(small_code.dim)[0], 0.02)
+    quiet = ObservableSpec(photon_number=False, positivity_tol=None)
+    for mdl, rho, blocks in ((small_model, mixed, 16), (small_model, codeword, 8),
+                             (with_q, mixed, 1)):
+        meta = evolve(mdl, rho, 0.2, record_times=[0.2], observables=quiet).meta
+        assert meta["method"] == "etd4"
+        assert meta["blocks"] == blocks
 
 
 def test_record_grid_and_columns(small_stiff_case):
