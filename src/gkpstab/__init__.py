@@ -38,20 +38,14 @@ from .errors import (
     QuadratureGridError,
     ResourceLimitError,
     ShapeMismatchError,
-    SpectrumMismatchError,
     StepSizeUnderflowError,
-    ToleranceExceededError,
 )
 from .fock import (
-    frobenius_inner,
     interior_block,
     interior_margin,
-    is_hermitian,
-    is_unitary,
     make_ladder,
     make_quadratures,
     matrix_exponential,
-    number_operator,
 )
 from .lindblad import (
     LindbladModel,

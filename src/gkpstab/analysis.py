@@ -22,7 +22,7 @@ from .codes import (
     convergence_rate,
     ETA_QUBIT,
 )
-from .errors import ResourceLimitError, SpectrumMismatchError, ToleranceExceededError
+from .errors import ResourceLimitError
 from .fock import (
     hermitian_part,
     interior_block,
@@ -116,7 +116,7 @@ class TSpectrumReport:
     passed: bool
 
 
-def verify_t_spectrum(t, tol=1e-10, raise_on_fail=False):
+def verify_t_spectrum(t, tol=1e-10):
     """Check the numeric spectrum of T against the closed forms.
 
     Eigenvalue lists are compared after sorting; eigenvectors through the
@@ -139,14 +139,7 @@ def verify_t_spectrum(t, tol=1e-10, raise_on_fail=False):
         and closed[1] <= closed[0] + slack
     )
     passed = eig_err <= tol and resid <= tol
-    report = TSpectrumReport(t.epsilon, t.eta, eig_err, resid, ordering, passed)
-    if raise_on_fail and not passed:
-        worst = int(np.argmax([np.linalg.norm(t.matrix @ u - lam * u) for lam, u in pairs]))
-        raise SpectrumMismatchError(
-            f"T eigenpair {worst + 1} off by {resid:.3e} (eigenvalues off by {eig_err:.3e}) "
-            f"at eps={t.epsilon}, tol={tol}"
-        )
-    return report
+    return TSpectrumReport(t.epsilon, t.eta, eig_err, resid, ordering, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +165,7 @@ def _interior_max(a, margin):
 
 
 def verify_lyapunov_derivative_identity(epsilon, eta=ETA_QUBIT, dim=None, tol=1e-5,
-                                        margin=None, raise_on_fail=False):
+                                        margin=None):
     """Check sum_k D*_k(W) = sum_{k,l} W_k† T_kl W_l on the interior block.
 
     W_k = exp(-i eta R_k†) V_k chains two displacement-type exponentials, so
@@ -196,16 +189,9 @@ def verify_lyapunov_derivative_identity(epsilon, eta=ETA_QUBIT, dim=None, tol=1e
             rhs += t[k, l] * (wk[k].conj().T @ wk[l])
 
     dev = _interior_max(lhs - rhs, margin)
-    passed = dev <= tol
-    report = IdentityReport(
-        "lyapunov_derivative", epsilon, eta, dim, margin, dev, tol, passed
+    return IdentityReport(
+        "lyapunov_derivative", epsilon, eta, dim, margin, dev, tol, dev <= tol
     )
-    if raise_on_fail and not passed:
-        raise ToleranceExceededError(
-            f"Lyapunov-derivative identity off by {dev:.3e} > {tol} "
-            f"(dim={dim}, margin={margin})"
-        )
-    return report
 
 
 def _hermitian_function(h, f):
@@ -213,8 +199,7 @@ def _hermitian_function(h, f):
     return (ev * f(ew)) @ ev.conj().T
 
 
-def verify_lambda_identity(epsilon, eta=ETA_QUBIT, dim=None, tol=1e-5, margin=None,
-                           raise_on_fail=False):
+def verify_lambda_identity(epsilon, eta=ETA_QUBIT, dim=None, tol=1e-5, margin=None):
     """Check the closed form of Lambda±† Lambda± against direct construction.
 
     Lambda± = e^{-i eta R†} e^{i eta R/2} ± e^{i eta R†} e^{-i eta R/2} and
@@ -246,17 +231,10 @@ def verify_lambda_identity(epsilon, eta=ETA_QUBIT, dim=None, tol=1e-5, margin=No
     dev_plus = _interior_max(lam_plus.conj().T @ lam_plus - closed_plus, margin)
     dev_minus = _interior_max(lam_minus.conj().T @ lam_minus - closed_minus, margin)
     dev = max(dev_plus, dev_minus)
-    passed = dev <= tol
-    report = IdentityReport(
-        "lambda_closed_form", epsilon, eta, dim, margin, dev, tol, passed,
+    return IdentityReport(
+        "lambda_closed_form", epsilon, eta, dim, margin, dev, tol, dev <= tol,
         extra={"dev_plus": dev_plus, "dev_minus": dev_minus},
     )
-    if raise_on_fail and not passed:
-        side = "plus" if dev_plus >= dev_minus else "minus"
-        raise ToleranceExceededError(
-            f"Lambda{side} closed form off by {dev:.3e} > {tol} (dim={dim}, margin={margin})"
-        )
-    return report
 
 
 def operator_inequality_min_eigs(epsilon, eta=ETA_QUBIT, dim=None, margin=None):

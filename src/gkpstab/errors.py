@@ -37,14 +37,6 @@ class ResourceLimitError(GkpStabError, RuntimeError):
     """Requested problem size exceeds the configured desk-scale maximum."""
 
 
-class SpectrumMismatchError(GkpStabError, RuntimeError):
-    """Numerical eigendecomposition disagrees with the closed forms."""
-
-
-class ToleranceExceededError(GkpStabError, RuntimeError):
-    """An operator identity check exceeded its tolerance."""
-
-
 class PositivityWarning(UserWarning):
     """Density matrix acquired an eigenvalue below the positivity tolerance."""
 

@@ -36,10 +36,9 @@ carried as the real M = S + A, and every jump costs two dgemms per factor
 and per occupied block of a quarter of the size. The phi-weights are real
 and symmetric in (i, j), so the state stays Hermitian by construction.
 
-A channel set without the rotation symmetry (q, for instance, is
-conjugation-closed but F maps it to p) runs through the same code with one
-block: real factors when the set closes under complex conjugation
-(_real_kraus), complex factors and a complex carrier otherwise.
+Any other channel set runs through the same code with one complex block.
+Either way the propagator evolves the Hermitian part of its input and
+returns an exactly Hermitian matrix.
 """
 
 import numpy as np
@@ -76,33 +75,6 @@ def _factorial(n, _cache={0: 1.0}):
     if n not in _cache:
         _cache[n] = n * _factorial(n - 1)
     return _cache[n]
-
-
-def _real_kraus(ops, rates):
-    """Real Kraus operators of sum_k r_k V_k X V_k†, or None.
-
-    A real V_k gives sqrt(r)*V, a purely imaginary one sqrt(r)*Im V, and a
-    pair (V, conj(V)) of equal rate gives sqrt(2r)*Re V and sqrt(2r)*Im V:
-    r(V X V† + V̄ X V̄†) = 2r(Re V X Re Vᵀ + Im V X Im Vᵀ). This is a unitary
-    mixing of the Kraus operators, so the map is the same. None when some
-    channel is neither real, imaginary nor bitwise conjugate to a partner.
-    """
-    out, paired = [], set()
-    for i, (v, r) in enumerate(zip(ops, rates)):
-        if i in paired:
-            continue
-        if not v.imag.any():
-            out.append(np.sqrt(r) * v.real)
-        elif not v.real.any():
-            out.append(np.sqrt(r) * v.imag)
-        else:
-            j = next((j for j in range(i + 1, len(ops)) if j not in paired
-                      and rates[j] == r and np.array_equal(ops[j], v.conj())), None)
-            if j is None:
-                return None
-            paired.add(j)
-            out += [np.sqrt(2.0 * r) * v.real, np.sqrt(2.0 * r) * v.imag]
-    return out
 
 
 def _charge_kraus(ops, rates):
@@ -154,41 +126,34 @@ class SplitPropagator:
 
     The Fock space splits into nb blocks of n mod nb: nb = 4 when the
     channels pass the rotation-symmetry detector (_charge_kraus), else 1.
-    real_form tells whether the factors are real (rotation-symmetric or
-    conjugation-closed channels); basis holds the real eigenbasis of each
-    block of G, kraus the factors in it, one block per source block, and a
-    factor of charge c sends block (i, j) of the state to (i + c, j + c).
-    Without real form (a channel set that is not conjugation-closed) the
-    factors and the state are complex, in one block.
+    real_form tells which: on the real form basis holds the real eigenbasis
+    of each block of G, kraus the real factors in it, one block per source
+    block, and a factor of charge c sends block (i, j) of the state to
+    (i + c, j + c). Otherwise the factors, the one basis and the state are
+    complex.
 
     Between to_basis and from_basis the state is a carrier: a flat array of
     the occupied blocks, those of the sectors j - i (mod nb) where the input
     has a non-zero block. The jump and the drift keep every sector, so the
-    others stay exactly zero and are never stored. On the real form the
-    carrier of a Hermitian X = S + iA (S symmetric, A antisymmetric) is the
-    real M = S + A: a real congruence keeps symmetry, so the jump
-    sum K M Kᵀ carries both parts, the phi-weights act on M as on X,
-    Tr X = Tr M and ||X||_F = ||M||_F. A real or purely imaginary X of any
-    symmetry is carried as it is and gets its exact map; a complex
-    non-Hermitian X gets the map of its Hermitian part. to_basis fixes the
-    layout and the kind of input that step, apply_jump and from_basis use
-    until the next to_basis. adjoint is kept, because run rescales the
-    trace of forward states only. n_jumps counts the jump applications made
-    so far.
+    others stay exactly zero and are never stored. to_basis takes the
+    Hermitian part X = S + iA (S symmetric, A antisymmetric) of its input,
+    and from_basis returns an exactly Hermitian matrix. On the real form the
+    carrier is the real M = S + A: a real congruence keeps symmetry, so the
+    jump sum K M Kᵀ carries both parts, the phi-weights act on M as on X,
+    Tr X = Tr M and ||X||_F = ||M||_F. to_basis fixes the layout that step,
+    apply_jump and from_basis use until the next to_basis. adjoint is kept,
+    because run rescales the trace of forward states only. n_jumps counts
+    the jump applications made so far.
     """
 
     def __init__(self, ops, rates, adjoint=False):
         ops = [np.asarray(v, dtype=complex) for v in ops]
         self.dim = dim = ops[0].shape[0]
-        factors, nb = _charge_kraus(ops, rates), 4
-        if factors is None:
-            nb, factors = 1, _real_kraus(ops, rates)
-            self.real_form = factors is not None
-            if not self.real_form:
-                factors = [np.sqrt(r) * v for v, r in zip(ops, rates)]
-            factors = [(0, k) for k in factors]
-        else:
-            self.real_form = True
+        factors = _charge_kraus(ops, rates)
+        self.real_form = factors is not None
+        if not self.real_form:
+            factors = [(0, np.sqrt(r) * v) for v, r in zip(ops, rates)]
+        nb = 4 if self.real_form else 1
         self._slices = [slice(b, dim, nb) for b in range(nb)]
         sl = self._slices
         # a factor of charge c maps block j to j + c, so G is block-diagonal
@@ -207,7 +172,6 @@ class SplitPropagator:
         self.adjoint = adjoint
         self.n_jumps = 0
         self._layout = None
-        self._kind = None
 
     def _set_layout(self, sectors):
         """Carry the blocks (i, i + s) of every sector s, sector by sector."""
@@ -234,20 +198,16 @@ class SplitPropagator:
 
     def to_basis(self, x):
         x = np.asarray(x, dtype=complex)
-        if not self.real_form:
-            kind, m = "complex", x
-        elif x.real.any() and x.imag.any():
-            kind = "hermitian"
+        if self.real_form:
+            # M = S + A of the Hermitian part S + iA
             m = x.real + x.imag
             m += (x.real - x.imag).T
-            m *= 0.5
         else:
-            kind = "imag" if x.imag.any() else "real"
-            m = x.imag if kind == "imag" else x.real
+            m = x + x.conj().T
+        m *= 0.5
         sl, nb = self._slices, len(self._slices)
         sectors = {(j - i) % nb for i in range(nb) for j in range(nb) if m[sl[i], sl[j]].any()}
         self._set_layout(sectors | {-s % nb for s in sectors} or {0})
-        self._kind = kind
         out = np.empty(self._zsum.size, dtype=m.dtype)
         for (i, j), blk in self._blocks(out).items():
             blk[...] = self.basis[i].conj().T @ m[sl[i], sl[j]] @ self.basis[j]
@@ -258,15 +218,14 @@ class SplitPropagator:
         sl = self._slices
         for (i, j), blk in self._blocks(m).items():
             full[sl[i], sl[j]] = self.basis[i] @ blk @ self.basis[j].conj().T
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        if self._kind == "hermitian":
+        out = np.empty((self.dim, self.dim), dtype=complex)
+        if self.real_form:
+            # S + iA from M = S + A
             np.add(full, full.T, out=out.real)
             np.subtract(full, full.T, out=out.imag)
-            out *= 0.5
-        elif self._kind == "imag":
-            out.imag = full
         else:
-            out[...] = full
+            np.add(full, full.conj().T, out=out)
+        out *= 0.5
         return out
 
     def apply_jump(self, m):

@@ -1,8 +1,7 @@
 """Truncated-Fock-basis operator algebra.
 
 Operators live on the span of the first ``dim`` number states and are plain
-dense complex ``numpy`` arrays. Nothing here assumes Hermiticity or unitarity;
-those are queryable predicates with explicit tolerances.
+dense complex ``numpy`` arrays. Nothing here assumes Hermiticity or unitarity.
 
 Identities that hold in infinite dimension (canonical commutators, products of
 displacement-type exponentials) fail near the truncation corner. They are
@@ -46,12 +45,6 @@ def make_quadratures(dim):
     return q, p
 
 
-def number_operator(dim):
-    """Photon-number operator a†a (diagonal)."""
-    _check_dim(dim)
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
-
-
 def matrix_exponential(m):
     """exp(m) by scaling-and-squaring with the order-13 diagonal Padé approximant.
 
@@ -85,26 +78,6 @@ def rotate(a, k):
     a = np.asarray(a)
     n = np.arange(a.shape[0])
     return np.array([1, 1j, -1, -1j])[k * np.subtract.outer(n, n) % 4] * a
-
-
-def frobenius_inner(a, b):
-    """Frobenius inner product Tr(a† b)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"frobenius_inner: shapes {a.shape} and {b.shape} differ")
-    return complex(np.vdot(a, b))
-
-
-def is_hermitian(a, tol=1e-12):
-    a = np.asarray(a)
-    return bool(np.abs(a - a.conj().T).max() <= tol)
-
-
-def is_unitary(a, tol=1e-10):
-    a = np.asarray(a)
-    d = a.shape[0]
-    return bool(np.abs(a.conj().T @ a - np.eye(d)).max() <= tol)
 
 
 def hermitian_part(a):

@@ -127,6 +127,12 @@ def adjoint_rhs(model, x):
     return out
 
 
+def _check_hermitian(rho, tol):
+    herm = np.abs(rho - rho.conj().T).max()
+    if herm > tol:
+        raise InvalidInputError(f"Hermiticity defect {herm:.3e} beyond {tol}")
+
+
 def validate_density_matrix(rho, trace_tol=1e-8, herm_tol=1e-10, psd_tol=1e-8):
     """Raise InvalidInputError unless rho is a density matrix within tolerances."""
     rho = np.asarray(rho, dtype=complex)
@@ -135,9 +141,7 @@ def validate_density_matrix(rho, trace_tol=1e-8, herm_tol=1e-10, psd_tol=1e-8):
     tr = np.trace(rho)
     if abs(tr - 1.0) > trace_tol:
         raise InvalidInputError(f"trace {tr} deviates from 1 beyond {trace_tol}")
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > herm_tol:
-        raise InvalidInputError(f"Hermiticity defect {herm:.3e} beyond {herm_tol}")
+    _check_hermitian(rho, herm_tol)
     min_eig = float(np.linalg.eigvalsh(hermitian_part(rho))[0])
     if min_eig < -psd_tol:
         raise InvalidInputError(f"negative eigenvalue {min_eig:.3e} beyond -{psd_tol}")
@@ -203,13 +207,15 @@ MAX_EXPLICIT_STEPS = 50_000
 def evolve(model, rho0, t_final, record_times=None, options=None, observables=None):
     """Integrate the master equation and record observables.
 
-    record_times defaults to 200 evenly spaced points. The backend is "rk45"
-    when the explicit pair's stability-limited step count, estimated from
-    ||G||_1, is at most MAX_EXPLICIT_STEPS, and "etd4" otherwise; the choice
-    is stored in meta["method"]. Accepted states are Hermitian on both
-    backends: the explicit pair keeps the Hermitian part of each step, and
-    the exponential backend carries Hermitian states by construction and
-    rescales the trace to its initial value. Emits
+    record_times defaults to 201 evenly spaced points, 0 and t_final
+    included. rho0 must be Hermitian to 1e-10 (InvalidInputError
+    otherwise); both backends integrate its Hermitian part. The backend is
+    "rk45" when the explicit pair's stability-limited step count, estimated
+    from ||G||_1, is at most MAX_EXPLICIT_STEPS, and "etd4" otherwise; the
+    choice is stored in meta["method"]. Accepted states are exactly
+    Hermitian on both backends: the explicit pair keeps the Hermitian part
+    of each step, and the exponential backend carries Hermitian states by
+    construction and rescales the trace to its initial value. Emits
     PositivityWarning if the state acquires an eigenvalue below
     -positivity_tol at a record point.
     """
@@ -218,6 +224,8 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
     rho0 = _check_same_dim(model, rho0)
     if not np.isfinite(rho0).all():
         raise InvalidInputError("initial state has non-finite entries")
+    # validate_density_matrix's default herm_tol
+    _check_hermitian(rho0, 1e-10)
     if t_final <= 0:
         raise ValueError("t_final must be positive")
     if record_times is None:
@@ -255,7 +263,7 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
                 j = getattr(observables.logicals, name)
                 recs[name].append(float(np.real(np.sum(j * rho.T))))
         if observables.positivity_tol is not None and not warned[0]:
-            min_eig = float(np.linalg.eigvalsh(hermitian_part(rho))[0])
+            min_eig = float(np.linalg.eigvalsh(rho)[0])
             if min_eig < -observables.positivity_tol:
                 warned[0] = True
                 warnings.warn(
@@ -350,7 +358,7 @@ def logical_operators(model, code, horizon_multiplier=20.0, tol=1e-7):
     worst = 0.0
     for name, s in (("jx", code.sx), ("jy", code.sy), ("jz", code.sz)):
         x, resid, _t, _n = prop.run_to_stationary(s, h=h, residual_tol=tol, t_max=t_max)
-        out[name] = hermitian_part(x)
+        out[name] = x
         worst = max(worst, resid)
     if worst > tol:
         warnings.warn(

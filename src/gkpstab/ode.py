@@ -116,12 +116,13 @@ def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
     to t_final with the Dormand-Prince pair, stopping exactly at each record
     time.
 
-    Every accepted state is the Hermitian part of the 5th-order solution.
-    on_record(t, y) fires at every record time and at t_final.
-    Raises StepSizeUnderflowError as described in _drive. Returns _drive's
-    stats.
+    The march starts from the Hermitian part of y0, and every accepted state
+    is the Hermitian part of the 5th-order solution. on_record(t, y) fires
+    at every record time and at t_final. Raises StepSizeUnderflowError as
+    described in _drive. Returns _drive's stats.
     """
-    y = np.array(y0, dtype=complex)
+    y = np.asarray(y0, dtype=complex)
+    y = 0.5 * (y + y.conj().T)
 
     def attempt(y, h):
         k = [f(y)]

@@ -79,8 +79,8 @@ def test_krogstad_matches_dense_propagator(tiny_model):
 
 
 def test_unclosed_channel_set_takes_complex_path(tiny_model):
-    # one generic complex channel has no conjugate partner, so there is no
-    # real Kraus form; the complex path must still be exact
+    # one generic complex channel breaks the rotation symmetry, so the set
+    # runs on one complex block, which must still be exact
     dim, vs = tiny_model
     rng = np.random.default_rng(5)
     extra = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(dim)
@@ -103,7 +103,7 @@ def test_blocked_form_matches_one_block_form(small_code, dim, adjoint, with_loss
     monkeypatch.setattr(etd, "_charge_kraus", lambda ops, rates: None)
     dense = SplitPropagator(ops, rates, adjoint=adjoint)
     assert [len(b) for b in blocked.basis] == [len(range(j, dim, 4)) for j in range(4)]
-    assert len(dense.basis) == 1 and dense.real_form
+    assert len(dense.basis) == 1 and not dense.real_form
 
     rho = random_density_matrix(dim, np.random.default_rng(12))
     outs = []
@@ -136,12 +136,12 @@ def test_parity_even_state_takes_eight_blocks(small_code):
 
 
 def test_rotation_asymmetric_channel_set_takes_one_block(tiny_model):
-    # q is conjugation-closed (real) but F q F† = p is not a channel: one
-    # real block, which must still be exact
+    # F q F† = p is not a channel: one complex block, which must still be
+    # exact
     dim, vs = tiny_model
     q = make_quadratures(dim)[0]
     prop = SplitPropagator(vs + [q], [1.0] * len(vs) + [0.02])
-    assert prop.real_form and len(prop.basis) == 1
+    assert not prop.real_form and len(prop.basis) == 1
     _assert_matches_dense(prop, dim, _dense_superoperator(dim, vs + [np.sqrt(0.02) * q]))
 
 
@@ -169,44 +169,28 @@ def test_real_form_jump_matches_complex_operators(tiny_model, with_loss, adjoint
     for x in (sym, anti, rho):
         want = sum(r * (v.conj().T @ x @ v if adjoint else v @ x @ v.conj().T)
                    for v, r in zip(ops, rates))
-        xb = prop.to_basis(x)
-        nb = prop.apply_jump(xb)
-        got = prop.from_basis(nb)
+        got = prop.from_basis(prop.apply_jump(prop.to_basis(x)))
         assert got.dtype == complex
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        if x is sym:
-            assert not got.imag.any()
-        if x is anti:
-            assert not got.real.any()
-        if x is rho:
-            # a complex Hermitian X stays exactly Hermitian through every map
-            for y in (xb, nb, got):
-                assert np.array_equal(y, y.conj().T)
-
-
-def test_one_part_state_of_any_symmetry_gets_its_exact_map(tiny_model):
-    # a real or purely imaginary X, of any symmetry, is carried as it is
-    dim, vs = tiny_model
-    prop = SplitPropagator(vs, [1.0] * len(vs))
-    y = np.random.default_rng(9).standard_normal((dim, dim))
-    want = sum(v @ y @ v.conj().T for v in vs)
-    real = prop.from_basis(prop.apply_jump(prop.to_basis(y)))
-    imag = prop.from_basis(prop.apply_jump(prop.to_basis(1j * y)))
-    assert not real.imag.any() and not imag.real.any()
-    assert np.abs(real - want).max() <= 1e-12 * np.abs(want).max()
-    assert np.abs(imag - 1j * want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(got, got.conj().T)
 
 
 def test_non_hermitian_jump_maps_the_hermitian_part(tiny_model):
+    # a complex, a real and a purely imaginary input of no symmetry, on the
+    # blocked form and on one complex block (q breaks the rotation symmetry)
     dim, vs = tiny_model
-    prop = SplitPropagator(vs, [1.0] * len(vs))
     rng = np.random.default_rng(10)
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    herm = 0.5 * (x + x.conj().T)
-    got = prop.from_basis(prop.apply_jump(prop.to_basis(x)))
-    want = sum(v @ herm @ v.conj().T for v in vs)
-    assert np.array_equal(got, got.conj().T)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    y = rng.standard_normal((dim, dim))
+    q = make_quadratures(dim)[0]
+    for ops, rates in ((vs, [1.0] * len(vs)), (vs + [q], [1.0] * len(vs) + [0.02])):
+        prop = SplitPropagator(ops, rates)
+        for z in (x, y, 1j * y):
+            herm = 0.5 * (z + z.conj().T)
+            got = prop.from_basis(prop.apply_jump(prop.to_basis(z)))
+            want = sum(r * (v @ herm @ v.conj().T) for v, r in zip(ops, rates))
+            assert np.array_equal(got, got.conj().T)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_run_counts_jump_applications(tiny_model):

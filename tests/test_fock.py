@@ -7,16 +7,11 @@ from gkpstab import (
     DimensionError,
     InvalidInputError,
     OperatorOverflowError,
-    ShapeMismatchError,
-    frobenius_inner,
     interior_block,
     interior_margin,
-    is_hermitian,
-    is_unitary,
     make_ladder,
     make_quadratures,
     matrix_exponential,
-    number_operator,
 )
 from gkpstab.codes import ETA_QUBIT
 
@@ -81,11 +76,6 @@ def test_commutator_brute_force_dim5():
     np.testing.assert_allclose(q @ p - p @ q - 1j * np.eye(5), expected, atol=1e-14)
 
 
-def test_number_operator():
-    n = number_operator(6)
-    np.testing.assert_array_equal(np.diag(n), np.arange(6.0))
-
-
 # --- matrix exponential -----------------------------------------------------
 
 
@@ -136,48 +126,7 @@ def test_expm_overflow_names_norm():
         matrix_exponential(np.diag([800.0, 0.0]))
 
 
-# --- Frobenius product ------------------------------------------------------
-
-
-def test_frobenius_identity_norm():
-    assert frobenius_inner(np.eye(9), np.eye(9)) == 9.0
-
-
-def test_frobenius_shape_error():
-    with pytest.raises(ShapeMismatchError):
-        frobenius_inner(np.eye(3), np.eye(4))
-
-
-@given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_frobenius_sesquilinear_conjugate(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    assert frobenius_inner(a, b) == pytest.approx(np.conj(frobenius_inner(b, a)))
-    # brute-force definition
-    assert frobenius_inner(a, b) == pytest.approx(np.trace(a.conj().T @ b))
-
-
-@given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=20, deadline=None)
-def test_frobenius_positive(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    val = frobenius_inner(a, a)
-    assert val.imag == pytest.approx(0.0, abs=1e-12)
-    assert val.real >= 0.0
-
-
-# --- predicates and interior helpers ----------------------------------------
-
-
-def test_hermitian_unitary_predicates():
-    q, _ = make_quadratures(8)
-    assert is_hermitian(q)
-    assert not is_hermitian(make_ladder(8))
-    assert is_unitary(matrix_exponential(1j * q))
-    assert not is_unitary(2 * np.eye(8))
+# --- interior helpers ------------------------------------------------------
 
 
 def test_interior_block_bounds():

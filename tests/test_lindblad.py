@@ -168,13 +168,23 @@ def test_trace_preserved_both_backends(small_stiff_case):
     assert stats["n_jumps"] == 11 * stats["n_accept"] + 10 * stats["n_reject"]
 
 
-def test_hermitian_at_record_points(small_stiff_case):
+def test_hermitian_at_record_points(small_stiff_case, small_code, small_model, small_logicals):
     code, model, rho0 = small_stiff_case
-    traj = evolve(model, rho0, 0.5, record_times=[0.25, 0.5],
-                  observables=ObservableSpec(snapshot_times=(0.25, 0.5),
-                                             positivity_tol=None))
-    for rho in traj.snapshots.values():
-        assert np.abs(rho - rho.conj().T).max() == 0.0
+    codeword = np.outer(small_code.codewords[0], small_code.codewords[0].conj())
+    mixed = random_density_matrix(small_code.dim, np.random.default_rng(13))
+    # q breaks the rotation symmetry: etd4 on one complex block
+    with_q = small_model.with_channel(make_quadratures(small_code.dim)[0], 0.02)
+    spec = ObservableSpec(snapshot_times=(0.25, 0.5), positivity_tol=None)
+    for mdl, rho, method in ((model, rho0, "rk45"), (small_model, codeword, "etd4"),
+                             (small_model, mixed, "etd4"), (with_q, mixed, "etd4")):
+        traj = evolve(mdl, rho, 0.5, record_times=[0.25, 0.5], observables=spec)
+        assert traj.meta["method"] == method
+        assert len(traj.snapshots) == 2
+        for snap in traj.snapshots.values():
+            assert np.abs(snap - snap.conj().T).max() == 0.0
+    logicals = small_logicals[2]
+    for j in (logicals.jx, logicals.jy, logicals.jz):
+        assert np.abs(j - j.conj().T).max() == 0.0
 
 
 def test_auto_method_selection(small_stiff_case):
@@ -263,6 +273,10 @@ def test_invalid_inputs(small_stiff_case):
     bad[0, 0] = np.nan
     with pytest.raises(InvalidInputError):
         evolve(model, bad, 1.0)
+    skew = rho0.copy()
+    skew[0, 1] += 1e-9
+    with pytest.raises(InvalidInputError, match="Hermiticity"):
+        evolve(model, skew, 1.0)
 
 
 # --- logical operators and Bloch coordinates ------------------------------------
