@@ -175,22 +175,37 @@ def test_real_form_jump_matches_complex_operators(tiny_model, with_loss, adjoint
         assert np.array_equal(got, got.conj().T)
 
 
-def test_non_hermitian_jump_maps_the_hermitian_part(tiny_model):
-    # a complex, a real and a purely imaginary input of no symmetry, on the
-    # blocked form and on one complex block (q breaks the rotation symmetry)
+def test_one_part_state_of_any_symmetry_gets_its_exact_map(tiny_model):
+    # a real or purely imaginary X of no symmetry gets the map of its
+    # Hermitian part, the real symmetric or the imaginary antisymmetric one,
+    # on the blocked form and on one complex block; the blocked form may
+    # leave a rounding-level other part, which the error bound covers
     dim, vs = tiny_model
-    rng = np.random.default_rng(10)
-    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    y = rng.standard_normal((dim, dim))
+    y = np.random.default_rng(9).standard_normal((dim, dim))
     q = make_quadratures(dim)[0]
     for ops, rates in ((vs, [1.0] * len(vs)), (vs + [q], [1.0] * len(vs) + [0.02])):
         prop = SplitPropagator(ops, rates)
-        for z in (x, y, 1j * y):
-            herm = 0.5 * (z + z.conj().T)
+        for z, herm in ((y, 0.5 * (y + y.T)), (1j * y, 0.5j * (y - y.T))):
             got = prop.from_basis(prop.apply_jump(prop.to_basis(z)))
             want = sum(r * (v @ herm @ v.conj().T) for v, r in zip(ops, rates))
             assert np.array_equal(got, got.conj().T)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_non_hermitian_jump_maps_the_hermitian_part(tiny_model):
+    # a complex input of no symmetry, on the blocked form and on one complex
+    # block (q breaks the rotation symmetry)
+    dim, vs = tiny_model
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    herm = 0.5 * (x + x.conj().T)
+    q = make_quadratures(dim)[0]
+    for ops, rates in ((vs, [1.0] * len(vs)), (vs + [q], [1.0] * len(vs) + [0.02])):
+        prop = SplitPropagator(ops, rates)
+        got = prop.from_basis(prop.apply_jump(prop.to_basis(x)))
+        want = sum(r * (v @ herm @ v.conj().T) for v, r in zip(ops, rates))
+        assert np.array_equal(got, got.conj().T)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_run_counts_jump_applications(tiny_model):
