@@ -10,6 +10,12 @@ the horizon alone: the stabilizer channels make the truncated generator
 stiff (spectral radius ~ ||W||, which grows exponentially with eps*dim), so
 production-size runs take the exponential backend, while a loss-only or
 short run takes the explicit pair.
+
+The explicit pair evaluates lindblad_rhs, which applies a channel elementwise
+when its operator has all nonzeros on one diagonal (a, a†, powers of a, the
+number operator): the jump is then a weighted diagonal shift of the state,
+and when every channel is of this kind the drift G is diagonal too, so a
+loss-only right-hand side costs O(d²) instead of four dense products.
 """
 
 import warnings
@@ -82,6 +88,35 @@ class LindbladModel:
         """G = sum_k r_k A_k†A_k / 2, built on first use."""
         return sum(r * (op.conj().T @ op) for op, r in zip(self.operators, self.rates)) / 2.0
 
+    @cached_property
+    def bands(self):
+        """The one-diagonal channels, for lindblad_rhs; built on first use.
+
+        Returns (per_channel, g_diag). per_channel[i] is (offset, weight)
+        when every nonzero of the i-th operator A lies on one diagonal,
+        A[i, i + offset] (a: +1, a†: -1, a^m: +m, n: 0), and None otherwise;
+        weight is r v v^H with v = np.diagonal(A, offset), real when v is.
+        Then A†A is diagonal, so when every channel has one offset G is the
+        diagonal g_diag; otherwise g_diag is None.
+        """
+        per_channel, g_diag = [], np.zeros(self.dim)
+        for op, r in zip(self.operators, self.rates):
+            rows, cols = np.nonzero(op)
+            offsets = np.unique(cols - rows)
+            if offsets.size != 1:
+                per_channel.append(None)
+                g_diag = None
+                continue
+            k = int(offsets[0])
+            v = np.diagonal(op, k)
+            if not v.imag.any():
+                v = v.real
+            per_channel.append((k, r * np.outer(v, v.conj())))
+            if g_diag is not None:
+                # (A†A)_mm = |A[m - k, m]|²
+                g_diag[max(k, 0):self.dim + min(k, 0)] += 0.5 * r * np.abs(v) ** 2
+        return per_channel, g_diag
+
     def with_channel(self, op, rate):
         """New model with one channel appended."""
         return LindbladModel(self.channels + ((np.asarray(op, dtype=complex), float(rate)),))
@@ -106,13 +141,35 @@ def _check_same_dim(model, rho):
 
 
 def lindblad_rhs(model, rho):
-    """sum_k r_k A rho A† - (G rho + rho G). Traceless by construction."""
+    """sum_k r_k A rho A† - (G rho + rho G). Traceless by construction.
+
+    A channel whose operator has all its nonzeros on one diagonal offset k
+    (model.bands: a, a†, powers of a, n) is applied elementwise, as the
+    shift (A rho A†)_ij = v_i conj(v_j) rho_{i+k, j+k} with v the diagonal
+    of A; and when every channel is one-diagonal, G is diagonal and the
+    drift is -(g_i + g_j) rho_ij. A loss-only model therefore costs O(d²)
+    a call. Any other channel, and the drift of a model that has one, use
+    dense products.
+    """
     rho = _check_same_dim(model, rho)
-    g = model.drift
-    out = -(g @ rho + rho @ g)
-    for op, rate in model.channels:
-        if rate != 0.0:
+    bands, g_diag = model.bands
+    if g_diag is None:
+        g = model.drift
+        out = -(g @ rho + rho @ g)
+    else:
+        out = -(g_diag[:, None] + g_diag[None, :]) * rho
+    d = model.dim
+    for (op, rate), band in zip(model.channels, bands):
+        if rate == 0.0:
+            continue
+        if band is None:
             out += rate * (op @ rho @ op.conj().T)
+            continue
+        k, weight = band
+        if k >= 0:
+            out[:d - k, :d - k] += weight * rho[k:, k:]
+        else:
+            out[-k:, -k:] += weight * rho[:d + k, :d + k]
     return out
 
 
@@ -184,7 +241,8 @@ class Trajectory:
     include "trace"; "lyapunov", "nbar", "jx", "jy", "jz" appear per spec.
     meta holds the backend's stats: "method", "n_accept", "n_reject", the
     smallest and largest accepted step "h_min" and "h_max", and "h_final",
-    plus "n_jumps", "trace_defect" and "blocks" from the etd4 backend
+    plus "n_rhs" (right-hand side evaluations) from the rk45 backend and
+    "n_jumps", "trace_defect" and "blocks" from the etd4 backend
     ("blocks" counts the n mod 4 blocks of the state the run carried: 16
     for a generic state, 8 for a parity-even one such as a codeword
     projector, 1 when the channels lack the π/2 rotation symmetry).

@@ -199,6 +199,23 @@ def test_pure_loss_channel_generator_is_the_loss_dissipator():
     assert float(np.abs(fd - l_rho).max()) <= h * float(np.abs(l2_rho).max())
 
 
+def test_loss_only_evolve_matches_pure_loss_channel():
+    # criterion 7's off check at a small dim, on a full-rank state: the
+    # integrated loss-only run against the closed form at every record
+    dim, kappa1 = 60, 0.02
+    rho0 = random_density_matrix(dim, np.random.default_rng(13), support_dim=dim)
+    record = np.linspace(0.0, 1.0 / kappa1, 11)
+    traj = evolve(LindbladModel(((make_ladder(dim), kappa1),)), rho0, record[-1],
+                  record_times=record,
+                  observables=ObservableSpec(snapshot_times=tuple(record),
+                                             photon_number=False, positivity_tol=None))
+    assert traj.meta["method"] == "rk45"
+    assert len(traj.snapshots) == len(record)
+    for t, rho in traj.snapshots.items():
+        expected = pure_loss_channel(rho0, math.exp(-kappa1 * t))
+        assert np.abs(rho - expected).max() <= 1e-8, f"t={t}"
+
+
 @pytest.mark.slow
 def test_criterion_7_off_rate_matches_loss_rate(fig_experiment, code200, logicals200):
     # The "off" run is photon loss alone, so its logical error must be exactly

@@ -7,6 +7,7 @@ from gkpstab import (
     DegenerateGapError,
     DimensionError,
     GkpParams,
+    InvalidInputError,
     QuadratureGridError,
     build_code,
     build_codewords,
@@ -21,6 +22,7 @@ from gkpstab import (
     mean_photon_number,
 )
 from gkpstab.codes import ETA_QUBIT, ETA_SENSOR, logical_basis
+from gkpstab.etd import SplitPropagator
 from gkpstab.fock import interior_block, matrix_exponential, rotate
 
 
@@ -160,6 +162,30 @@ def test_lyapunov_hermitian_and_psd(small_code):
 def test_lyapunov_shape_error():
     with pytest.raises(DimensionError):
         build_lyapunov([np.eye(3), np.eye(4), np.eye(3), np.eye(3)])
+
+
+def test_lyapunov_commutes_with_rotation_exactly(small_code):
+    w = small_code.lyapunov
+    n = np.arange(small_code.dim)
+    assert not w[np.subtract.outer(n, n) % 4 != 0].any()
+    # the four-product sum it replaces
+    ref = sum(v.conj().T @ v for v in small_code.dissipators)
+    ref = 0.5 * (ref + ref.conj().T)
+    assert np.abs(w - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_lyapunov_rejects_non_orbit(small_code):
+    vs = list(small_code.dissipators)
+    for bad in (vs[:1] + vs[:1] + vs[2:], vs[:3], vs[:3] + [vs[3] * (1 + 1e-15)]):
+        with pytest.raises(InvalidInputError):
+            build_lyapunov(bad)
+
+
+def test_lyapunov_takes_four_blocks(small_code):
+    vs = list(small_code.dissipators)
+    prop = SplitPropagator(vs, [1.0] * len(vs))
+    prop.to_basis(small_code.lyapunov)
+    assert len(prop._layout) == 4
 
 
 def test_kernel_counts_small(small_code):

@@ -54,6 +54,44 @@ def test_rhs_traceless_random_hermitian(rng):
     assert abs(np.trace(lindblad_rhs(model, h))) <= 1e-12 * np.abs(h).max() * dim
 
 
+def _dense_rhs(model, rho):
+    """sum_k r_k A rho A† - (G rho + rho G), every product dense."""
+    jump = sum(r * (op @ rho @ op.conj().T) for op, r in model.channels)
+    g = sum(r * (op.conj().T @ op) for op, r in model.channels) / 2.0
+    return jump - (g @ rho + rho @ g)
+
+
+def _one_diagonal(dim, k, rng):
+    v = rng.standard_normal(dim - abs(k)) + 1j * rng.standard_normal(dim - abs(k))
+    return np.diag(v, k)
+
+
+@pytest.mark.parametrize("case", ["a", "a_dag", "a2", "n", "random+3", "random-2",
+                                  "a_and_a_dag", "a_and_dense"])
+def test_one_diagonal_channels_match_dense_rhs(case):
+    dim = 30
+    rng = np.random.default_rng(77)
+    a = make_ladder(dim)
+    dense = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    channels, offsets = {
+        "a": ([a], [1]),
+        "a_dag": ([a.conj().T], [-1]),
+        "a2": ([a @ a], [2]),
+        "n": ([np.diag(np.arange(dim)).astype(complex)], [0]),
+        "random+3": ([_one_diagonal(dim, 3, rng)], [3]),
+        "random-2": ([_one_diagonal(dim, -2, rng)], [-2]),
+        "a_and_a_dag": ([a, a.conj().T], [1, -1]),
+        "a_and_dense": ([a, dense], [1, None]),
+    }[case]
+    model = LindbladModel(tuple((op, 0.3 + 0.4 * i) for i, op in enumerate(channels)))
+    bands, g_diag = model.bands
+    assert [b and b[0] for b in bands] == offsets
+    assert (g_diag is None) == (None in offsets)
+    rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    ref = _dense_rhs(model, rho)
+    assert np.abs(lindblad_rhs(model, rho) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_adjoint_unital():
     model = loss_model(30, 2.0)
     out = adjoint_rhs(model, np.eye(30, dtype=complex))
@@ -219,6 +257,9 @@ def test_meta_reports_accepted_step_range(small_stiff_case, small_code, small_mo
     for mdl, rho, method in ((model, rho0, "rk45"), (small_model, codeword, "etd4")):
         meta = evolve(mdl, rho, t_final, record_times=[t_final], observables=quiet).meta
         assert meta["method"] == method
+        if method == "rk45":
+            # seven stages an attempt, two evaluations for the initial step
+            assert meta["n_rhs"] == 7 * (meta["n_accept"] + meta["n_reject"]) + 2
         # the accepted steps tile [0, t_final]
         n = meta["n_accept"]
         assert 0.0 < meta["h_min"] <= meta["h_max"] <= t_final
