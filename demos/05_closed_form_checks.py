@@ -22,9 +22,9 @@ with np.printoptions(precision=3, suppress=True):
 print("\nclosed-form eigenvalues (sorted):",
       sorted(lam for lam, _ in t_matrix_closed_eigenpairs(0.05)))
 report = verify_t_spectrum(t)
-print(f"numeric vs closed forms: eigenvalue dev {report.max_eigenvalue_error:.1e}, "
-      f"eigenvector residual {report.max_residual:.1e}, "
-      f"sign pattern ok: {report.ordering_ok}")
+print(f"numeric vs closed forms: eigenpair dev {report.measured:.1e} (tol {report.tol:g}); "
+      f"with the sign pattern lam4 <= lam3 <= 0 <= lam2 <= lam1: "
+      f"{'PASS' if report.passed else 'FAIL'}")
 
 print("\nfull identity suite at eps = 0.1 (dim 200):")
 for result in run_identity_suite(0.1, dim=200):

@@ -9,7 +9,7 @@ cosh/cos operator inequality) or a seeded, reproducible experiment
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,19 @@ from .lindblad import (
     logical_operators,
     stabilizer_model,
 )
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of one closed-form check: the measured deviation (for the
+    operator inequality, the smallest eigenvalue), the tolerance it is held
+    to, and whether it passed."""
+
+    name: str
+    measured: float
+    tol: float
+    passed: bool
+
 
 # ---------------------------------------------------------------------------
 # Circulant coefficient matrix of the Lyapunov-derivative rewrite
@@ -106,24 +119,16 @@ def t_matrix_closed_eigenpairs(epsilon, eta=ETA_QUBIT):
     return [(lams[k], rows[k].conj()) for k in range(4)]
 
 
-@dataclass(frozen=True)
-class TSpectrumReport:
-    epsilon: float
-    eta: float
-    max_eigenvalue_error: float
-    max_residual: float
-    ordering_ok: bool
-    passed: bool
-
-
-def verify_t_spectrum(t, tol=1e-10):
+def verify_t_spectrum(t):
     """Check the numeric spectrum of T against the closed forms.
 
     Eigenvalue lists are compared after sorting; eigenvectors through the
     residual ||T u - lam u||, which is insensitive to phase and to rotations
-    inside degenerate clusters. Also checks the sign pattern
-    lam_4 <= lam_3 <= 0 <= lam_2 <= lam_1.
+    inside degenerate clusters. measured is the larger of the two, held to
+    1e-10; the check passes only if the closed-form eigenvalues also keep the
+    sign pattern lam_4 <= lam_3 <= 0 <= lam_2 <= lam_1.
     """
+    tol = 1e-10
     pairs = t_matrix_closed_eigenpairs(t.epsilon, t.eta)
     closed = np.array([lam for lam, _ in pairs])
     numeric = np.linalg.eigvalsh(hermitian_part(t.matrix))
@@ -138,8 +143,8 @@ def verify_t_spectrum(t, tol=1e-10):
         and closed[1] >= -slack
         and closed[1] <= closed[0] + slack
     )
-    passed = eig_err <= tol and resid <= tol
-    return TSpectrumReport(t.epsilon, t.eta, eig_err, resid, ordering, passed)
+    passed = eig_err <= tol and resid <= tol and ordering
+    return CheckResult("t_spectrum_closed_forms", max(eig_err, resid), tol, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -147,35 +152,24 @@ def verify_t_spectrum(t, tol=1e-10):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    name: str
-    epsilon: float
-    eta: float
-    dim: int
-    margin: int
-    max_deviation: float
-    tol: float
-    passed: bool
-    extra: dict = field(default_factory=dict)
-
-
 def _interior_max(a, margin):
     return max_abs(interior_block(a, margin))
 
 
-def verify_lyapunov_derivative_identity(epsilon, eta=ETA_QUBIT, dim=None, tol=1e-5,
-                                        margin=None):
-    """Check sum_k D*_k(W) = sum_{k,l} W_k† T_kl W_l on the interior block.
+def _at_most(name, measured, tol):
+    return CheckResult(name, measured, tol, measured <= tol)
+
+
+def verify_lyapunov_derivative_identity(epsilon, eta=ETA_QUBIT, dim=None):
+    """Check sum_k D*_k(W) = sum_{k,l} W_k† T_kl W_l on the interior block,
+    to 1e-5.
 
     W_k = exp(-i eta R_k†) V_k chains two displacement-type exponentials, so
-    the default margin uses order=2 corner clearance. exp(-i eta R_k†) is
+    the margin uses order=2 corner clearance. exp(-i eta R_k†) is
     (exp(i eta R_k))† = (V_k + I)†, so W_k = (V_k + I)† V_k.
     """
     params = GkpParams(epsilon, eta, dim)
     dim = params.dim
-    if margin is None:
-        margin = interior_margin(dim, eta, order=2)
     vs = build_dissipators(params)
     w = build_lyapunov(vs)
     lhs = adjoint_rhs(LindbladModel(tuple((v, 1.0) for v in vs)), w)
@@ -188,10 +182,8 @@ def verify_lyapunov_derivative_identity(epsilon, eta=ETA_QUBIT, dim=None, tol=1e
         for l in range(4):
             rhs += t[k, l] * (wk[k].conj().T @ wk[l])
 
-    dev = _interior_max(lhs - rhs, margin)
-    return IdentityReport(
-        "lyapunov_derivative", epsilon, eta, dim, margin, dev, tol, dev <= tol
-    )
+    dev = _interior_max(lhs - rhs, interior_margin(dim, eta, order=2))
+    return _at_most("lyapunov_derivative_identity", dev, 1e-5)
 
 
 def _hermitian_function(h, f):
@@ -199,8 +191,17 @@ def _hermitian_function(h, f):
     return (ev * f(ew)) @ ev.conj().T
 
 
-def verify_lambda_identity(epsilon, eta=ETA_QUBIT, dim=None, tol=1e-5, margin=None):
-    """Check the closed form of Lambda±† Lambda± against direct construction.
+def _cosh_p_cos_q(epsilon, eta, dim):
+    """cosh(3 eta sinh(eps) P) and cos(eta cosh(eps) Q) on the truncated space."""
+    q, p = make_quadratures(dim)
+    cosh_p = _hermitian_function(p, lambda x: np.cosh(3.0 * eta * math.sinh(epsilon) * x))
+    cos_q = _hermitian_function(q, lambda x: np.cos(eta * math.cosh(epsilon) * x))
+    return cosh_p, cos_q
+
+
+def verify_lambda_identity(epsilon, eta=ETA_QUBIT, dim=None):
+    """Check the closed form of Lambda±† Lambda± against direct construction,
+    to 1e-5 for both signs.
 
     Lambda± = e^{-i eta R†} e^{i eta R/2} ± e^{i eta R†} e^{-i eta R/2} and
     the closed form is 2 e^{-eta^2 s/8} (cosh(3 eta sinh(eps) P)
@@ -208,10 +209,9 @@ def verify_lambda_identity(epsilon, eta=ETA_QUBIT, dim=None, tol=1e-5, margin=No
     """
     params = GkpParams(epsilon, eta, dim)
     dim = params.dim
-    if margin is None:
-        margin = interior_margin(dim, eta, order=2)
+    margin = interior_margin(dim, eta, order=2)
     r, _ = build_conjugated_quadratures(params)
-    q, p = make_quadratures(dim)
+    cosh_p, cos_q = _cosh_p_cos_q(epsilon, eta, dim)
     s = math.sinh(2.0 * epsilon)
     e2 = eta * eta
 
@@ -219,91 +219,80 @@ def verify_lambda_identity(epsilon, eta=ETA_QUBIT, dim=None, tol=1e-5, margin=No
     e_plus = matrix_exponential(1j * eta * r.conj().T)
     half_plus = matrix_exponential(0.5j * eta * r)
     half_minus = matrix_exponential(-0.5j * eta * r)
-    lam_plus = e_minus @ half_plus + e_plus @ half_minus
-    lam_minus = e_minus @ half_plus - e_plus @ half_minus
-
-    cosh_p = _hermitian_function(p, lambda x: np.cosh(3.0 * eta * math.sinh(epsilon) * x))
-    cos_q = _hermitian_function(q, lambda x: np.cos(eta * math.cosh(epsilon) * x))
     pref = 2.0 * math.exp(-e2 * s / 8.0)
-    closed_plus = pref * (cosh_p + math.exp(-0.75 * e2 * s) * cos_q)
-    closed_minus = pref * (cosh_p - math.exp(-0.75 * e2 * s) * cos_q)
+    damp = math.exp(-0.75 * e2 * s)
 
-    dev_plus = _interior_max(lam_plus.conj().T @ lam_plus - closed_plus, margin)
-    dev_minus = _interior_max(lam_minus.conj().T @ lam_minus - closed_minus, margin)
-    dev = max(dev_plus, dev_minus)
-    return IdentityReport(
-        "lambda_closed_form", epsilon, eta, dim, margin, dev, tol, dev <= tol,
-        extra={"dev_plus": dev_plus, "dev_minus": dev_minus},
-    )
+    dev = 0.0
+    for sign in (1.0, -1.0):
+        lam = e_minus @ half_plus + sign * (e_plus @ half_minus)
+        closed = pref * (cosh_p + sign * damp * cos_q)
+        dev = max(dev, _interior_max(lam.conj().T @ lam - closed, margin))
+    return _at_most("lambda_closed_form", dev, 1e-5)
 
 
-def operator_inequality_min_eigs(epsilon, eta=ETA_QUBIT, dim=None, margin=None):
-    """Interior-block minimum eigenvalues of
-    e^{-3 eta^2 |s|/4} cosh(3 eta sinh(eps) P) -+ cos(eta cosh(eps) Q).
+def operator_inequality_min_eigs(epsilon, eta=ETA_QUBIT, dim=None):
+    """Smallest interior-block eigenvalue of
+    e^{-3 eta^2 |s|/4} cosh(3 eta sinh(eps) P) -+ cos(eta cosh(eps) Q)
+    over both signs.
 
-    Both must be >= 0 up to truncation noise; returns {"plus": ..., "minus": ...}
-    where the sign labels ± cos.
+    Both operators must be >= 0 up to truncation noise, so the check passes
+    when measured >= tol = -1e-6.
     """
-    params = GkpParams(epsilon, eta, dim)
-    dim = params.dim
-    if margin is None:
-        margin = interior_margin(dim, eta, order=2)
-    q, p = make_quadratures(dim)
-    s = math.sinh(2.0 * epsilon)
+    dim = GkpParams(epsilon, eta, dim).dim
+    margin = interior_margin(dim, eta, order=2)
+    cosh_p, cos_q = _cosh_p_cos_q(epsilon, eta, dim)
     e2 = eta * eta
-    cosh_p = _hermitian_function(p, lambda x: np.cosh(3.0 * eta * math.sinh(epsilon) * x))
-    cos_q = _hermitian_function(q, lambda x: np.cos(eta * math.cosh(epsilon) * x))
-    damped = math.exp(-0.75 * e2 * abs(s)) * cosh_p
-    out = {}
-    for label, sign in (("plus", 1.0), ("minus", -1.0)):
+    damped = math.exp(-0.75 * e2 * abs(math.sinh(2.0 * epsilon))) * cosh_p
+    worst = math.inf
+    for sign in (1.0, -1.0):
         block = hermitian_part(interior_block(damped - sign * cos_q, margin))
-        out[label] = float(np.linalg.eigvalsh(block)[0])
-    return out
+        worst = min(worst, float(np.linalg.eigvalsh(block)[0]))
+    return CheckResult("operator_inequality_psd", worst, -1e-6, worst >= -1e-6)
 
 
-def commutation_check(code, margin=None):
-    """Max interior entry of [V_k, V_l] over all pairs."""
-    dim = code.dim
-    if margin is None:
-        margin = interior_margin(dim, code.params.eta, order=1)
+def commutation_check(code):
+    """Max interior entry of [V_k, V_l] over all pairs, to 1e-6."""
+    margin = interior_margin(code.dim, code.params.eta, order=1)
     worst = 0.0
     vs = code.dissipators
     for k in range(4):
         for l in range(k + 1, 4):
             comm = vs[k] @ vs[l] - vs[l] @ vs[k]
             worst = max(worst, _interior_max(comm, margin))
-    return worst, margin
+    return _at_most("dissipator_commutation", worst, 1e-6)
 
 
-def glauber_check(code, margin=None):
-    """Max interior entry of e^{i eta R} e^{i eta S} - e^{-eta^2 [R,S]/2} e^{i eta (R+S)}.
+def glauber_check(code):
+    """Max interior entry of e^{i eta R} e^{i eta S} - e^{-eta^2 [R,S]/2} e^{i eta (R+S)},
+    to 1e-6.
 
     [R,S] = i I, so the prefactor is the scalar e^{-i eta^2 / 2}. The two
     factors on the left are V + I for the first two dissipators.
     """
     params = code.params
-    if margin is None:
-        margin = interior_margin(params.dim, params.eta, order=2)
     eta = params.eta
     eye = np.eye(params.dim)
     r, s = build_conjugated_quadratures(params)
     lhs = (code.dissipators[0] + eye) @ (code.dissipators[1] + eye)
     rhs = np.exp(-0.5j * eta * eta) * matrix_exponential(1j * eta * (r + s))
-    return _interior_max(lhs - rhs, margin), margin
+    dev = _interior_max(lhs - rhs, interior_margin(params.dim, eta, order=2))
+    return _at_most("exponential_product_rule", dev, 1e-6)
 
 
-def envelope_conjugation_check(epsilon, dim, margin=2):
-    """Max interior entry of E Q E^{-1} - R for E = exp(-(eps/2)(Q^2+P^2)).
+def envelope_conjugation_check(epsilon, dim):
+    """Max interior entry of E Q E^{-1} - R for E = exp(-(eps/2)(Q^2+P^2)) and
+    the library's R (codes.build_conjugated_quadratures), to 1e-6.
 
     Q^2+P^2 is diagonal on the truncated space, so both exponentials are
-    exact; the corner row is the only artifact.
+    exact; its corner entry is the only artifact, and a margin of 2 clears
+    it.
     """
     q, p = make_quadratures(dim)
     herm = 0.5 * epsilon * (q @ q + p @ p)
     envelope = matrix_exponential(-herm)
     inverse = matrix_exponential(herm)
-    r = math.cosh(epsilon) * q + 1j * math.sinh(epsilon) * p
-    return _interior_max(envelope @ q @ inverse - r, margin), margin
+    r, _ = build_conjugated_quadratures(GkpParams(epsilon, dim=dim))
+    return _at_most("envelope_conjugation", _interior_max(envelope @ q @ inverse - r, 2), 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +358,21 @@ def fit_decay_rate(times, values, window=(0.1, 1.0), floor_ratio=1e-11):
     return float(-slope), int(keep.sum())
 
 
+DECAY_HORIZON = 5.0  # decay-experiment horizon, in units of 1/kappa
+DECAY_RECORDS = 61   # record times over that horizon
+MAX_DIM = 700        # largest truncation error_rate_experiment accepts
+
+
 def lyapunov_decay_experiment(epsilon, eta=ETA_QUBIT, dim=None, n_trials=10, seed=0,
-                              horizon_multiplier=5.0, n_records=61,
                               solver=None, code=None, initial_states=None):
     """Random-state decay statistics for Tr(W rho(t)) against the rate bound.
 
     Each trial draws a random density matrix (skipped as degenerate when its
     Lyapunov value is below 1e-8, e.g. codespace states), evolves it to
-    horizon_multiplier / kappa, and fits the log-slope over the [0.1, 1]
-    fraction of the horizon. PASS means every fitted rate >= 0.95 * kappa;
-    faster decay is expected (the bound is not tight) and recorded.
+    DECAY_HORIZON / kappa on DECAY_RECORDS record times, and fits the
+    log-slope over the [0.1, 1] fraction of the horizon. PASS means every
+    fitted rate >= 0.95 * kappa; faster decay is expected (the bound is not
+    tight) and recorded.
     initial_states replaces the random draw when given (n_trials then follows
     its length).
     """
@@ -389,8 +383,8 @@ def lyapunov_decay_experiment(epsilon, eta=ETA_QUBIT, dim=None, n_trials=10, see
         raise ValueError("rate bound not positive; pick a certified parameter set")
     code = code or build_code(params)
     model = stabilizer_model(code)
-    horizon = horizon_multiplier / rate.value
-    record = np.linspace(0.0, horizon, n_records)
+    horizon = DECAY_HORIZON / rate.value
+    record = np.linspace(0.0, horizon, DECAY_RECORDS)
     solver = solver or SolverOptions()
     spec = ObservableSpec(lyapunov=code.lyapunov, photon_number=False, positivity_tol=None)
 
@@ -473,7 +467,7 @@ class ErrorRateReport:
 
 
 def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0,
-                          solver=None, max_dim=700, code=None, logicals=None):
+                          solver=None, code=None, logicals=None):
     """The on/off photon-loss experiment.
 
     Both runs start from the |0> codeword projector and integrate to
@@ -493,10 +487,9 @@ def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0,
     """
     t0 = time.time()
     params = GkpParams(epsilon, ETA_QUBIT, dim)
-    if params.dim > max_dim:
+    if params.dim > MAX_DIM:
         raise ResourceLimitError(
-            f"dim {params.dim} exceeds the configured maximum {max_dim}; reduce the "
-            "epsilon scope or raise max_dim"
+            f"dim {params.dim} exceeds the maximum {MAX_DIM}; reduce the epsilon scope"
         )
     kappa1 = epsilon / 5.0 if kappa1 is None else float(kappa1)
     code = code or build_code(params)
@@ -544,44 +537,15 @@ def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    measured: float
-    tol: float
-    passed: bool
-
-
 def run_identity_suite(epsilon=0.05, eta=ETA_QUBIT, dim=None):
-    """All closed-form/identity verifications at one parameter set."""
-    params = GkpParams(epsilon, eta, dim)
-    code = build_code(params)
-    results = []
-
-    t_report = verify_t_spectrum(build_t_matrix(epsilon, eta), tol=1e-10)
-    results.append(CheckResult(
-        "t_spectrum_closed_forms",
-        max(t_report.max_eigenvalue_error, t_report.max_residual), 1e-10, t_report.passed,
-    ))
-
-    lyap = verify_lyapunov_derivative_identity(epsilon, eta, params.dim, tol=1e-5)
-    results.append(CheckResult("lyapunov_derivative_identity", lyap.max_deviation,
-                               lyap.tol, lyap.passed))
-
-    lam = verify_lambda_identity(epsilon, eta, params.dim, tol=1e-5)
-    results.append(CheckResult("lambda_closed_form", lam.max_deviation, lam.tol, lam.passed))
-
-    min_eigs = operator_inequality_min_eigs(epsilon, eta, params.dim)
-    worst = min(min_eigs.values())
-    results.append(CheckResult("operator_inequality_psd", worst, -1e-6, worst >= -1e-6))
-
-    comm, _ = commutation_check(code)
-    results.append(CheckResult("dissipator_commutation", comm, 1e-6, comm <= 1e-6))
-
-    glauber, _ = glauber_check(code)
-    results.append(CheckResult("exponential_product_rule", glauber, 1e-6, glauber <= 1e-6))
-
-    envelope, _ = envelope_conjugation_check(epsilon, params.dim)
-    results.append(CheckResult("envelope_conjugation", envelope, 1e-6, envelope <= 1e-6))
-
-    return results
+    """All seven closed-form checks at one parameter set."""
+    code = build_code(GkpParams(epsilon, eta, dim))
+    return [
+        verify_t_spectrum(build_t_matrix(epsilon, eta)),
+        verify_lyapunov_derivative_identity(epsilon, eta, code.dim),
+        verify_lambda_identity(epsilon, eta, code.dim),
+        operator_inequality_min_eigs(epsilon, eta, code.dim),
+        commutation_check(code),
+        glauber_check(code),
+        envelope_conjugation_check(epsilon, code.dim),
+    ]

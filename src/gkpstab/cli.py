@@ -4,11 +4,14 @@ Subcommands: kappa, codewords, lyapunov, qec-sim, check, logical-ops.
 
 Every run resolves its parameters as CLI flag > config-file value > default,
 echoes the config into a JSON envelope next to the CSV outputs, and exits
-with 0 (success), 2 (usage/config), 3 (numeric failure), or 4 (verification
-failure). The default output directory comes from $GKPSTAB_OUTDIR.
+with 0 (success), 2 (usage/config: bad flags, config files or parameter
+values, each reported as one `error:` line), 3 (numeric failure), or 4
+(verification failure). The default output directory comes from
+$GKPSTAB_OUTDIR.
 """
 
 import argparse
+import configparser
 import json
 import os
 import sys
@@ -99,10 +102,10 @@ class Resolver:
         if flag_value is not None:
             return flag_value
         if key in self.flat:
-            text = self.flat[key]
-            if cast is bool:
-                return text.strip().lower() in ("1", "true", "yes", "on")
-            return cast(text)
+            try:
+                return cast(self.flat[key])
+            except ValueError:
+                raise UsageError(f"config key {key}: cannot read {self.flat[key]!r}")
         return default
 
     def echo(self, resolved):
@@ -407,16 +410,14 @@ def main(argv=None):
     try:
         resolver = Resolver(args.config)
         return args.func(args, resolver)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GkpStabError as exc:
+    except GkpStabError as exc:  # ahead of ValueError, which several subclass
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return EXIT_NUMERIC
+    except (UsageError, FileNotFoundError, configparser.Error, ValueError) as exc:
+        # parameter values the model rejects, e.g. epsilon < 0 or kappa <= 0
+        print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

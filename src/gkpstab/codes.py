@@ -215,7 +215,7 @@ def _comb_on_grid(q, spacing, w2, k_max, cosh_eps, tanh_eps, parity):
     return psi
 
 
-def build_codewords(params, grid_step=None, grid_halfwidth=None, drop_budget=1e-12):
+def build_codewords(params, grid_halfwidth=None):
     """Fock-coefficient vectors of the finite-energy codewords.
 
     The position-space wavefunctions (Gaussian combs of width sqrt(tanh eps),
@@ -225,8 +225,8 @@ def build_codewords(params, grid_step=None, grid_halfwidth=None, drop_budget=1e-
     odd comb orthogonalized against it; the sensor lattice yields one vector.
     The odd Fock coefficients are exactly zero.
 
-    Raises QuadratureGridError when the grid extent drops more Gaussian
-    weight than `drop_budget` allows.
+    Raises QuadratureGridError when the grid extent drops more than 1e-12 of
+    the Gaussian weight.
     """
     if params.epsilon == 0:
         raise ValueError("codewords need epsilon > 0 (zero-width combs are not normalizable)")
@@ -238,13 +238,13 @@ def build_codewords(params, grid_step=None, grid_halfwidth=None, drop_budget=1e-
     # weight outside the grid: peaks at |j| > (halfwidth/spacing - 1), amplitude^2 summed
     j_edge = max(int(halfwidth / spacing) - 1, 0)
     dropped = 2.0 * sum(math.exp(-2.0 * w2 * j * j) for j in range(j_edge + 1, k_max + 8))
-    if dropped > drop_budget:
+    if dropped > 1e-12:
         raise QuadratureGridError(
             f"grid halfwidth {halfwidth:.2f} drops comb weight {dropped:.2e} "
-            f"(budget {drop_budget:.1e}); widen the grid"
+            "(budget 1e-12); widen the grid"
         )
 
-    step = min(math.sqrt(th) / 8.0, 0.02) if grid_step is None else float(grid_step)
+    step = min(math.sqrt(th) / 8.0, 0.02)
     npts = int(math.ceil(2.0 * halfwidth / step)) + 1
     q = np.linspace(-halfwidth, halfwidth, npts)
     weights = np.full(npts, q[1] - q[0])
@@ -271,19 +271,19 @@ def build_codewords(params, grid_step=None, grid_halfwidth=None, drop_budget=1e-
     return [even / np.linalg.norm(even), one / np.linalg.norm(one)]
 
 
-def kernel_codewords(lyapunov, n_kernel, gap_factor=1e3):
+def kernel_codewords(lyapunov, n_kernel):
     """Kernel basis of W from its eigendecomposition; the cross-validation
     oracle for build_codewords.
 
     Takes the `n_kernel` smallest eigenvectors and demands the next
-    eigenvalue exceed the kernel ones by `gap_factor`, else raises
+    eigenvalue exceed the kernel ones by a factor 1e3, else raises
     DegenerateGapError.
     """
     ew, vecs = np.linalg.eigh(hermitian_part(lyapunov))
     if n_kernel >= len(ew):
         raise DimensionError("n_kernel must be smaller than the operator dimension")
     kernel_level = max(float(np.abs(ew[:n_kernel]).max()), 1e-300)
-    if ew[n_kernel] < gap_factor * kernel_level:
+    if ew[n_kernel] < 1e3 * kernel_level:
         raise DegenerateGapError(
             f"no spectral gap: kernel candidates reach {kernel_level:.3e} "
             f"but the next eigenvalue is {ew[n_kernel]:.3e}"

@@ -95,7 +95,7 @@ def interior_block(a, margin):
     return a[:k, :k]
 
 
-def interior_margin(dim, eta, order=1, cushion=16):
+def interior_margin(dim, eta, order=1):
     """Margin inside which corner artifacts of exponential-band operators stay.
 
     The matrix of e^{i*eta*Q} couples |n> to |n±k> for k up to about the
@@ -103,10 +103,11 @@ def interior_margin(dim, eta, order=1, cushion=16):
     such factors reach `order` times as far. Entries further than that from
     the truncation corner are clean to near machine precision (the band has
     an Airy-type super-exponential edge), measured directly on the commutator
-    and Lyapunov-derivative identities.
+    and Lyapunov-derivative identities. The margin adds a cushion of 16 rows
+    and is capped at dim - 2.
     """
     _check_dim(dim)
-    m = int(np.ceil(order * np.sqrt(2.0) * eta * np.sqrt(dim))) + cushion
+    m = int(np.ceil(order * np.sqrt(2.0) * eta * np.sqrt(dim))) + 16
     return min(m, dim - 2)
 
 

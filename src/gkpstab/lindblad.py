@@ -427,10 +427,10 @@ def logical_operators(model, code, horizon_multiplier=20.0, tol=1e-7):
     return LogicalOperators(out["jx"], out["jy"], out["jz"], float(worst))
 
 
-def bloch_coordinates(logicals, rho, imag_tol=1e-8):
+def bloch_coordinates(logicals, rho):
     """(Tr(Jx rho), Tr(Jy rho), Tr(Jz rho)) as real numbers.
 
-    Raises InvalidInputError if any imaginary part exceeds imag_tol.
+    Raises InvalidInputError if any imaginary part exceeds 1e-8.
     """
     rho = np.asarray(rho, dtype=complex)
     out = []
@@ -438,7 +438,7 @@ def bloch_coordinates(logicals, rho, imag_tol=1e-8):
         if j.shape != rho.shape:
             raise ShapeMismatchError(f"operator shape {j.shape} vs state {rho.shape}")
         val = np.sum(j * rho.T)  # Tr(J rho) without forming J rho
-        if abs(val.imag) > imag_tol:
+        if abs(val.imag) > 1e-8:
             raise InvalidInputError(f"Bloch coordinate has imaginary part {val.imag:.3e}")
         out.append(float(val.real))
     return tuple(out)

@@ -111,7 +111,7 @@ def _initial_step(f, y0, rtol, atol):
 
 
 def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
-              on_record=None, max_steps=10_000_000, h0=None, diagnostics=None):
+              on_record=None, max_steps=10_000_000, diagnostics=None):
     """Integrate the autonomous y' = f(y) for a Hermitian matrix y from t=0
     to t_final with the Dormand-Prince pair, stopping exactly at each record
     time.
@@ -120,8 +120,7 @@ def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
     is the Hermitian part of the 5th-order solution. on_record(t, y) fires
     at every record time and at t_final. Raises StepSizeUnderflowError as
     described in _drive. Returns _drive's stats plus "n_rhs", the number of
-    evaluations of f: seven per attempt, and two for the initial step when
-    h0 is not given.
+    evaluations of f: seven per attempt, and two for the initial step.
     """
     y = np.asarray(y0, dtype=complex)
     y = 0.5 * (y + y.conj().T)
@@ -141,7 +140,7 @@ def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
         scale = atol + rtol * max(np.abs(y).max(), np.abs(y5).max())
         return 0.5 * (y5 + y5.conj().T), np.abs(err_mat).max() / scale, 1.0
 
-    h = _initial_step(counted, y, rtol, atol) if h0 is None else float(h0)
+    h = _initial_step(counted, y, rtol, atol)
     _, stats = _drive(
         attempt, y, t_final, h, record_times, exponent=0.2, max_growth=5.0,
         on_record=on_record, max_steps=max_steps, diagnostics=diagnostics)

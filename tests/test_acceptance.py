@@ -19,6 +19,7 @@ from gkpstab import (
     adjoint_rhs,
     build_code,
     evolve,
+    interior_margin,
     kappa,
     kappa_asymptote,
     kernel_codewords,
@@ -107,14 +108,14 @@ def test_criterion_5_circulant_identities():
     spectrum_ok = True
     worst = 0.0
     for eps in (0.01, 0.025, 0.05, 0.1, 1.0 / (2.0 * ETA_QUBIT)):
-        r = verify_t_spectrum(build_t_matrix(eps), tol=1e-10)
+        r = verify_t_spectrum(build_t_matrix(eps))
         spectrum_ok &= r.passed
-        worst = max(worst, r.max_eigenvalue_error, r.max_residual)
-    identity = verify_lyapunov_derivative_identity(0.05, dim=300, tol=1e-5)
+        worst = max(worst, r.measured)
+    identity = verify_lyapunov_derivative_identity(0.05, dim=300)
     ok = spectrum_ok and identity.passed
     report(5, ok, f"spectrum worst dev {worst:.2e} (tol 1e-10); "
-                  f"derivative identity dev {identity.max_deviation:.2e} "
-                  f"(tol 1e-5, dim 300, margin {identity.margin})")
+                  f"derivative identity dev {identity.measured:.2e} "
+                  f"(tol 1e-5, dim 300, margin {interior_margin(300, ETA_QUBIT, order=2)})")
     assert spectrum_ok
     assert identity.passed
 
@@ -125,12 +126,11 @@ def test_criterion_5_circulant_identities():
 def test_criterion_6_operator_inequality():
     worst_eig = 0.0
     for eps in (0.025, 0.05, 0.1):
-        mins = operator_inequality_min_eigs(eps, dim=400)
-        worst_eig = min(worst_eig, mins["plus"], mins["minus"])
-    lam = verify_lambda_identity(0.05, dim=400, tol=1e-5)
+        worst_eig = min(worst_eig, operator_inequality_min_eigs(eps, dim=400).measured)
+    lam = verify_lambda_identity(0.05, dim=400)
     ok = worst_eig >= -1e-6 and lam.passed
     report(6, ok, f"min interior eigenvalue {worst_eig:.2e} (>= -1e-6); "
-                  f"closed-form dev {lam.max_deviation:.2e} (tol 1e-5)")
+                  f"closed-form dev {lam.measured:.2e} (tol 1e-5)")
     assert worst_eig >= -1e-6
     assert lam.passed
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gkpstab import GkpParams, build_code
-from gkpstab.cli import EXIT_OK, EXIT_USAGE, main
+from gkpstab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
 def read_json(path):
@@ -116,6 +116,36 @@ def test_check_subcommand_passes(tmp_path, capsys):
     assert out.count("PASS") == 7
     env = read_json(tmp_path / "check.json")
     assert env["payload"]["all_pass"] is True
+
+
+def test_check_failure_exit_code(capsys):
+    # eps = 0.36 is past the certified window 1/(2 eta): T still matches its
+    # closed forms, but lam_2 < 0 breaks the sign pattern
+    assert main(["check", "--epsilon", "0.36"]) == EXIT_VERIFY
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 7
+    assert [line.split(":")[0] for line in out if line.startswith("FAIL")] == [
+        "FAIL t_spectrum_closed_forms"]
+
+
+@pytest.mark.parametrize("config, argv", [
+    ("epsilon = 0.1\n", ["codewords"]),  # no section header
+    ("[run]\nepsilon = abc\n", ["codewords"]),
+    (None, ["codewords", "--epsilon", "-0.1"]),
+    (None, ["codewords", "--epsilon", "0", "--dim", "10"]),
+    (None, ["lyapunov", "--epsilon", "0.3"]),  # kappa <= 0 from here on
+    (None, ["qec-sim", "--epsilon", "0.3"]),
+    (None, ["logical-ops", "--epsilon", "0.3"]),
+], ids=["no-section", "bad-value", "negative-eps", "zero-eps", "lyapunov-kappa",
+        "qec-kappa", "logical-ops-kappa"])
+def test_bad_input_is_usage_error(config, argv, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_long_running_gate(capsys):
