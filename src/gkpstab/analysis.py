@@ -30,6 +30,7 @@ from .fock import (
     make_quadratures,
     matrix_exponential,
     max_abs,
+    twirl,
 )
 from .lindblad import (
     LindbladModel,
@@ -316,11 +317,20 @@ def random_density_matrix(dim, rng, support_dim=None):
 
 @dataclass(frozen=True)
 class DecayTrial:
+    """One decay trial. n_accept, n_reject, n_jumps and blocks are copied
+    from the trajectory's meta (steps taken, jump applications, blocks the
+    exponential backend carried); they stay 0 for a degenerate trial, and
+    n_jumps and blocks for a run on the explicit backend."""
+
     seed: int
     initial_lyapunov: float
     fitted_rate: float
     n_fit_points: int
     degenerate: bool
+    n_accept: int = 0
+    n_reject: int = 0
+    n_jumps: int = 0
+    blocks: int = 0
 
 
 @dataclass(frozen=True)
@@ -375,6 +385,14 @@ def lyapunov_decay_experiment(epsilon, eta=ETA_QUBIT, dim=None, n_trials=10, see
     tight) and recorded.
     initial_states replaces the random draw when given (n_trials then follows
     its length).
+
+    The run starts from the rotation twirl fock.twirl(rho0), which keeps the
+    entries with m ≡ n (mod 4), not from rho0. This is exact for Tr(W rho(t)):
+    W and the four dissipators commute with the π/2 rotation F, so the flow
+    commutes with F-conjugation, rho(t) twirled is the flow of rho0 twirled,
+    and Tr(W twirl(rho)) = Tr(W rho). The twirl is a density matrix, and the
+    exponential backend carries its 4 diagonal blocks instead of the 16 of a
+    generic state.
     """
     t0 = time.time()
     params = GkpParams(epsilon, eta, dim)
@@ -405,10 +423,13 @@ def lyapunov_decay_experiment(epsilon, eta=ETA_QUBIT, dim=None, n_trials=10, see
             # keep random trials well above the measurement floor
             rho0 = random_density_matrix(params.dim, np.random.default_rng(trial_seed + 10_000))
             w0 = float(np.real(np.vdot(code.lyapunov, rho0)))
-        traj = evolve(model, rho0, horizon, record_times=record,
+        traj = evolve(model, twirl(rho0), horizon, record_times=record,
                       options=solver, observables=spec)
         fitted, n_pts = fit_decay_rate(traj.times, traj.column("lyapunov"))
-        trials.append(DecayTrial(trial_seed, w0, fitted, n_pts, False))
+        meta = traj.meta
+        trials.append(DecayTrial(trial_seed, w0, fitted, n_pts, False, meta["n_accept"],
+                                 meta["n_reject"], meta.get("n_jumps", 0),
+                                 meta.get("blocks", 0)))
 
     rates = [t.fitted_rate for t in trials if not t.degenerate and np.isfinite(t.fitted_rate)]
     min_rate = float(min(rates)) if rates else float("nan")

@@ -238,13 +238,14 @@ def cmd_lyapunov(args, resolver):
     outdir = _outdir(args, resolver)
     prefix = args.prefix or "lyapunov"
     rows = [
-        (t.seed, t.initial_lyapunov, t.fitted_rate, t.n_fit_points, t.degenerate)
+        (t.seed, t.initial_lyapunov, t.fitted_rate, t.n_fit_points, t.degenerate,
+         t.n_accept, t.n_reject, t.n_jumps, t.blocks)
         for t in report.trials
     ]
     io.atomic_write_text(
         os.path.join(outdir, f"{prefix}_trials.csv"),
-        io.table_csv_text(("seed", "initial_TrW", "fitted_rate", "n_fit_points", "degenerate"),
-                          rows),
+        io.table_csv_text(("seed", "initial_TrW", "fitted_rate", "n_fit_points", "degenerate",
+                           "n_accept", "n_reject", "n_jumps", "blocks"), rows),
     )
     path = _finish(outdir, prefix, "lyapunov", resolver,
                    {"epsilon": epsilon, "eta": eta, "dim": report.dim,

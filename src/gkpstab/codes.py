@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGapError, DimensionError, InvalidInputError, QuadratureGridError
-from .fock import hermitian_part, make_quadratures, matrix_exponential, rotate
+from .fock import hermitian_part, make_quadratures, matrix_exponential, rotate, twirl
 from .hermite import hermite_functions
 
 ETA_QUBIT = 2.0 * math.sqrt(math.pi)
@@ -161,8 +161,8 @@ def build_lyapunov(dissipators):
     bitwise (fock.rotate, as build_dissipators makes them);
     InvalidInputError otherwise. Entry (m, n) of V_k† V_k is
     i^(k(m-n)) (V_0† V_0)_mn, and the phases sum to 4 when m ≡ n (mod 4)
-    and to 0 otherwise, so W is 4 V_0† V_0 masked to m ≡ n (mod 4): one
-    product, and W commutes with F exactly.
+    and to 0 otherwise, so W is fock.twirl(4 V_0† V_0): one product, and W
+    commutes with F exactly.
     """
     dims = {v.shape for v in dissipators}
     if len(dims) != 1 or any(s[0] != s[1] for s in dims):
@@ -172,10 +172,7 @@ def build_lyapunov(dissipators):
             np.array_equal(dissipators[k], rotate(v0, k)) for k in (1, 2, 3)):
         raise InvalidInputError(
             "dissipators must be the π/2 rotation orbit F^k V_0 F^-k of the first")
-    n = np.arange(v0.shape[0])
-    same_charge = np.subtract.outer(n, n) % 4 == 0
-    w = np.where(same_charge, 4.0 * (v0.conj().T @ v0), 0.0)
-    return hermitian_part(w)
+    return hermitian_part(twirl(4.0 * (v0.conj().T @ v0)))
 
 
 # ---------------------------------------------------------------------------

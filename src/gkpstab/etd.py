@@ -29,12 +29,14 @@ and its eigenbasis is real, and a factor of charge c sends block (i, j) of
 the state to block (i + c, j + c): the 16 blocks fall into four sectors
 j - i (mod 4) that never mix (the weak-symmetry reduction of Albert &
 Jiang, PRA 89, 022118, 2014). The propagator carries only the sectors its
-initial state occupies: 8 blocks for the codeword projectors and S_x, S_y,
-S_z (parity-even), all 16 for a generic state. A real congruence also keeps
-symmetry, so a Hermitian X = S + iA (S symmetric, A antisymmetric) is
-carried as the real M = S + A, and every jump costs two dgemms per factor
-and per occupied block of a quarter of the size. The phi-weights are real
-and symmetric in (i, j), so the state stays Hermitian by construction.
+initial state occupies: 4 blocks for a rotation-invariant state (sector 0,
+such as W, or fock.twirl of a state, which the decay experiment evolves),
+8 for the codeword projectors and S_x, S_y, S_z (parity-even), all 16 for
+a generic state. A real congruence also keeps symmetry, so a Hermitian
+X = S + iA (S symmetric, A antisymmetric) is carried as the real M = S + A,
+and every jump costs two dgemms per factor and per occupied block of a
+quarter of the size. The phi-weights are real and symmetric in (i, j), so
+the state stays Hermitian by construction.
 
 Any other channel set runs through the same code with one complex block.
 Either way the propagator evolves the Hermitian part of its input and

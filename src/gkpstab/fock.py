@@ -80,6 +80,19 @@ def rotate(a, k):
     return np.array([1, 1j, -1, -1j])[k * np.subtract.outer(n, n) % 4] * a
 
 
+def twirl(a):
+    """(1/4) sum_k F^k a F^-k: a with its entries off m ≡ n (mod 4) set to zero.
+
+    The phases i^(k(m-n)) sum to 4 on m ≡ n (mod 4) and to 0 elsewhere, so
+    the average is the mask, exact and F-invariant. It is a mixture of unitary
+    conjugations: trace, Hermiticity and positivity carry over, and
+    Tr(B twirl(a)) = Tr(B a) for every B that commutes with F.
+    """
+    a = np.asarray(a)
+    n = np.arange(a.shape[0])
+    return np.where(np.subtract.outer(n, n) % 4 == 0, a, 0.0)
+
+
 def hermitian_part(a):
     """(a + a†)/2."""
     return 0.5 * (a + a.conj().T)

@@ -245,7 +245,8 @@ class Trajectory:
     "n_jumps", "trace_defect" and "blocks" from the etd4 backend
     ("blocks" counts the n mod 4 blocks of the state the run carried: 16
     for a generic state, 8 for a parity-even one such as a codeword
-    projector, 1 when the channels lack the π/2 rotation symmetry).
+    projector, 4 for a rotation-invariant one such as fock.twirl of a
+    state, 1 when the channels lack the π/2 rotation symmetry).
     """
 
     times: np.ndarray

@@ -33,7 +33,13 @@ from gkpstab.analysis import (
 )
 from gkpstab.codes import ETA_QUBIT, kappa
 from gkpstab.fock import interior_block, interior_margin
-from gkpstab.lindblad import LindbladModel, adjoint_rhs
+from gkpstab.lindblad import (
+    LindbladModel,
+    ObservableSpec,
+    adjoint_rhs,
+    evolve,
+    stabilizer_model,
+)
 
 
 # --- circulant coefficient matrix ---------------------------------------------
@@ -234,6 +240,62 @@ def test_experiments_accept_the_benchmark_calls():
     for module, name in ((analysis, "evolve"), (analysis, "logical_operators"),
                          (cli, "build_code"), (cli, "stabilizer_model")):
         assert callable(getattr(module, name))
+
+
+@pytest.fixture(scope="module")
+def captured_decay_trial(small_code):
+    """One seeded decay trial with analysis.evolve wrapped the way
+    perfbench/workloads.py::capture wraps it: (report, trajectories)."""
+    trajs = []
+    original = analysis.evolve
+
+    def hooked(*args, **kwargs):
+        out = original(*args, **kwargs)
+        trajs.append(out)
+        return out
+
+    analysis.evolve = hooked
+    try:
+        report = lyapunov_decay_experiment(0.14, dim=small_code.dim, n_trials=1, seed=11,
+                                           code=small_code)
+    finally:
+        analysis.evolve = original
+    return report, trajs
+
+
+def test_decay_trial_is_one_forward_trajectory(captured_decay_trial):
+    # the decay benchmark scores exactly one forward run per trial
+    report, trajs = captured_decay_trial
+    assert not report.trials[0].degenerate
+    assert len(trajs) == 1
+    traj = trajs[0]
+    assert {"lyapunov", "trace"} <= set(traj.records)
+    assert traj.times[0] == 0.0
+    assert len(traj.column("lyapunov")) == len(traj.column("trace")) == len(traj.times)
+
+
+def test_twirled_decay_trial_matches_the_full_state(small_code, captured_decay_trial):
+    # oracle: the same trial evolved from the untwirled state on all 16 blocks
+    report, (twirled,) = captured_decay_trial
+    trial = report.trials[0]
+    assert trial.initial_lyapunov > 1e-4  # the first draw was kept
+    rho0 = random_density_matrix(small_code.dim, np.random.default_rng(trial.seed))
+    horizon = analysis.DECAY_HORIZON / report.rate_bound
+    full = evolve(stabilizer_model(small_code), rho0, horizon,
+                  record_times=np.linspace(0.0, horizon, analysis.DECAY_RECORDS),
+                  observables=ObservableSpec(lyapunov=small_code.lyapunov,
+                                             photon_number=False, positivity_tol=None))
+    assert full.meta["blocks"] == 16
+    assert twirled.meta["blocks"] == trial.blocks == 4
+    assert (trial.n_accept, trial.n_reject, trial.n_jumps) == (
+        twirled.meta["n_accept"], twirled.meta["n_reject"], twirled.meta["n_jumps"])
+    np.testing.assert_array_equal(twirled.times, full.times)
+    w_full, w_twirled = full.column("lyapunov"), twirled.column("lyapunov")
+    above = w_full > 1e-11 * w_full[0]
+    assert above.sum() >= 5
+    assert np.all(np.abs(w_twirled - w_full)[above] <= 1e-12 * w_full[above])
+    rate, _ = fit_decay_rate(full.times, w_full)
+    assert trial.fitted_rate == pytest.approx(rate, rel=1e-12)
 
 
 def test_error_rate_experiment_resource_guard():

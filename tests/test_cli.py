@@ -199,6 +199,13 @@ def test_lyapunov_command_deterministic(tmp_path):
     t2 = (tmp_path / "r2_trials.csv").read_text()
     assert t1 == t2
     assert p1["passed"] is True
+    header, *rows = t1.strip().splitlines()
+    assert header == ("seed,initial_TrW,fitted_rate,n_fit_points,degenerate,"
+                      "n_accept,n_reject,n_jumps,blocks")
+    assert len(rows) == 2
+    for row, trial in zip(rows, p1["trials"]):
+        assert row.split(",")[-1] == "4" and trial["blocks"] == 4
+        assert trial["n_accept"] > 0 and trial["n_jumps"] > 0
 
 
 @pytest.mark.slow

@@ -14,6 +14,7 @@ from gkpstab import (
     matrix_exponential,
 )
 from gkpstab.codes import ETA_QUBIT
+from gkpstab.fock import hermitian_part, rotate, twirl
 
 
 def test_ladder_dim2():
@@ -141,3 +142,43 @@ def test_interior_margin_scales_with_band():
     m2 = interior_margin(200, ETA_QUBIT, order=2)
     assert m1 < m2 < 200
     assert interior_margin(50, ETA_QUBIT, order=2) == 48  # capped at dim-2
+
+
+# --- rotation twirl ---------------------------------------------------------
+
+
+def _random_state(dim, rng):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = hermitian_part(g @ g.conj().T)
+    return rho / np.trace(rho).real
+
+
+@given(st.integers(2, 40), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_twirl_keeps_a_density_matrix(dim, seed):
+    rho = _random_state(dim, np.random.default_rng(seed))
+    out = twirl(rho)
+    assert np.trace(out) == np.trace(rho)
+    np.testing.assert_array_equal(out, out.conj().T)
+    assert np.linalg.eigvalsh(out)[0] >= -1e-14
+
+
+@given(st.integers(2, 40), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_twirl_is_rotation_invariant_and_idempotent(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    out = twirl(a)
+    for k in (1, 2, 3):
+        np.testing.assert_array_equal(rotate(out, k), out)
+    np.testing.assert_array_equal(twirl(out), out)
+    # the mask is the average of the four rotations
+    mean = sum(rotate(a, k) for k in range(4)) / 4.0
+    assert np.abs(mean - out).max() <= 1e-15 * np.abs(a).max()
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_twirl_keeps_the_lyapunov_value(small_code, seed):
+    rho = _random_state(small_code.dim, np.random.default_rng(seed))
+    assert np.vdot(small_code.lyapunov, twirl(rho)) == np.vdot(small_code.lyapunov, rho)

@@ -412,7 +412,7 @@ def test_alternative_noise_channels_run(small_code, small_model):
         assert abs(traj.column("trace")[-1] - 1.0) <= 1e-8
 
 
-@pytest.mark.longrun
+@pytest.mark.slow
 def test_decay_slope_twenty_states_production():
     # the 20-trial version of the slope property at the production point
     from gkpstab.analysis import lyapunov_decay_experiment
