@@ -29,6 +29,11 @@ def _lattice_kind(eta):
     return "other"
 
 
+def _in_certified_window(epsilon, eta):
+    """Supported lattice constant and 0 < eps <= 1/(2*eta)."""
+    return _lattice_kind(eta) != "other" and 0 < epsilon <= 1.0 / (2.0 * eta)
+
+
 def default_dim(epsilon):
     """Truncation rule n* = ceil(20/eps): large enough that results stop moving."""
     return int(math.ceil(20.0 / epsilon))
@@ -63,7 +68,7 @@ class GkpParams:
     @property
     def certified(self):
         """Hypotheses of the exponential-convergence certificate."""
-        return self.lattice != "other" and 0 < self.epsilon <= 1.0 / (2.0 * self.eta)
+        return _in_certified_window(self.epsilon, self.eta)
 
     @property
     def codespace_dim(self):
@@ -116,11 +121,7 @@ def convergence_rate(epsilon, eta=ETA_QUBIT):
     """kappa together with the certificate flag (lattice constant supported,
     eps <= 1/(2*eta), and the value actually positive)."""
     value = kappa(epsilon, eta)
-    certified = (
-        _lattice_kind(eta) != "other"
-        and 0 < epsilon <= 1.0 / (2.0 * eta)
-        and value > 0
-    )
+    certified = _in_certified_window(epsilon, eta) and value > 0
     return RateCertificate(value, certified, kappa_asymptote(epsilon, eta))
 
 

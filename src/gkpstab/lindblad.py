@@ -317,10 +317,9 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
         if "nbar" in recs:
             recs["nbar"].append(float(np.real(np.sum(n_op_diag * np.diag(rho)))))
         if "jx" in recs:
-            # Tr(J rho) without forming J rho
-            for name in ("jx", "jy", "jz"):
-                j = getattr(observables.logicals, name)
-                recs[name].append(float(np.real(np.sum(j * rho.T))))
+            for name, value in zip(("jx", "jy", "jz"),
+                                   bloch_coordinates(observables.logicals, rho)):
+                recs[name].append(value)
         if observables.positivity_tol is not None and not warned[0]:
             min_eig = float(np.linalg.eigvalsh(rho)[0])
             if min_eig < -observables.positivity_tol:

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from gkpstab import GkpParams, build_code
+from gkpstab import GkpParams, build_code, cli
+from gkpstab.codes import ETA_SENSOR
 from gkpstab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from gkpstab.io import format_float
 
 
 def read_json(path):
@@ -232,3 +234,83 @@ def test_logical_ops_command(tmp_path):
         assert env["payload"]["spectra"][name]["min"] >= -1.0 - 1e-6
     with np.load(tmp_path / "logical_ops.npz") as data:
         assert data["jz"].shape == (143, 143)
+
+
+# every parameter a subcommand registers, set away from its default: some by
+# flag, the rest by config (outdir always by config); the echo must hold
+# exactly these, as the run used them (floats as 17-digit text)
+ECHO_CASES = {
+    "kappa-list": (
+        ["kappa", "--epsilons", "0.1,0.2", "--prefix", "k"], "[run]\neta = sensor\n",
+        {"eta": format_float(ETA_SENSOR), "epsilons": "0.1,0.2", "epsilon_range": None}),
+    "kappa-range": (
+        ["kappa", "--epsilon-range", "0.1:0.2:3", "--prefix", "k"], "[run]\neta = 2.5\n",
+        {"eta": format_float(2.5), "epsilons": None, "epsilon_range": "0.1:0.2:3"}),
+    "codewords": (
+        ["codewords", "--epsilon", "0.2", "--prefix", "cw"],
+        "[run]\neta = sensor\ndim = 60\n",
+        {"epsilon": format_float(0.2), "eta": format_float(ETA_SENSOR), "dim": 60}),
+    "lyapunov": (
+        ["lyapunov", "--epsilon", "0.15", "--dim", "20", "--rtol", "1e-6", "--trials", "1",
+         "--long-running", "--prefix", "ly"],
+        "[run]\neta = sensor\nseed = 3\n[solver]\natol = 1e-9\n",
+        {"epsilon": format_float(0.15), "eta": format_float(ETA_SENSOR), "dim": 20,
+         "rtol": format_float(1e-6), "atol": format_float(1e-9), "seed": 3, "trials": 1,
+         "long_running": True}),
+    "qec-sim": (
+        ["qec-sim", "--epsilon", "0.15", "--dim", "40", "--atol", "1e-9", "--records", "3",
+         "--long-running", "--prefix", "q"],
+        "[run]\nkappa1 = 0.02\n[solver]\nrtol = 1e-6\n",
+        {"epsilon": format_float(0.15), "dim": 40, "rtol": format_float(1e-6),
+         "atol": format_float(1e-9), "kappa1": format_float(0.02), "records": 3,
+         "long_running": True}),
+    "check": (
+        ["check", "--epsilon", "0.15", "--prefix", "c"], "[run]\neta = sensor\ndim = 60\n",
+        {"epsilon": format_float(0.15), "eta": format_float(ETA_SENSOR), "dim": 60}),
+    "logical-ops": (
+        ["logical-ops", "--epsilon", "0.15", "--dim", "40", "--tol", "1e-5",
+         "--save-operators", "--prefix", "lo"],
+        "[run]\nhorizon_multiplier = 5\n",
+        {"epsilon": format_float(0.15), "dim": 40, "tol": format_float(1e-5),
+         "horizon_multiplier": format_float(5.0), "save_operators": True}),
+}
+
+
+# the short runs stop before the adjoint march converges; only the echo counts
+@pytest.mark.filterwarnings("ignore::gkpstab.ConvergenceWarning")
+@pytest.mark.parametrize("case", list(ECHO_CASES))
+def test_envelope_echoes_every_resolved_parameter(case, tmp_path, capsys):
+    argv, config, expected = ECHO_CASES[case]
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(config + f"[output]\noutdir = {tmp_path}\n")
+    assert main(argv + ["--config", str(cfg)]) in (EXIT_OK, EXIT_VERIFY)
+    prefix = argv[argv.index("--prefix") + 1]
+    env = read_json(tmp_path / f"{prefix}.json")
+    assert env["config_echo"]["resolved"] == {**expected, "outdir": str(tmp_path),
+                                              "prefix": prefix}
+
+
+def test_echo_leaves_rule_derived_dim_to_the_payload(tmp_path):
+    assert main(["check", "--epsilon", "0.2", "--outdir", str(tmp_path)]) == EXIT_OK
+    env = read_json(tmp_path / "check.json")
+    assert env["config_echo"]["resolved"]["dim"] is None
+    assert env["payload"]["dim"] == 100
+
+
+@pytest.mark.filterwarnings("ignore::gkpstab.ConvergenceWarning")
+def test_logical_ops_builds_through_module_globals(tmp_path, monkeypatch, capsys):
+    # perfbench/workloads.py::cli_round times the set-up by wrapping these two
+    # cli attributes and takes it out of solve_s; each must run exactly once
+    calls = {}
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("build_code", "stabilizer_model"):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    assert main(["logical-ops", "--epsilon", "0.14", "--dim", "60",
+                 "--horizon-multiplier", "2", "--outdir", str(tmp_path)]) == EXIT_OK
+    assert calls == {"build_code": 1, "stabilizer_model": 1}

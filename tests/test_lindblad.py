@@ -366,6 +366,26 @@ def test_bloch_of_reference_states(small_logicals):
     assert x == pytest.approx(1.0, abs=1e-6)
 
 
+def test_bloch_records_are_bloch_coordinates(small_logicals):
+    # evolve records bloch_coordinates of each recorded state, bit for bit
+    # the sum(J * rho.T) form of Tr(J rho)
+    code, model, logicals = small_logicals
+    c0, c1 = code.codewords
+    plus = (c0 + c1) / np.sqrt(2.0)
+    grid = (0.25, 0.5)
+    traj = evolve(model.with_photon_loss(0.04), np.outer(plus, plus.conj()), 0.5,
+                  record_times=grid,
+                  observables=ObservableSpec(logicals=logicals, snapshot_times=grid,
+                                             positivity_tol=None))
+    assert len(traj.times) == len(grid)
+    for i, t in enumerate(traj.times):
+        rho = traj.snapshots[t]
+        recorded = [traj.column(name)[i] for name in ("jx", "jy", "jz")]
+        assert recorded == list(bloch_coordinates(logicals, rho))
+        assert recorded == [float(np.real(np.sum(j * rho.T)))
+                            for j in (logicals.jx, logicals.jy, logicals.jz)]
+
+
 def test_bloch_errors(small_logicals):
     code, model, logicals = small_logicals
     with pytest.raises(ShapeMismatchError):
