@@ -59,7 +59,6 @@ from .lindblad import (
     lindblad_rhs,
     logical_operators,
     stabilizer_model,
-    validate_density_matrix,
 )
 
 __version__ = "0.1.0"

@@ -30,6 +30,7 @@ from .fock import (
     make_quadratures,
     matrix_exponential,
     max_abs,
+    rotate,
     twirl,
 )
 from .lindblad import (
@@ -216,10 +217,12 @@ def verify_lambda_identity(epsilon, eta=ETA_QUBIT, dim=None):
     s = math.sinh(2.0 * epsilon)
     e2 = eta * eta
 
-    e_minus = matrix_exponential(-1j * eta * r.conj().T)
-    e_plus = matrix_exponential(1j * eta * r.conj().T)
+    # V_0 + I = e^{i eta R} and V_2 + I = e^{-i eta R}; F^2 R F^-2 = -R exactly
+    v = build_dissipators(params)
+    e_minus = (v[0] + np.eye(dim)).conj().T
+    e_plus = (v[2] + np.eye(dim)).conj().T
     half_plus = matrix_exponential(0.5j * eta * r)
-    half_minus = matrix_exponential(-0.5j * eta * r)
+    half_minus = rotate(half_plus, 2)
     pref = 2.0 * math.exp(-e2 * s / 8.0)
     damp = math.exp(-0.75 * e2 * s)
 
@@ -374,7 +377,7 @@ MAX_DIM = 700        # largest truncation error_rate_experiment accepts
 
 
 def lyapunov_decay_experiment(epsilon, eta=ETA_QUBIT, dim=None, n_trials=10, seed=0,
-                              solver=None, code=None, initial_states=None):
+                              solver=None, code=None):
     """Random-state decay statistics for Tr(W rho(t)) against the rate bound.
 
     Each trial draws a random density matrix (skipped as degenerate when its
@@ -383,8 +386,6 @@ def lyapunov_decay_experiment(epsilon, eta=ETA_QUBIT, dim=None, n_trials=10, see
     log-slope over the [0.1, 1] fraction of the horizon. PASS means every
     fitted rate >= 0.95 * kappa; faster decay is expected (the bound is not
     tight) and recorded.
-    initial_states replaces the random draw when given (n_trials then follows
-    its length).
 
     The run starts from the rotation twirl fock.twirl(rho0), which keeps the
     entries with m ≡ n (mod 4), not from rho0. This is exact for Tr(W rho(t)):
@@ -406,20 +407,15 @@ def lyapunov_decay_experiment(epsilon, eta=ETA_QUBIT, dim=None, n_trials=10, see
     solver = solver or SolverOptions()
     spec = ObservableSpec(lyapunov=code.lyapunov, photon_number=False, positivity_tol=None)
 
-    if initial_states is not None:
-        n_trials = len(initial_states)
     trials = []
     for i in range(n_trials):
         trial_seed = seed + i
-        if initial_states is not None:
-            rho0 = np.asarray(initial_states[i], dtype=complex)
-        else:
-            rho0 = random_density_matrix(params.dim, np.random.default_rng(trial_seed))
+        rho0 = random_density_matrix(params.dim, np.random.default_rng(trial_seed))
         w0 = float(np.real(np.vdot(code.lyapunov, rho0)))
         if w0 <= 1e-8:
             trials.append(DecayTrial(trial_seed, w0, float("nan"), 0, True))
             continue
-        if initial_states is None and w0 <= 1e-4:
+        if w0 <= 1e-4:
             # keep random trials well above the measurement floor
             rho0 = random_density_matrix(params.dim, np.random.default_rng(trial_seed + 10_000))
             w0 = float(np.real(np.vdot(code.lyapunov, rho0)))

@@ -62,6 +62,8 @@ def _parse_eta(text):
 
 
 def _parse_epsilons(p):
+    if p["epsilons"] and p["epsilon_range"]:
+        raise UsageError("give --epsilons or --epsilon-range, not both")
     if p["epsilons"]:
         try:
             eps = [float(tok) for tok in p["epsilons"].split(",") if tok.strip()]

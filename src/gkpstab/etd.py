@@ -43,10 +43,12 @@ Either way the propagator evolves the Hermitian part of its input and
 returns an exactly Hermitian matrix.
 """
 
+import math
+
 import numpy as np
 
 from .fock import rotate
-from .ode import _drive
+from .ode import FIRST_STEP, MAX_STEPS, _drive
 
 
 def _phi123(z):
@@ -68,15 +70,9 @@ def _phi123(z):
             acc = np.zeros_like(w)
             for j in range(13, -1, -1):
                 # coefficient 1/(j+k)!
-                acc = acc * w + 1.0 / _factorial(j + k)
+                acc = acc * w + 1.0 / math.factorial(j + k)
             out[small] = acc
     return ez, p1, p2, p3
-
-
-def _factorial(n, _cache={0: 1.0}):
-    if n not in _cache:
-        _cache[n] = n * _factorial(n - 1)
-    return _cache[n]
 
 
 def _charge_kraus(ops, rates):
@@ -294,7 +290,7 @@ class SplitPropagator:
         return e_h * xb + h * (b1 * n1 + b23 * (n2 + n3) + b4 * n4)
 
     def run(self, x0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
-            on_record=None, h0=1e-3, max_steps=1_000_000):
+            on_record=None, h0=FIRST_STEP, max_steps=MAX_STEPS):
         """Adaptive propagation by step doubling with local extrapolation.
 
         Each attempt of ode._drive takes one step of size h and two of size
@@ -302,7 +298,9 @@ class SplitPropagator:
         the extrapolated value propagates. The full step and the first half
         step share their first stage, which a rejected attempt keeps for the
         retry, so an attempt costs 11 jump applications (10 on a retry).
-        The error is the max-modulus of the state's difference. A forward
+        ode._drive owns the step policy: it starts from h0, spends at most
+        max_steps attempts and measures the error estimate and the states
+        in _max_modulus, the max |X_ij| of the state a carrier holds. A forward
         propagator rescales every accepted state to the initial trace, which
         the exact forward flow conserves (the adjoint flow does not conserve
         trace, so it is left alone); the largest pre-rescale defect is
@@ -327,9 +325,8 @@ class SplitPropagator:
                 n1, n1_of = self.apply_jump(xb), xb
             big = self.step(xb, h, n1)
             half = self.step(self.step(xb, 0.5 * h, n1), 0.5 * h)
-            err = self._max_modulus(big - half) / 15.0
-            scale = atol + rtol * max(self._max_modulus(xb), self._max_modulus(half))
-            return half + (half - big) / 15.0, err, scale
+            err = (big - half) / 15.0
+            return half - err, err
 
         def renormalize(xb):
             nonlocal trace_defect
@@ -339,7 +336,8 @@ class SplitPropagator:
 
         record = None if on_record is None else (lambda t, xb: on_record(t, self.from_basis(xb)))
         xb, stats = _drive(
-            attempt, xb, t_final, float(h0), record_times, exponent=0.25, max_growth=4.0,
+            attempt, self._max_modulus, xb, t_final, rtol, atol, record_times,
+            exponent=0.25, max_growth=4.0, h=float(h0),
             on_accept=None if self.adjoint else renormalize, on_record=record,
             max_steps=max_steps)
         stats["n_jumps"] = self.n_jumps - jumps_before

@@ -1,16 +1,19 @@
 """Adaptive step-size control, and the embedded Runge-Kutta 5(4) pair that
 is one of its two users.
 
-`_drive` is the one adaptive loop in the package. It clamps steps to the
-record times, enforces the step budget and the underflow guard, retreats
-from non-finite error estimates, and updates the step size. A backend only
-supplies attempt(y, h) -> (candidate, err, tol); the attempt is accepted iff
-err <= tol, and the next step is h * clip(0.9 * (tol/err)**exponent, 0.2,
-max_growth). The Dormand-Prince pair below is one backend; the step-doubling
-exponential integrator in etd.py is the other.
+`_drive` is the one adaptive loop in the package, and it owns the whole step
+policy: the first step FIRST_STEP, the step budget MAX_STEPS, the clamp to
+the record times, the underflow guard, the retreat from non-finite error
+estimates, the error test and the step-size update. A backend supplies
+attempt(y, h) -> (candidate, error_estimate) and the norm its states are
+measured in. With tol = atol + rtol * max(norm(y), norm(candidate)) the
+attempt is accepted iff norm(error_estimate) <= tol, and the next step is
+h * clip(0.9 * (tol/err)**exponent, 0.2, max_growth). The Dormand-Prince
+pair below is one backend; the step-doubling exponential integrator in
+etd.py is the other.
 
 Dormand-Prince: the 5th-order solution propagates, the embedded 4th-order
-difference drives the controller. The state is a dense complex matrix and
+difference is the error estimate. The state is a dense complex matrix and
 the autonomous right-hand side is evaluated in matrix form; no superoperator
 is ever materialized.
 """
@@ -18,6 +21,7 @@ is ever materialized.
 import numpy as np
 
 from .errors import StepSizeUnderflowError
+from .fock import max_abs
 
 # Dormand-Prince 5(4) tableau
 _A = [
@@ -35,19 +39,28 @@ _B4 = np.array(
 )
 _ERR = _B5 - _B4
 
+FIRST_STEP = 1e-3      # the first step both backends try
+MAX_STEPS = 10_000_000  # accepted plus rejected steps of one run
 
-def _drive(attempt, y, t_final, h, record_times, exponent, max_growth,
-           on_accept=None, on_record=None, max_steps=10_000_000, diagnostics=None):
+
+def _drive(attempt, norm, y, t_final, rtol, atol, record_times, exponent, max_growth,
+           h=FIRST_STEP, on_accept=None, on_record=None, max_steps=MAX_STEPS,
+           diagnostics=None):
     """Adaptive march from t=0 to t_final, stopping exactly at each record time.
 
-    on_accept(y) may modify every accepted candidate in place; on_record(t, y)
-    fires at every record time and at t_final (and at t=0 when 0 is among
-    record_times). Raises StepSizeUnderflowError when the step budget is
-    spent or the controller is driven below ~1e4 ulp of the current time,
-    appending `diagnostics` (a string) to the message. Returns (y, stats):
-    the accepted and rejected steps "n_accept" and "n_reject", the smallest
-    and largest accepted step "h_min" and "h_max" (None when no step was
-    taken) and the next step size "h_final".
+    attempt(y, h) returns (candidate, error_estimate) for a step of size h
+    from y; after a rejection it is called again with the same y object.
+    norm measures a state. The step is accepted iff norm(error_estimate) <=
+    atol + rtol * max(norm(y), norm(candidate)); a non-finite error retreats
+    to h/4 and counts as a rejection. on_accept(y) may modify every accepted
+    candidate in place; on_record(t, y) fires at every record time and at
+    t_final (and at t=0 when 0 is among record_times). Raises
+    StepSizeUnderflowError when the step budget is spent or the controller
+    is driven below ~1e4 ulp of the current time, appending `diagnostics` (a
+    string) to the message. Returns (y, stats): the accepted and rejected
+    steps "n_accept" and "n_reject", the smallest and largest accepted step
+    "h_min" and "h_max" (None when no step was taken) and the next step size
+    "h_final".
     """
     t = 0.0
     record = sorted(set(float(tr) for tr in record_times if 0.0 < tr <= t_final))
@@ -68,11 +81,14 @@ def _drive(attempt, y, t_final, h, record_times, exponent, max_growth,
         if h_try < 1e4 * np.finfo(float).eps * max(abs(t), 1.0):
             raise StepSizeUnderflowError(
                 f"step size underflow at t={t:.6g} (h={h_try:.3e}){suffix}")
-        candidate, err, tol = attempt(y, h_try)
+        candidate, estimate = attempt(y, h_try)
+        err = norm(estimate)
+        del estimate  # free before the next attempt allocates its own
         if not np.isfinite(err):
             h = 0.25 * h_try
             n_reject += 1
             continue
+        tol = atol + rtol * max(norm(y), norm(candidate))
         if err <= tol:
             t += h_try
             y = candidate
@@ -93,25 +109,8 @@ def _drive(attempt, y, t_final, h, record_times, exponent, max_growth,
                "h_final": h}
 
 
-def _initial_step(f, y0, rtol, atol):
-    """Standard Hairer-Norsett-Wanner h0 heuristic adapted to max-norm."""
-    scale = atol + rtol * np.abs(y0).max()
-    f0 = f(y0)
-    d0 = np.abs(y0).max() / scale
-    d1 = np.abs(f0).max() / scale
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + h0 * f0
-    f1 = f(y1)
-    d2 = np.abs(f1 - f0).max() / scale / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1)
-
-
 def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
-              on_record=None, max_steps=10_000_000, diagnostics=None):
+              on_record=None, max_steps=MAX_STEPS, diagnostics=None):
     """Integrate the autonomous y' = f(y) for a Hermitian matrix y from t=0
     to t_final with the Dormand-Prince pair, stopping exactly at each record
     time.
@@ -120,7 +119,7 @@ def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
     is the Hermitian part of the 5th-order solution. on_record(t, y) fires
     at every record time and at t_final. Raises StepSizeUnderflowError as
     described in _drive. Returns _drive's stats plus "n_rhs", the number of
-    evaluations of f: seven per attempt, and two for the initial step.
+    evaluations of f, seven per attempt.
     """
     y = np.asarray(y0, dtype=complex)
     y = 0.5 * (y + y.conj().T)
@@ -136,13 +135,11 @@ def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
         for i in range(1, 7):
             k.append(counted(y + h * sum(aij * k[j] for j, aij in enumerate(_A[i]))))
         y5 = y + h * sum(b * k[i] for i, b in enumerate(_B5) if b != 0.0)
-        err_mat = h * sum(e * k[i] for i, e in enumerate(_ERR) if e != 0.0)
-        scale = atol + rtol * max(np.abs(y).max(), np.abs(y5).max())
-        return 0.5 * (y5 + y5.conj().T), np.abs(err_mat).max() / scale, 1.0
+        err = h * sum(e * k[i] for i, e in enumerate(_ERR) if e != 0.0)
+        return 0.5 * (y5 + y5.conj().T), err
 
-    h = _initial_step(counted, y, rtol, atol)
     _, stats = _drive(
-        attempt, y, t_final, h, record_times, exponent=0.2, max_growth=5.0,
-        on_record=on_record, max_steps=max_steps, diagnostics=diagnostics)
+        attempt, max_abs, y, t_final, rtol, atol, record_times, exponent=0.2,
+        max_growth=5.0, on_record=on_record, max_steps=max_steps, diagnostics=diagnostics)
     stats["n_rhs"] = n_rhs
     return stats

@@ -211,12 +211,15 @@ def test_decay_experiment_small(small_code):
     assert all(not t.degenerate for t in report.trials)
 
 
-def test_decay_experiment_degenerate_skip(small_code):
+def test_decay_experiment_degenerate_skip(small_code, monkeypatch):
+    # the first draw is a codespace state, Tr(W rho) ~ 0; the second is the
+    # seed-3 random state
     c0 = small_code.codewords[0]
-    codespace = np.outer(c0, c0.conj())
-    mixed = random_density_matrix(small_code.dim, np.random.default_rng(3))
+    draws = [np.outer(c0, c0.conj())]
+    monkeypatch.setattr(analysis, "random_density_matrix",
+                        lambda dim, rng: draws.pop() if draws else random_density_matrix(dim, rng))
     report = lyapunov_decay_experiment(
-        0.14, dim=small_code.dim, code=small_code, initial_states=[codespace, mixed]
+        0.14, dim=small_code.dim, n_trials=2, seed=2, code=small_code
     )
     assert report.trials[0].degenerate
     assert not report.trials[1].degenerate

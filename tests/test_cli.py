@@ -29,6 +29,11 @@ def test_kappa_usage_errors(capsys):
     assert main(["kappa", "--epsilon-range", "0.1:0.01:5"]) == EXIT_USAGE
     assert main(["kappa", "--epsilons", "2.0"]) == EXIT_USAGE  # outside (0, 1]
     assert main(["kappa", "--epsilons", "0.1", "--eta", "nonsense"]) == EXIT_USAGE
+    # two grids: the run would use one and echo both
+    capsys.readouterr()
+    assert main(["kappa", "--epsilons", "0.1", "--epsilon-range", "0.1:0.2:3"]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_kappa_sensor_certified_column(tmp_path):

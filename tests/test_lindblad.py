@@ -23,7 +23,6 @@ from gkpstab import (
     make_ladder,
     make_quadratures,
     stabilizer_model,
-    validate_density_matrix,
 )
 from gkpstab.analysis import random_density_matrix
 from gkpstab.etd import SplitPropagator
@@ -134,26 +133,6 @@ def test_steady_state_of_kernel_projector(small_code, small_model):
     assert np.abs(lindblad_rhs(small_model, rho)).max() <= 1e-6
 
 
-# --- density-matrix validation -------------------------------------------------
-
-
-def test_validate_density_matrix_passes(rng):
-    validate_density_matrix(random_density_matrix(20, rng))
-
-
-def test_validate_density_matrix_rejections(rng):
-    rho = random_density_matrix(8, rng)
-    with pytest.raises(InvalidInputError):
-        validate_density_matrix(2.0 * rho)
-    bad = rho.copy()
-    bad[0, 1] += 1e-3
-    with pytest.raises(InvalidInputError):
-        validate_density_matrix(bad)
-    neg = np.diag([1.5, -0.5]).astype(complex)
-    with pytest.raises(InvalidInputError):
-        validate_density_matrix(neg)
-
-
 # --- evolve: backends agree, conserve, record ----------------------------------
 
 
@@ -258,8 +237,8 @@ def test_meta_reports_accepted_step_range(small_stiff_case, small_code, small_mo
         meta = evolve(mdl, rho, t_final, record_times=[t_final], observables=quiet).meta
         assert meta["method"] == method
         if method == "rk45":
-            # seven stages an attempt, two evaluations for the initial step
-            assert meta["n_rhs"] == 7 * (meta["n_accept"] + meta["n_reject"]) + 2
+            # seven stages an attempt
+            assert meta["n_rhs"] == 7 * (meta["n_accept"] + meta["n_reject"])
         # the accepted steps tile [0, t_final]
         n = meta["n_accept"]
         assert 0.0 < meta["h_min"] <= meta["h_max"] <= t_final
