@@ -305,7 +305,9 @@ class SplitPropagator:
         the exact forward flow conserves (the adjoint flow does not conserve
         trace, so it is left alone); the largest pre-rescale defect is
         reported in the returned stats, with the number of jump applications
-        and of carried blocks. Record times are hit exactly by step clamping.
+        and of carried blocks. Record times are hit exactly by ode._drive's
+        record policy: equal steps up to each record time, none longer than
+        h / ode.SAFETY, and no reset of the step after landing on one.
         The rescale is needed: without it the trace drifts by 1.2e-7 over a
         criterion-4 decay trial (eps = 0.1, dim 200, seeds 1-3, 187 accepted
         steps) and by 3.7e-7 over the criterion-7 protected run, both above

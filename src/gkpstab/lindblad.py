@@ -33,7 +33,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .etd import SplitPropagator
-from .fock import make_ladder
+from .fock import make_ladder, min_eigenvalue
 
 __all__ = [
     "LindbladModel",
@@ -303,7 +303,7 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
                                    bloch_coordinates(observables.logicals, rho)):
                 recs[name].append(value)
         if observables.positivity_tol is not None and not warned[0]:
-            min_eig = float(np.linalg.eigvalsh(rho)[0])
+            min_eig = min_eigenvalue(rho)
             if min_eig < -observables.positivity_tol:
                 warned[0] = True
                 warnings.warn(

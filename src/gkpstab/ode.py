@@ -2,21 +2,31 @@
 is one of its two users.
 
 `_drive` is the one adaptive loop in the package, and it owns the whole step
-policy: the first step FIRST_STEP, the step budget MAX_STEPS, the clamp to
-the record times, the underflow guard, the retreat from non-finite error
-estimates, the error test and the step-size update. A backend supplies
+policy: the first step FIRST_STEP, the step budget MAX_STEPS, the record
+policy, the underflow guard, the retreat from non-finite error estimates,
+the error test and the step-size update. A backend supplies
 attempt(y, h) -> (candidate, error_estimate) and the norm its states are
 measured in. With tol = atol + rtol * max(norm(y), norm(candidate)) the
 attempt is accepted iff norm(error_estimate) <= tol, and the next step is
-h * clip(0.9 * (tol/err)**exponent, 0.2, max_growth). The Dormand-Prince
+h * clip(SAFETY * (tol/err)**exponent, 0.2, max_growth). The Dormand-Prince
 pair below is one backend; the step-doubling exponential integrator in
 etd.py is the other.
+
+Record times do not drive the step size. The distance to the next record
+time is split into ceil(SAFETY * distance / h) equal steps, so no step is
+longer than h / SAFETY, the step the controller's own error model puts
+exactly at tol, and no sliver is left before a record. A step that lands on
+a record time shorter than the proposal h does not reset the controller:
+the next proposal is at least h (Hairer, Norsett & Wanner, Solving ODEs I,
+sec. II.4, keep the step proposal across an output point).
 
 Dormand-Prince: the 5th-order solution propagates, the embedded 4th-order
 difference is the error estimate. The state is a dense complex matrix and
 the autonomous right-hand side is evaluated in matrix form; no superoperator
 is ever materialized.
 """
+
+import math
 
 import numpy as np
 
@@ -41,6 +51,8 @@ _ERR = _B5 - _B4
 
 FIRST_STEP = 1e-3      # the first step both backends try
 MAX_STEPS = 10_000_000  # accepted plus rejected steps of one run
+# the controller proposes SAFETY times the step its error model puts at tol
+SAFETY = 0.9
 
 
 def _drive(attempt, norm, y, t_final, rtol, atol, record_times, exponent, max_growth,
@@ -52,15 +64,26 @@ def _drive(attempt, norm, y, t_final, rtol, atol, record_times, exponent, max_gr
     from y; after a rejection it is called again with the same y object.
     norm measures a state. The step is accepted iff norm(error_estimate) <=
     atol + rtol * max(norm(y), norm(candidate)); a non-finite error retreats
-    to h/4 and counts as a rejection. on_accept(y) may modify every accepted
-    candidate in place; on_record(t, y) fires at every record time and at
-    t_final (and at t=0 when 0 is among record_times). Raises
-    StepSizeUnderflowError when the step budget is spent or the controller
-    is driven below ~1e4 ulp of the current time, appending `diagnostics` (a
-    string) to the message. Returns (y, stats): the accepted and rejected
-    steps "n_accept" and "n_reject", the smallest and largest accepted step
-    "h_min" and "h_max" (None when no step was taken) and the next step size
-    "h_final".
+    to h/4 and counts as a rejection. on_accept(y) is called with every
+    accepted candidate and may modify it in place; on_record(t, y) fires at
+    every record time and at t_final (and at t=0 when 0 is among
+    record_times).
+
+    The record policy: from t, with the proposal h, the distance r to the
+    next record time is taken in ceil(SAFETY * r / h) equal steps, the
+    count recomputed before every attempt. No attempt is longer than
+    h / SAFETY, none is a sliver, and the last one lands on the record time
+    bitwise. When that landing step is shorter than h, the next proposal is
+    the larger of h and the one the step's own error gives, so a record does
+    not reset the controller; "h_final" is therefore the controller's step
+    after the last accepted one, not the length of a step cut to t_final.
+
+    Raises StepSizeUnderflowError when the step budget is spent or the
+    controller is driven below ~1e4 ulp of the current time, appending
+    `diagnostics` (a string) to the message. Returns (y, stats): the
+    accepted and rejected steps "n_accept" and "n_reject", the smallest and
+    largest accepted step "h_min" and "h_max" (None when no step was taken)
+    and the next step size "h_final".
     """
     t = 0.0
     record = sorted(set(float(tr) for tr in record_times if 0.0 < tr <= t_final))
@@ -77,7 +100,8 @@ def _drive(attempt, norm, y, t_final, rtol, atol, record_times, exponent, max_gr
             raise StepSizeUnderflowError(
                 f"step budget {max_steps} exhausted at t={t:.6g}{suffix}")
         t_stop = record[ri]
-        h_try = min(h, t_stop - t)
+        n_left = max(1, math.ceil(SAFETY * (t_stop - t) / h))
+        h_try = (t_stop - t) / n_left
         if h_try < 1e4 * np.finfo(float).eps * max(abs(t), 1.0):
             raise StepSizeUnderflowError(
                 f"step size underflow at t={t:.6g} (h={h_try:.3e}){suffix}")
@@ -89,21 +113,26 @@ def _drive(attempt, norm, y, t_final, rtol, atol, record_times, exponent, max_gr
             n_reject += 1
             continue
         tol = atol + rtol * max(norm(y), norm(candidate))
+        factor = SAFETY * (tol / err) ** exponent if err > 0 else max_growth
+        h_next = h_try * min(max_growth, max(0.2, factor))
         if err <= tol:
-            t += h_try
             y = candidate
             if on_accept is not None:
                 on_accept(y)
             n_accept += 1
             h_min, h_max = min(h_min, h_try), max(h_max, h_try)
-            if t >= t_stop - 1e-14 * max(1.0, t_final):
+            if n_left > 1:
+                t += h_try
+            else:
+                t = t_stop
                 if on_record is not None:
                     on_record(t_stop, y)
                 ri += 1
+                if h_try < h:
+                    h_next = max(h_next, h)
         else:
             n_reject += 1
-        factor = 0.9 * (tol / err) ** exponent if err > 0 else max_growth
-        h = h_try * min(max_growth, max(0.2, factor))
+        h = h_next
     return y, {"n_accept": n_accept, "n_reject": n_reject,
                "h_min": h_min if n_accept else None, "h_max": h_max if n_accept else None,
                "h_final": h}
@@ -115,15 +144,23 @@ def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
     to t_final with the Dormand-Prince pair, stopping exactly at each record
     time.
 
+    f must be linear and map y† to f(y)†, as the Lindblad generator does.
     The march starts from the Hermitian part of y0, and every accepted state
-    is the Hermitian part of the 5th-order solution. on_record(t, y) fires
-    at every record time and at t_final. Raises StepSizeUnderflowError as
-    described in _drive. Returns _drive's stats plus "n_rhs", the number of
-    evaluations of f, seven per attempt.
+    is the Hermitian part of the 5th-order solution y5. The seventh stage is
+    f(y5), so the Hermitian part of it is f at the accepted state, the first
+    stage of the next attempt (first same as last); a retry after a
+    rejection keeps its own first stage. on_record(t, y) fires at every
+    record time and at t_final. Raises StepSizeUnderflowError as described
+    in _drive. Returns _drive's stats plus "n_rhs", the number of
+    evaluations of f: six per attempt, plus one for the initial state.
     """
     y = np.asarray(y0, dtype=complex)
     y = 0.5 * (y + y.conj().T)
     n_rhs = 0
+    # (state, f(state)) for the state a retry starts from and for the
+    # candidate of the last attempt; an acceptance drops the first pair, and
+    # the next attempt keeps the one it needs
+    first = []
 
     def counted(y):
         nonlocal n_rhs
@@ -131,15 +168,24 @@ def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
         return f(y)
 
     def attempt(y, h):
-        k = [counted(y)]
+        k1 = next((k for x, k in first if x is y), None)
+        first.clear()
+        k = [counted(y) if k1 is None else k1]
         for i in range(1, 7):
             k.append(counted(y + h * sum(aij * k[j] for j, aij in enumerate(_A[i]))))
         y5 = y + h * sum(b * k[i] for i, b in enumerate(_B5) if b != 0.0)
         err = h * sum(e * k[i] for i, e in enumerate(_ERR) if e != 0.0)
-        return 0.5 * (y5 + y5.conj().T), err
+        candidate = 0.5 * (y5 + y5.conj().T)
+        del y5  # free before the next first stage is formed
+        first.extend([(y, k[0]), (candidate, 0.5 * (k[6] + k[6].conj().T))])
+        return candidate, err
+
+    def accepted(y):
+        del first[0]
 
     _, stats = _drive(
         attempt, max_abs, y, t_final, rtol, atol, record_times, exponent=0.2,
-        max_growth=5.0, on_record=on_record, max_steps=max_steps, diagnostics=diagnostics)
+        max_growth=5.0, on_accept=accepted, on_record=on_record, max_steps=max_steps,
+        diagnostics=diagnostics)
     stats["n_rhs"] = n_rhs
     return stats

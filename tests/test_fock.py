@@ -14,7 +14,7 @@ from gkpstab import (
     matrix_exponential,
 )
 from gkpstab.codes import ETA_QUBIT
-from gkpstab.fock import hermitian_part, rotate, twirl
+from gkpstab.fock import hermitian_part, min_eigenvalue, rotate, twirl
 
 
 def test_ladder_dim2():
@@ -182,3 +182,17 @@ def test_twirl_is_rotation_invariant_and_idempotent(dim, seed):
 def test_twirl_keeps_the_lyapunov_value(small_code, seed):
     rho = _random_state(small_code.dim, np.random.default_rng(seed))
     assert np.vdot(small_code.lyapunov, twirl(rho)) == np.vdot(small_code.lyapunov, rho)
+
+
+@given(st.integers(2, 60), st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_min_eigenvalue_by_parity_blocks_matches_the_full_spectrum(dim, seed, parity_even):
+    # a parity-even matrix takes the two-block route, a generic one the full
+    # eigvalsh; both give the smallest eigenvalue of the whole matrix
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a = hermitian_part(g) / np.sqrt(dim)
+    if parity_even:
+        n = np.arange(dim)
+        a = np.where(np.subtract.outer(n, n) % 2 == 0, a, 0.0)
+    assert abs(min_eigenvalue(a) - np.linalg.eigvalsh(a)[0]) <= 1e-12

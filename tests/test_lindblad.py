@@ -237,8 +237,8 @@ def test_meta_reports_accepted_step_range(small_stiff_case, small_code, small_mo
         meta = evolve(mdl, rho, t_final, record_times=[t_final], observables=quiet).meta
         assert meta["method"] == method
         if method == "rk45":
-            # seven stages an attempt
-            assert meta["n_rhs"] == 7 * (meta["n_accept"] + meta["n_reject"])
+            # six new stages an attempt, the seventh is the next first stage
+            assert meta["n_rhs"] == 6 * (meta["n_accept"] + meta["n_reject"]) + 1
         # the accepted steps tile [0, t_final]
         n = meta["n_accept"]
         assert 0.0 < meta["h_min"] <= meta["h_max"] <= t_final
@@ -277,6 +277,15 @@ def test_positivity_warning():
     rho0 = np.diag([1.0 + 2e-6, -2e-6]).astype(complex)
     with pytest.warns(PositivityWarning):
         evolve(model, rho0, 0.1, record_times=[0.0, 0.1])
+
+
+def test_positivity_warning_from_the_odd_parity_block():
+    # parity-even, with its one negative eigenvalue -2e-6 inside the odd
+    # block and off its diagonal: the record callback checks the blocks apart
+    rho0 = np.diag([0.4, 0.3, 0.3, 0.0]).astype(complex)
+    rho0[1, 3] = rho0[3, 1] = np.sqrt(0.3 * 2e-6 + 4e-12)
+    with pytest.warns(PositivityWarning):
+        evolve(loss_model(4, 1.0), rho0, 0.1, record_times=[0.0, 0.1])
 
 
 def test_step_budget_guard(small_stiff_case):
