@@ -31,12 +31,17 @@ j - i (mod 4) that never mix (the weak-symmetry reduction of Albert &
 Jiang, PRA 89, 022118, 2014). The propagator carries only the sectors its
 initial state occupies: 4 blocks for a rotation-invariant state (sector 0,
 such as W, or fock.twirl of a state, which the decay experiment evolves),
-8 for the codeword projectors and S_x, S_y, S_z (parity-even), all 16 for
-a generic state. A real congruence also keeps symmetry, so a Hermitian
-X = S + iA (S symmetric, A antisymmetric) is carried as the real M = S + A,
-and every jump costs two dgemms per factor and per occupied block of a
-quarter of the size. The phi-weights are real and symmetric in (i, j), so
-the state stays Hermitian by construction.
+8 for a parity-even state (sectors 0 and 2), all 16 for a generic state. A
+real congruence also keeps symmetry, so a Hermitian X = S + iA (S
+symmetric, A antisymmetric) is carried as the real M = S + A, and every
+jump costs two dgemms per factor and per occupied block of a quarter of the
+size. The phi-weights are real and symmetric in (i, j), so the state stays
+Hermitian by construction. The same symmetry halves the work again for a
+state that is real (A = 0, so Mᵀ = M) or purely imaginary (S = 0, Mᵀ = -M),
+as the codeword projectors and S_x, S_y, S_z are: the jump, the phi-weights
+and the drift keep that parity, block (j, i) stays ±(block (i, j))ᵀ, and
+only the blocks with i <= j are carried: 6 of the 8 of a parity-even state,
+10 of the 16 of a generic one, all 4 of a rotation-invariant one.
 
 Any other channel set runs through the same code with one complex block.
 Either way the propagator evolves the Hermitian part of its input and
@@ -138,10 +143,15 @@ class SplitPropagator:
     and from_basis returns an exactly Hermitian matrix. On the real form the
     carrier is the real M = S + A: a real congruence keeps symmetry, so the
     jump sum K M Kᵀ carries both parts, the phi-weights act on M as on X,
-    Tr X = Tr M and ||X||_F = ||M||_F. to_basis fixes the layout that step,
-    apply_jump and from_basis use until the next to_basis. adjoint is kept,
-    because run rescales the trace of forward states only. n_jumps counts
-    the jump applications made so far.
+    Tr X = Tr M and ||X||_F = ||M||_F. When the input's imaginary part is
+    all zero, Mᵀ = M; when its real part is, Mᵀ = -M. Both parities are kept
+    by the flow, so such a carrier holds only the blocks (i, j) with i <= j
+    (the layout's sign is ±1): apply_jump reads a dropped source block as
+    the signed transposed view of its mirror, from_basis fills the mirrors
+    in, and _max_modulus and _frobenius measure the whole M. to_basis fixes
+    the layout that step, apply_jump and from_basis use until the next
+    to_basis. adjoint is kept, because run rescales the trace of forward
+    states only. n_jumps counts the jump applications made so far.
     """
 
     def __init__(self, ops, rates, adjoint=False):
@@ -171,10 +181,17 @@ class SplitPropagator:
         self.n_jumps = 0
         self._layout = None
 
-    def _set_layout(self, sectors):
-        """Carry the blocks (i, i + s) of every sector s, sector by sector."""
+    def _set_layout(self, sectors, sign):
+        """Carry the blocks (i, i + s) of every sector s, sector by sector.
+
+        sign = ±1 declares the carrier of transpose parity Mᵀ = sign·M, and
+        only the blocks with i <= j are carried: block (j, i) is
+        sign·(block (i, j))ᵀ. sign = 0 carries every block of the sectors.
+        """
         nb = len(self.basis)
-        blocks = [(i, (i + s) % nb) for s in sorted(sectors) for i in range(nb)]
+        blocks = [(i, (i + s) % nb) for s in sorted(sectors) for i in range(nb)
+                  if not sign or i <= (i + s) % nb]
+        self._sign = sign
         if self._layout is not None and list(self._layout) == blocks:
             return
         self._layout, diag, start = {}, [], 0
@@ -195,17 +212,26 @@ class SplitPropagator:
         return {ij: m[a:b].reshape(shape) for ij, (a, b, shape) in self._layout.items()}
 
     def to_basis(self, x):
-        x = np.asarray(x, dtype=complex)
+        x = np.asarray(x)
+        sign = 0
         if self.real_form:
-            # M = S + A of the Hermitian part S + iA
-            m = x.real + x.imag
-            m += (x.real - x.imag).T
+            x = x.astype(np.result_type(x, np.float64), copy=False)
+            # M = S + A of the Hermitian part S + iA: symmetric for a real
+            # input, antisymmetric for an imaginary one
+            if not np.iscomplexobj(x) or not x.imag.any():
+                sign, m = 1, x.real + x.real.T
+            elif not x.real.any():
+                sign, m = -1, x.imag - x.imag.T
+            else:
+                m = x.real + x.imag
+                m += (x.real - x.imag).T
         else:
+            x = x.astype(complex, copy=False)
             m = x + x.conj().T
         m *= 0.5
         sl, nb = self._slices, len(self._slices)
         sectors = {(j - i) % nb for i in range(nb) for j in range(nb) if m[sl[i], sl[j]].any()}
-        self._set_layout(sectors | {-s % nb for s in sectors} or {0})
+        self._set_layout(sectors | {-s % nb for s in sectors} or {0}, sign)
         out = np.empty(self._zsum.size, dtype=m.dtype)
         for (i, j), blk in self._blocks(out).items():
             blk[...] = self.basis[i].conj().T @ m[sl[i], sl[j]] @ self.basis[j]
@@ -216,6 +242,8 @@ class SplitPropagator:
         sl = self._slices
         for (i, j), blk in self._blocks(m).items():
             full[sl[i], sl[j]] = self.basis[i] @ blk @ self.basis[j].conj().T
+            if (j, i) not in self._layout:
+                full[sl[j], sl[i]] = self._sign * full[sl[i], sl[j]].T
         out = np.empty((self.dim, self.dim), dtype=complex)
         if self.real_form:
             # S + iA from M = S + A
@@ -227,26 +255,49 @@ class SplitPropagator:
         return out
 
     def apply_jump(self, m):
+        """sum_k A_k X A_k† on a carrier, built destination block by
+        destination block, each from its sources in the order of the factors.
+        A source block carried only as its mirror is read as the transposed
+        view of the mirror, with the parity's sign."""
         self.n_jumps += 1
         nb = len(self.basis)
         out = np.zeros_like(m)
-        blocks, into = self._blocks(m), self._blocks(out)
-        for c, k in zip(self._charges, self.kraus):
-            for (i, j), blk in blocks.items():
-                into[(i + c) % nb, (j + c) % nb] += k[i] @ blk @ k[j].conj().T
+        blocks = self._blocks(m)
+        for (p, q), dest in self._blocks(out).items():
+            for c, k in zip(self._charges, self.kraus):
+                i, j = (p - c) % nb, (q - c) % nb
+                if (i, j) in blocks:
+                    dest += k[i] @ blocks[i, j] @ k[j].conj().T
+                elif self._sign > 0:
+                    dest += k[i] @ blocks[j, i].T @ k[j].conj().T
+                else:
+                    dest -= k[i] @ blocks[j, i].T @ k[j].conj().T
         return out
 
     def _max_modulus(self, m):
         """max |X_ij| of the state a carrier holds.
 
         On the real form |X_ij| = sqrt((M_ij² + M_ji²)/2); block (j, i)
-        holds the transposes of block (i, j).
+        holds the transposes of block (i, j), or ± block (i, j) itself when
+        only (i, j) is carried. A NaN anywhere gives NaN.
         """
         if not self.real_form:
             return np.abs(m).max()
         blocks = self._blocks(m)
-        return np.sqrt(0.5 * max(np.max(blk * blk + blocks[j, i].T * blocks[j, i].T)
-                                 for (i, j), blk in blocks.items() if i <= j))
+        tops = []
+        for (i, j), blk in blocks.items():
+            if i <= j:
+                mirror = blocks[j, i].T if (j, i) in blocks else blk
+                tops.append(np.max(blk * blk + mirror * mirror))
+        return np.sqrt(0.5 * np.max(tops))
+
+    def _frobenius(self, m):
+        """||X||_F of the state a carrier holds: ||M||_F, in which a block
+        carried without its mirror counts twice."""
+        if not self._sign:
+            return np.linalg.norm(m)
+        return math.sqrt(sum((1.0 if (j, i) in self._layout else 2.0) * np.vdot(blk, blk)
+                             for (i, j), blk in self._blocks(m).items()))
 
     def _trace(self, m):
         return m[self._diag].sum()
@@ -367,7 +418,7 @@ class SplitPropagator:
             t += hh
             n += 1
             n1 = self.apply_jump(xb)
-            resid = np.linalg.norm(n1 + self._zsum * xb) / max(np.linalg.norm(xb), 1e-300)
+            resid = self._frobenius(n1 + self._zsum * xb) / max(self._frobenius(xb), 1e-300)
             if resid <= residual_tol:
                 break
         return self.from_basis(xb), float(resid), t, n

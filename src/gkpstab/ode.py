@@ -21,9 +21,10 @@ the next proposal is at least h (Hairer, Norsett & Wanner, Solving ODEs I,
 sec. II.4, keep the step proposal across an output point).
 
 Dormand-Prince: the 5th-order solution propagates, the embedded 4th-order
-difference is the error estimate. The state is a dense complex matrix and
-the autonomous right-hand side is evaluated in matrix form; no superoperator
-is ever materialized.
+difference is the error estimate. The state is a dense matrix, real or
+complex as y0 is (a real flow from a real state runs in real arithmetic),
+and the autonomous right-hand side is evaluated in matrix form; no
+superoperator is ever materialized.
 """
 
 import math
@@ -154,7 +155,7 @@ def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
     in _drive. Returns _drive's stats plus "n_rhs", the number of
     evaluations of f: six per attempt, plus one for the initial state.
     """
-    y = np.asarray(y0, dtype=complex)
+    y = np.asarray(y0)
     y = 0.5 * (y + y.conj().T)
     n_rhs = 0
     # (state, f(state)) for the state a retry starts from and for the

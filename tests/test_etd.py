@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gkpstab import GkpParams, build_dissipators
+from gkpstab import GkpParams, build_code, build_dissipators
 from gkpstab import etd
 from gkpstab.etd import SplitPropagator, _phi123
 from gkpstab.analysis import random_density_matrix
@@ -121,18 +121,77 @@ def test_blocked_form_matches_one_block_form(small_code, dim, adjoint, with_loss
     assert np.abs(stepped - stepped_ref).max() <= 1e-9 * np.abs(stepped_ref).max()
 
 
-def test_parity_even_state_takes_eight_blocks(small_code):
+def test_parity_even_states_take_six_or_eight_blocks(small_code):
+    # a real parity-even state carries the blocks (i, j), i <= j, of
+    # sectors 0 and 2; a complex one carries all 8 of them, and a generic
+    # state 10 (real) or 16 (complex)
     vs = list(small_code.dissipators)
     prop = SplitPropagator(vs, [1.0] * len(vs))
-    c0 = small_code.codewords[0]
+    c0, c1 = small_code.codewords
+    y = np.random.default_rng(15).standard_normal((small_code.dim,) * 2)
+    for x, blocks in ((np.outer(c0 + 1j * c1, c0 - 1j * c1) / 2, 8), (y + y.T, 10),
+                      (random_density_matrix(small_code.dim, np.random.default_rng(15)), 16)):
+        prop.to_basis(x)
+        assert len(prop._layout) == blocks
     xb = prop.to_basis(np.outer(c0, c0))
-    assert len(prop._layout) == 8
+    assert len(prop._layout) == 6
     for _ in range(3):
         xb = prop.step(xb, 0.05)
     out = prop.from_basis(xb)
     # sectors 1 and 3 (odd n - m) are never stored, so they stay exactly zero
     assert not out[0::2, 1::2].any() and not out[1::2, 0::2].any()
     assert out[1::2, 1::2].any()
+
+
+@pytest.mark.parametrize("with_loss", [False, True], ids=["stabilizers", "plus_loss"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+@pytest.mark.parametrize("dim", [28, 143])
+def test_half_layout_matches_the_full_layout(small_code, dim, adjoint, with_loss, monkeypatch):
+    # a real symmetric (Mᵀ = M) or imaginary antisymmetric (Mᵀ = -M) state
+    # carries the blocks (i, j) with i <= j only; the same propagator made
+    # to carry every block of the same sectors is the reference
+    code = small_code if dim == 143 else build_code(GkpParams(0.1, dim=dim))
+    ops, rates = list(code.dissipators), [1.0] * 4
+    if with_loss:
+        ops, rates = ops + [make_ladder(dim)], rates + [0.02]
+    half = SplitPropagator(ops, rates, adjoint=adjoint)
+    full = SplitPropagator(ops, rates, adjoint=adjoint)
+    monkeypatch.setattr(full, "_set_layout",
+                        lambda sectors, sign: SplitPropagator._set_layout(full, sectors, 0))
+    c0 = code.codewords[0]
+    y = np.random.default_rng(16).standard_normal((dim, dim))
+    for x, blocks in ((np.outer(c0, c0), (6, 8)), (code.sx, (6, 8)), (code.sy, (6, 8)),
+                      (y + y.T, (10, 16))):
+        outs = []
+        for prop in (half, full):
+            xb = prop.to_basis(x)
+            carried = len(prop._layout)
+            modulus = prop._max_modulus(xb)
+            jump = prop.from_basis(prop.apply_jump(xb))
+            for _ in range(3):
+                xb = prop.step(xb, 0.05)
+            stepped = prop.from_basis(xb)
+            marched, resid, _t, _n = prop.run_to_stationary(x, h=0.5, residual_tol=0.0,
+                                                            t_max=1.0)
+            outs.append((carried, modulus, jump, stepped, marched, resid))
+        (n_half, *got), (n_full, *want) = outs
+        assert (n_half, n_full) == blocks
+        # the codewords are dark states of the dissipators, so their jump
+        # and stationary residual are roundoff: compare at the input's scale
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), np.abs(x).max())
+
+
+def test_max_modulus_sees_a_nan_in_any_block(tiny_model):
+    # the step loop retreats from a non-finite error estimate only if the
+    # norm reports it, wherever the NaN sits in the carrier
+    dim, vs = tiny_model
+    prop = SplitPropagator(vs, [1.0] * len(vs))
+    xb = prop.to_basis(random_density_matrix(dim, np.random.default_rng(18)))
+    for a, _b, _shape in prop._layout.values():
+        bad = xb.copy()
+        bad[a] = np.nan
+        assert np.isnan(prop._max_modulus(bad))
 
 
 def test_rotation_asymmetric_channel_set_takes_one_block(tiny_model):

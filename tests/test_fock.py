@@ -184,15 +184,19 @@ def test_twirl_keeps_the_lyapunov_value(small_code, seed):
     assert np.vdot(small_code.lyapunov, twirl(rho)) == np.vdot(small_code.lyapunov, rho)
 
 
-@given(st.integers(2, 60), st.integers(0, 2 ** 32 - 1), st.booleans())
-@settings(max_examples=40, deadline=None)
-def test_min_eigenvalue_by_parity_blocks_matches_the_full_spectrum(dim, seed, parity_even):
-    # a parity-even matrix takes the two-block route, a generic one the full
-    # eigvalsh; both give the smallest eigenvalue of the whole matrix
+@given(st.integers(2, 60), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["generic", "parity_even", "twirled"]))
+@settings(max_examples=60, deadline=None)
+def test_min_eigenvalue_by_parity_blocks_matches_the_full_spectrum(dim, seed, kind):
+    # a twirled matrix takes the four-block route, a parity-even one the
+    # two-block route, a generic one the full eigvalsh; all give the
+    # smallest eigenvalue of the whole matrix
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     a = hermitian_part(g) / np.sqrt(dim)
-    if parity_even:
-        n = np.arange(dim)
+    n = np.arange(dim)
+    if kind == "parity_even":
         a = np.where(np.subtract.outer(n, n) % 2 == 0, a, 0.0)
+    elif kind == "twirled":
+        a = twirl(a)
     assert abs(min_eigenvalue(a) - np.linalg.eigvalsh(a)[0]) <= 1e-12

@@ -24,6 +24,7 @@ from gkpstab import (
     make_quadratures,
     stabilizer_model,
 )
+from gkpstab import lindblad
 from gkpstab.analysis import random_density_matrix
 from gkpstab.etd import SplitPropagator
 
@@ -89,6 +90,11 @@ def test_one_diagonal_channels_match_dense_rhs(case):
     rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     ref = _dense_rhs(model, rho)
     assert np.abs(lindblad_rhs(model, rho) - ref).max() <= 1e-14 * np.abs(ref).max()
+    # a real state runs in real arithmetic when every channel is real, and
+    # is taken complex otherwise; either way it gets the complex result
+    real = lindblad_rhs(model, rho.real)
+    assert np.isrealobj(real) == model.is_real
+    assert np.array_equal(real, lindblad_rhs(model, rho.real.astype(complex)))
 
 
 def test_adjoint_unital():
@@ -247,13 +253,16 @@ def test_meta_reports_accepted_step_range(small_stiff_case, small_code, small_mo
 
 
 def test_meta_reports_carried_blocks(small_code, small_model):
-    codeword = np.outer(small_code.codewords[0], small_code.codewords[0].conj())
+    c0, c1 = small_code.codewords
+    codeword = np.outer(c0, c0.conj())
+    # parity-even but neither real nor imaginary
+    complex_even = np.outer(c0 + 1j * c1, (c0 + 1j * c1).conj()) / 2
     mixed = random_density_matrix(small_code.dim, np.random.default_rng(13))
     # q breaks the rotation symmetry: the fallback carries one block
     with_q = small_model.with_channel(make_quadratures(small_code.dim)[0], 0.02)
     quiet = ObservableSpec(photon_number=False, positivity_tol=None)
-    for mdl, rho, blocks in ((small_model, mixed, 16), (small_model, codeword, 8),
-                             (with_q, mixed, 1)):
+    for mdl, rho, blocks in ((small_model, mixed, 16), (small_model, codeword, 6),
+                             (small_model, complex_even, 8), (with_q, mixed, 1)):
         meta = evolve(mdl, rho, 0.2, record_times=[0.2], observables=quiet).meta
         assert meta["method"] == "etd4"
         assert meta["blocks"] == blocks
@@ -286,6 +295,44 @@ def test_positivity_warning_from_the_odd_parity_block():
     rho0[1, 3] = rho0[3, 1] = np.sqrt(0.3 * 2e-6 + 4e-12)
     with pytest.warns(PositivityWarning):
         evolve(loss_model(4, 1.0), rho0, 0.1, record_times=[0.0, 0.1])
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_positivity_warning_from_every_rotation_block(block):
+    # rotation-invariant (only m ≡ n mod 4 entries), with its one negative
+    # eigenvalue -2e-6 off the diagonal of the n ≡ block (mod 4) block
+    diag = np.full(8, 0.125)
+    diag[block], diag[block + 4] = 0.25, 0.0
+    rho0 = np.diag(diag).astype(complex)
+    rho0[block, block + 4] = rho0[block + 4, block] = np.sqrt(0.25 * 2e-6 + 4e-12)
+    with pytest.warns(PositivityWarning):
+        evolve(loss_model(8, 1.0), rho0, 0.1, record_times=[0.0, 0.1])
+
+
+def test_loss_only_run_is_real_and_a_complex_channel_run_is_not(monkeypatch):
+    # a real state under real channels takes the rk45 backend in real
+    # arithmetic; the snapshots stay complex, and a complex channel keeps
+    # the run complex
+    dim = 12
+    rho0 = np.zeros((dim, dim))
+    rho0[4, 4] = rho0[8, 8] = 0.5
+    rho0[4, 8] = rho0[8, 4] = 0.5
+    phased = make_ladder(dim) * np.exp(1j * np.arange(dim))
+    seen = []
+    integrate = lindblad.ode.integrate
+
+    def watched(f, y0, *args, **kwargs):
+        seen.append(y0.dtype)
+        return integrate(f, y0, *args, **kwargs)
+
+    monkeypatch.setattr(lindblad.ode, "integrate", watched)
+    spec = ObservableSpec(snapshot_times=(0.5,))
+    for model, dtype in ((loss_model(dim), float), (LindbladModel(((phased, 1.0),)), complex)):
+        traj = evolve(model, rho0, 0.5, record_times=[0.0, 0.5], observables=spec)
+        assert traj.meta["method"] == "rk45"
+        assert seen.pop() == dtype
+        assert traj.snapshots[0.5].dtype == complex
+        assert traj.column("trace") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_step_budget_guard(small_stiff_case):
