@@ -132,16 +132,12 @@ def max_abs(a):
 def min_eigenvalue(a):
     """Smallest eigenvalue of a Hermitian Fock-space matrix (dim >= 2).
 
-    When every block a[i::nb, j::nb] with i != j is zero, a is block-diagonal
-    over n mod nb and the minimum over the nb diagonal blocks' spectra is
-    exact. nb = 4 holds for a rotation-invariant state (fock.twirl of a
-    state, W), nb = 2 for every parity-even one; anything else takes the
-    full eigvalsh. At dim 200 on 2 cores: about 1.2 ms (nb = 4), 2 ms
-    (nb = 2) and 5 ms (full).
+    When both parity-mixing blocks a[0::2, 1::2] and a[1::2, 0::2] are zero,
+    as for every parity-even state, a is block-diagonal over n mod 2 and the
+    minimum over the two blocks' spectra is exact at under half the cost of
+    the full eigvalsh (2.4 ms against 5.8 ms at dim 200 on 2 cores).
     """
     a = np.asarray(a)
-    for nb in (4, 2):
-        if not any(a[i::nb, j::nb].any() for i in range(nb) for j in range(nb) if i != j):
-            return float(min(np.linalg.eigvalsh(a[b::nb, b::nb])[0]
-                             for b in range(min(nb, len(a)))))
-    return float(np.linalg.eigvalsh(a)[0])
+    if a[0::2, 1::2].any() or a[1::2, 0::2].any():
+        return float(np.linalg.eigvalsh(a)[0])
+    return float(min(np.linalg.eigvalsh(a[b::2, b::2])[0] for b in (0, 1)))

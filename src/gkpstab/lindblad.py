@@ -15,10 +15,11 @@ The explicit pair evaluates lindblad_rhs, which applies a channel elementwise
 when its operator has all nonzeros on one diagonal (a, a†, powers of a, the
 number operator): the jump is then a weighted diagonal shift of the state,
 and when every channel is of this kind the drift G is diagonal too, so a
-loss-only right-hand side costs O(d²) instead of four dense products. A
-real state under channels whose operators are all real keeps zero
-imaginary part for all time, so evolve() runs the explicit pair on it in
-real arithmetic: the same states bitwise, at half the memory traffic.
+loss-only right-hand side costs O(d²) instead of four dense products. When
+every channel is of this kind with real entries (model.keeps_real), a real
+state keeps zero imaginary part for all time, so evolve() runs the explicit
+pair on it in real arithmetic: the same states bitwise, at half the memory
+traffic.
 """
 
 import warnings
@@ -120,9 +121,10 @@ class LindbladModel:
         return per_channel, g_diag
 
     @cached_property
-    def is_real(self):
-        """True when every channel operator has exactly zero imaginary part."""
-        return not any(op.imag.any() for op in self.operators)
+    def keeps_real(self):
+        """True when lindblad_rhs maps a real state to a real one: every
+        channel is one-diagonal (G is the real g_diag) with real entries."""
+        return self.bands[1] is not None and not any(op.imag.any() for op in self.operators)
 
     def with_channel(self, op, rate):
         """New model with one channel appended."""
@@ -156,11 +158,10 @@ def lindblad_rhs(model, rho):
     of A; and when every channel is one-diagonal, G is diagonal and the
     drift is -(g_i + g_j) rho_ij. A loss-only model therefore costs O(d²)
     a call. Any other channel, and the drift of a model that has one, use
-    dense products. A real rho is taken complex unless every channel
-    operator is real (model.is_real).
+    dense products. A real rho is taken complex unless model.keeps_real.
     """
     rho = _check_same_dim(model, rho)
-    if not model.is_real:
+    if not model.keeps_real:
         rho = rho.astype(complex, copy=False)
     bands, g_diag = model.bands
     if g_diag is None:
@@ -265,8 +266,8 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
     "rk45" when the explicit pair's stability-limited step count, estimated
     from ||G||_1, is at most MAX_EXPLICIT_STEPS, and "etd4" otherwise; the
     choice is stored in meta["method"]. On "rk45" a rho0 with zero
-    imaginary part under channels with real operators (a loss-only model,
-    say) is integrated in real arithmetic, which gives the complex run's
+    imaginary part under one-diagonal real channels (model.keeps_real: a
+    loss-only model, say) is integrated in real arithmetic, which gives the complex run's
     states bitwise; snapshots are complex either way. Accepted states are
     exactly Hermitian on both backends: the explicit pair keeps the
     Hermitian part of each step, and the exponential backend carries
@@ -336,7 +337,7 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
     if method == "rk45":
         stats = ode.integrate(
             lambda y: lindblad_rhs(model, y),
-            rho0.real if model.is_real and not rho0.imag.any() else rho0,
+            rho0.real if model.keeps_real and not rho0.imag.any() else rho0,
             t_final,
             rtol=options.rtol,
             atol=options.atol,

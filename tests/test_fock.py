@@ -188,9 +188,9 @@ def test_twirl_keeps_the_lyapunov_value(small_code, seed):
        st.sampled_from(["generic", "parity_even", "twirled"]))
 @settings(max_examples=60, deadline=None)
 def test_min_eigenvalue_by_parity_blocks_matches_the_full_spectrum(dim, seed, kind):
-    # a twirled matrix takes the four-block route, a parity-even one the
-    # two-block route, a generic one the full eigvalsh; all give the
-    # smallest eigenvalue of the whole matrix
+    # a parity-even or twirled matrix takes the two-block route, a generic
+    # one the full eigvalsh; both give the smallest eigenvalue of the whole
+    # matrix
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     a = hermitian_part(g) / np.sqrt(dim)

@@ -67,7 +67,7 @@ def _one_diagonal(dim, k, rng):
 
 
 @pytest.mark.parametrize("case", ["a", "a_dag", "a2", "n", "random+3", "random-2",
-                                  "a_and_a_dag", "a_and_dense"])
+                                  "a_and_a_dag", "a_and_dense", "a_and_real_dense"])
 def test_one_diagonal_channels_match_dense_rhs(case):
     dim = 30
     rng = np.random.default_rng(77)
@@ -82,6 +82,7 @@ def test_one_diagonal_channels_match_dense_rhs(case):
         "random-2": ([_one_diagonal(dim, -2, rng)], [-2]),
         "a_and_a_dag": ([a, a.conj().T], [1, -1]),
         "a_and_dense": ([a, dense], [1, None]),
+        "a_and_real_dense": ([a, dense.real], [1, None]),
     }[case]
     model = LindbladModel(tuple((op, 0.3 + 0.4 * i) for i, op in enumerate(channels)))
     bands, g_diag = model.bands
@@ -90,10 +91,12 @@ def test_one_diagonal_channels_match_dense_rhs(case):
     rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     ref = _dense_rhs(model, rho)
     assert np.abs(lindblad_rhs(model, rho) - ref).max() <= 1e-14 * np.abs(ref).max()
-    # a real state runs in real arithmetic when every channel is real, and
-    # is taken complex otherwise; either way it gets the complex result
+    # a real state runs in real arithmetic when every channel is real and
+    # one-diagonal, and is taken complex otherwise (a real dense channel
+    # too); either way it gets the complex result
     real = lindblad_rhs(model, rho.real)
-    assert np.isrealobj(real) == model.is_real
+    assert model.keeps_real == (case in ("a", "a_dag", "a2", "n", "a_and_a_dag"))
+    assert np.isrealobj(real) == model.keeps_real
     assert np.array_equal(real, lindblad_rhs(model, rho.real.astype(complex)))
 
 
@@ -310,9 +313,9 @@ def test_positivity_warning_from_every_rotation_block(block):
 
 
 def test_loss_only_run_is_real_and_a_complex_channel_run_is_not(monkeypatch):
-    # a real state under real channels takes the rk45 backend in real
-    # arithmetic; the snapshots stay complex, and a complex channel keeps
-    # the run complex
+    # a real state under real one-diagonal channels takes the rk45 backend
+    # in real arithmetic; the snapshots stay complex, and a complex channel
+    # or a real dense one (the quadrature a + a†) keeps the run complex
     dim = 12
     rho0 = np.zeros((dim, dim))
     rho0[4, 4] = rho0[8, 8] = 0.5
@@ -327,7 +330,9 @@ def test_loss_only_run_is_real_and_a_complex_channel_run_is_not(monkeypatch):
 
     monkeypatch.setattr(lindblad.ode, "integrate", watched)
     spec = ObservableSpec(snapshot_times=(0.5,))
-    for model, dtype in ((loss_model(dim), float), (LindbladModel(((phased, 1.0),)), complex)):
+    quadrature = make_ladder(dim) + make_ladder(dim).T
+    for model, dtype in ((loss_model(dim), float), (LindbladModel(((phased, 1.0),)), complex),
+                         (LindbladModel(((quadrature, 1.0),)), complex)):
         traj = evolve(model, rho0, 0.5, record_times=[0.0, 0.5], observables=spec)
         assert traj.meta["method"] == "rk45"
         assert seen.pop() == dtype
