@@ -35,7 +35,6 @@ from .errors import (
     InvalidInputError,
     OperatorOverflowError,
     PositivityWarning,
-    QuadratureGridError,
     ResourceLimitError,
     ShapeMismatchError,
     StepSizeUnderflowError,

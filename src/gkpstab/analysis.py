@@ -350,9 +350,9 @@ class DecayReport:
     runtime_s: float
 
 
-def fit_decay_rate(times, values, window=(0.1, 1.0), floor_ratio=1e-11):
+def fit_decay_rate(times, values, window=(0.1, 1.0)):
     """Log-linear least-squares slope of `values` over the window (fractions
-    of the final time). Points below floor_ratio * values[0] are dropped
+    of the final time). Points below 1e-11 * values[0] are dropped
     (double-precision floor of the weighted trace). Returns (rate, n_points);
     rate is positive for decay.
     """
@@ -361,7 +361,7 @@ def fit_decay_rate(times, values, window=(0.1, 1.0), floor_ratio=1e-11):
     t_final = times[-1]
     lo, hi = window[0] * t_final, window[1] * t_final
     keep = (times >= lo - 1e-12) & (times <= hi + 1e-12)
-    keep &= values > max(values[0] * floor_ratio, 0.0)
+    keep &= values > max(values[0] * 1e-11, 0.0)
     if keep.sum() < 5:
         return float("nan"), int(keep.sum())
     t = times[keep]
@@ -484,7 +484,7 @@ class ErrorRateReport:
 
 
 def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0,
-                          solver=None, code=None, logicals=None):
+                          solver=None, code=None):
     """The on/off photon-loss experiment.
 
     Both runs start from the |0> codeword projector and integrate to
@@ -511,7 +511,7 @@ def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0,
     kappa1 = epsilon / 5.0 if kappa1 is None else float(kappa1)
     code = code or build_code(params)
     base = stabilizer_model(code)
-    logicals = logicals or logical_operators(base, code)
+    logicals = logical_operators(base, code)
 
     rho0 = np.outer(code.codewords[0], code.codewords[0].conj())
     if kappa1 > 0:

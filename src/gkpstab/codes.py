@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGapError, DimensionError, InvalidInputError, QuadratureGridError
+from .errors import DegenerateGapError, DimensionError, InvalidInputError
 from .fock import hermitian_part, make_quadratures, matrix_exponential, rotate, twirl
 from .hermite import hermite_functions
 
@@ -69,10 +69,6 @@ class GkpParams:
     def certified(self):
         """Hypotheses of the exponential-convergence certificate."""
         return _in_certified_window(self.epsilon, self.eta)
-
-    @property
-    def codespace_dim(self):
-        return {"qubit": 2, "sensor": 1}.get(self.lattice)
 
 
 def _reduced_trig(epsilon, eta):
@@ -213,7 +209,7 @@ def _comb_on_grid(q, spacing, w2, k_max, cosh_eps, tanh_eps, parity):
     return psi
 
 
-def build_codewords(params, grid_halfwidth=None):
+def build_codewords(params):
     """Fock-coefficient vectors of the finite-energy codewords.
 
     The position-space wavefunctions (Gaussian combs of width sqrt(tanh eps),
@@ -223,8 +219,8 @@ def build_codewords(params, grid_halfwidth=None):
     odd comb orthogonalized against it; the sensor lattice yields one vector.
     The odd Fock coefficients are exactly zero.
 
-    Raises QuadratureGridError when the grid extent drops more than 1e-12 of
-    the Gaussian weight.
+    The grid ends one spacing past the last peak, so the weight it drops is
+    below 2 sum_{j >= k_max} exp(-2 w2 j^2) < 1e-27 (w2 k_max^2 >= 14 ln 10).
     """
     if params.epsilon == 0:
         raise ValueError("codewords need epsilon > 0 (zero-width combs are not normalizable)")
@@ -232,15 +228,7 @@ def build_codewords(params, grid_halfwidth=None):
     th = math.tanh(params.epsilon)
     ch = math.cosh(params.epsilon)
 
-    halfwidth = (k_max + 1) * spacing if grid_halfwidth is None else float(grid_halfwidth)
-    # weight outside the grid: peaks at |j| > (halfwidth/spacing - 1), amplitude^2 summed
-    j_edge = max(int(halfwidth / spacing) - 1, 0)
-    dropped = 2.0 * sum(math.exp(-2.0 * w2 * j * j) for j in range(j_edge + 1, k_max + 8))
-    if dropped > 1e-12:
-        raise QuadratureGridError(
-            f"grid halfwidth {halfwidth:.2f} drops comb weight {dropped:.2e} "
-            "(budget 1e-12); widen the grid"
-        )
+    halfwidth = (k_max + 1) * spacing
 
     step = min(math.sqrt(th) / 8.0, 0.02)
     npts = int(math.ceil(2.0 * halfwidth / step)) + 1

@@ -21,10 +21,6 @@ class OperatorOverflowError(GkpStabError, ArithmeticError):
     """Matrix exponential (or a derived operator) overflowed double precision."""
 
 
-class QuadratureGridError(GkpStabError, ValueError):
-    """Position grid too small for the requested comb: dropped weight above budget."""
-
-
 class DegenerateGapError(GkpStabError, RuntimeError):
     """Kernel candidates are not separated from the rest of the spectrum."""
 

@@ -53,7 +53,7 @@ import math
 import numpy as np
 
 from .fock import rotate
-from .ode import FIRST_STEP, MAX_STEPS, _drive
+from .ode import _drive
 
 
 def _phi123(z):
@@ -340,17 +340,16 @@ class SplitPropagator:
         n4 = self.apply_jump(e_h * xb + h * (a41 * n1 + a43 * n3))
         return e_h * xb + h * (b1 * n1 + b23 * (n2 + n3) + b4 * n4)
 
-    def run(self, x0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
-            on_record=None, h0=FIRST_STEP, max_steps=MAX_STEPS):
+    def run(self, x0, t_final, rtol=1e-8, atol=1e-10, record_times=(), on_record=None):
         """Adaptive propagation by step doubling with local extrapolation.
 
         Each attempt of ode._drive takes one step of size h and two of size
         h/2; their difference over 15 is the Richardson error estimate and
         the extrapolated value propagates. The full step and the first half
-        step share their first stage, which a rejected attempt keeps for the
-        retry, so an attempt costs 11 jump applications (10 on a retry).
-        ode._drive owns the step policy: it starts from h0, spends at most
-        max_steps attempts and measures the error estimate and the states
+        step share their first stage, so an attempt costs 11 jump
+        applications, a retry after a rejection included. ode._drive owns
+        the step policy: it starts from ode.FIRST_STEP, spends at most
+        ode.MAX_STEPS attempts and measures the error estimate and the states
         in _max_modulus, the max |X_ij| of the state a carrier holds. A forward
         propagator rescales every accepted state to the initial trace, which
         the exact forward flow conserves (the adjoint flow does not conserve
@@ -359,23 +358,19 @@ class SplitPropagator:
         and of carried blocks. Record times are hit exactly by ode._drive's
         record policy: equal steps up to each record time, none longer than
         h / ode.SAFETY, and no reset of the step after landing on one.
-        The rescale is needed: without it the trace drifts by 1.2e-7 over a
-        criterion-4 decay trial (eps = 0.1, dim 200, seeds 1-3, 187 accepted
-        steps) and by 3.7e-7 over the criterion-7 protected run, both above
-        the 1e-8 trace gates, so it stays until a trace-exact scheme exists.
+        The rescale is needed: without it the trace drifts by 9.8e-8 to
+        1.0e-7 over a criterion-4 decay trial (eps = 0.1, dim 200, seeds
+        1000-3000, 168-169 accepted steps) and by 4.2e-7 over the
+        criterion-7 protected run, both above the 1e-8 trace gates, so it
+        stays until a trace-exact scheme exists.
         """
         jumps_before = self.n_jumps
         xb = self.to_basis(x0)
         target_trace = self._trace(xb)
         trace_defect = 0.0
-        n1 = n1_of = None
 
         def attempt(xb, h):
-            nonlocal n1, n1_of
-            # _drive passes a new array after an accepted step and the same
-            # one again after a rejection
-            if xb is not n1_of:
-                n1, n1_of = self.apply_jump(xb), xb
+            n1 = self.apply_jump(xb)
             big = self.step(xb, h, n1)
             half = self.step(self.step(xb, 0.5 * h, n1), 0.5 * h)
             err = (big - half) / 15.0
@@ -390,9 +385,8 @@ class SplitPropagator:
         record = None if on_record is None else (lambda t, xb: on_record(t, self.from_basis(xb)))
         xb, stats = _drive(
             attempt, self._max_modulus, xb, t_final, rtol, atol, record_times,
-            exponent=0.25, max_growth=4.0, h=float(h0),
-            on_accept=None if self.adjoint else renormalize, on_record=record,
-            max_steps=max_steps)
+            exponent=0.25, max_growth=4.0,
+            on_accept=None if self.adjoint else renormalize, on_record=record)
         stats["n_jumps"] = self.n_jumps - jumps_before
         stats["trace_defect"] = float(abs(trace_defect))
         stats["blocks"] = len(self._layout)

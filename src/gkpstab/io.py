@@ -76,22 +76,10 @@ def format_float(x):
 
 def trajectory_csv_text(traj):
     """Fixed-column CSV for one trajectory; absent observables become nan."""
-    recs = traj.records
-    n = len(traj.times)
-    cols = {
-        "t": traj.times,
-        "trace": recs.get("trace", np.full(n, np.nan)),
-        "TrW": recs.get("lyapunov", np.full(n, np.nan)),
-        "jx": recs.get("jx", np.full(n, np.nan)),
-        "jy": recs.get("jy", np.full(n, np.nan)),
-        "jz": recs.get("jz", np.full(n, np.nan)),
-        "nbar": recs.get("nbar", np.full(n, np.nan)),
-    }
-    buf = _io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
-    for i in range(n):
-        buf.write(",".join(format_float(cols[c][i]) for c in CSV_COLUMNS) + "\n")
-    return buf.getvalue()
+    missing = np.full(len(traj.times), np.nan)
+    cols = [traj.times] + [traj.records.get(name, missing)
+                           for name in ("trace", "lyapunov", "jx", "jy", "jz", "nbar")]
+    return table_csv_text(CSV_COLUMNS, zip(*cols))
 
 
 def write_trajectory_csv(path, traj):

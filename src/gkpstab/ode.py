@@ -61,14 +61,16 @@ def _drive(attempt, norm, y, t_final, rtol, atol, record_times, exponent, max_gr
            diagnostics=None):
     """Adaptive march from t=0 to t_final, stopping exactly at each record time.
 
-    attempt(y, h) returns (candidate, error_estimate) for a step of size h
-    from y; after a rejection it is called again with the same y object.
+    h is the first step and max_steps the budget of attempts; both backends
+    keep the defaults. attempt(y, h) returns (candidate, error_estimate) for
+    a step of size h from y; after a rejection it is called again with the
+    same y object.
     norm measures a state. The step is accepted iff norm(error_estimate) <=
     atol + rtol * max(norm(y), norm(candidate)); a non-finite error retreats
     to h/4 and counts as a rejection. on_accept(y) is called with every
     accepted candidate and may modify it in place; on_record(t, y) fires at
-    every record time and at t_final (and at t=0 when 0 is among
-    record_times).
+    every record time and at t_final (and at t=0 when 0.0 is among
+    record_times), with t equal to that time bitwise.
 
     The record policy: from t, with the proposal h, the distance r to the
     next record time is taken in ceil(SAFETY * r / h) equal steps, the
@@ -90,7 +92,7 @@ def _drive(attempt, norm, y, t_final, rtol, atol, record_times, exponent, max_gr
     record = sorted(set(float(tr) for tr in record_times if 0.0 < tr <= t_final))
     if not record or record[-1] < t_final:
         record.append(t_final)
-    if on_record is not None and any(np.isclose(tr, 0.0) for tr in record_times):
+    if on_record is not None and 0.0 in record_times:
         on_record(0.0, y)
     suffix = f"; {diagnostics}" if diagnostics else ""
     n_accept = n_reject = 0
@@ -140,7 +142,7 @@ def _drive(attempt, norm, y, t_final, rtol, atol, record_times, exponent, max_gr
 
 
 def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
-              on_record=None, max_steps=MAX_STEPS, diagnostics=None):
+              on_record=None, diagnostics=None):
     """Integrate the autonomous y' = f(y) for a Hermitian matrix y from t=0
     to t_final with the Dormand-Prince pair, stopping exactly at each record
     time.
@@ -150,18 +152,16 @@ def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
     is the Hermitian part of the 5th-order solution y5. The seventh stage is
     f(y5), so the Hermitian part of it is f at the accepted state, the first
     stage of the next attempt (first same as last); a retry after a
-    rejection keeps its own first stage. on_record(t, y) fires at every
-    record time and at t_final. Raises StepSizeUnderflowError as described
-    in _drive. Returns _drive's stats plus "n_rhs", the number of
-    evaluations of f: six per attempt, plus one for the initial state.
+    rejection evaluates its first stage again. on_record(t, y) fires at
+    every record time and at t_final. Raises StepSizeUnderflowError as
+    described in _drive. Returns _drive's stats plus "n_rhs", the number of
+    evaluations of f: six per attempt, one more per retry, and one for the
+    initial state.
     """
     y = np.asarray(y0)
     y = 0.5 * (y + y.conj().T)
     n_rhs = 0
-    # (state, f(state)) for the state a retry starts from and for the
-    # candidate of the last attempt; an acceptance drops the first pair, and
-    # the next attempt keeps the one it needs
-    first = []
+    last = (None, None)  # the last attempt's candidate and f at it
 
     def counted(y):
         nonlocal n_rhs
@@ -169,24 +169,20 @@ def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
         return f(y)
 
     def attempt(y, h):
-        k1 = next((k for x, k in first if x is y), None)
-        first.clear()
-        k = [counted(y) if k1 is None else k1]
+        nonlocal last
+        k = [last[1] if last[0] is y else counted(y)]
+        last = (None, None)
         for i in range(1, 7):
             k.append(counted(y + h * sum(aij * k[j] for j, aij in enumerate(_A[i]))))
         y5 = y + h * sum(b * k[i] for i, b in enumerate(_B5) if b != 0.0)
         err = h * sum(e * k[i] for i, e in enumerate(_ERR) if e != 0.0)
         candidate = 0.5 * (y5 + y5.conj().T)
         del y5  # free before the next first stage is formed
-        first.extend([(y, k[0]), (candidate, 0.5 * (k[6] + k[6].conj().T))])
+        last = (candidate, 0.5 * (k[6] + k[6].conj().T))
         return candidate, err
-
-    def accepted(y):
-        del first[0]
 
     _, stats = _drive(
         attempt, max_abs, y, t_final, rtol, atol, record_times, exponent=0.2,
-        max_growth=5.0, on_accept=accepted, on_record=on_record, max_steps=max_steps,
-        diagnostics=diagnostics)
+        max_growth=5.0, on_record=on_record, diagnostics=diagnostics)
     stats["n_rhs"] = n_rhs
     return stats

@@ -10,24 +10,6 @@ from gkpstab import (
 from gkpstab.codes import ETA_SENSOR
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--longrun",
-        action="store_true",
-        default=False,
-        help="run the optional long tiers (epsilon <= 1/20)",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--longrun"):
-        return
-    skip = pytest.mark.skip(reason="long tier: pass --longrun to enable")
-    for item in items:
-        if "longrun" in item.keywords:
-            item.add_marker(skip)
-
-
 # --- small, rule-compliant parameter set for fast functional tests ---------
 
 @pytest.fixture(scope="session")

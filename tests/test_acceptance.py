@@ -3,8 +3,8 @@ PASS/FAIL line with the measured values (run with -s to see them live).
 
 Shared heavy objects (the eps=0.1/dim=200 code, its logical operators) come
 from session fixtures in conftest.py. Criteria 4 and 7 integrate production
-trajectories and are marked slow (still run by default); the eps=1/20 and
-eps=1/30 tiers of criterion 7 are optional and sit behind --longrun.
+trajectories and are marked slow (still run by default), as are the
+eps=1/20 and eps=1/30 tiers of criterion 7.
 """
 
 import math
@@ -139,8 +139,8 @@ def test_criterion_6_operator_inequality():
 
 
 @pytest.fixture(scope="module")
-def fig_experiment(code200, logicals200):
-    return error_rate_experiment(0.1, dim=200, code=code200, logicals=logicals200)
+def fig_experiment(code200):
+    return error_rate_experiment(0.1, dim=200, code=code200)
 
 
 @pytest.mark.slow
@@ -245,7 +245,7 @@ def test_criterion_7_off_rate_matches_loss_rate(fig_experiment, code200, logical
     assert rate_dev <= 1e-8 * r.kappa1, f"off_rate {r.off_rate:.6e} vs {expected_rate:.6e}"
 
 
-@pytest.mark.longrun
+@pytest.mark.slow
 def test_criterion_7_long_tier_eps_1_20():
     r = error_rate_experiment(1.0 / 20.0, dim=400)
     ok = 27.0 <= r.suppression_ratio <= 240.0
@@ -253,7 +253,7 @@ def test_criterion_7_long_tier_eps_1_20():
     assert ok
 
 
-@pytest.mark.longrun
+@pytest.mark.slow
 def test_criterion_7_long_tier_eps_1_30():
     r = error_rate_experiment(1.0 / 30.0, dim=600)
     ok = 300.0 <= r.suppression_ratio <= 3000.0

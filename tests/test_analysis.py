@@ -194,8 +194,8 @@ def test_fit_decay_rate_recovers_synthetic():
 def test_fit_decay_rate_floor_guard():
     t = np.linspace(0.0, 10.0, 101)
     vals = 3.0 * np.exp(-0.5 * t)
-    vals[60:] = 1e-13  # saturated tail below the floor
-    rate, n = fit_decay_rate(t, vals, floor_ratio=1e-11)
+    vals[60:] = 1e-13  # saturated tail below the 1e-11 floor
+    rate, n = fit_decay_rate(t, vals)
     assert n < 70
     assert rate == pytest.approx(0.5, rel=1e-6)
 
@@ -322,7 +322,7 @@ def truncation_convergence_check(epsilon, eta=ETA_QUBIT, dim=None, factor=1.5):
     )
     gap_small = np.linalg.eigvalsh(build_lyapunov(build_dissipators(params)))
     gap_big = np.linalg.eigvalsh(build_lyapunov(build_dissipators(big)))
-    n_kernel = params.codespace_dim
+    n_kernel = len(small_words)  # one kernel vector per codeword
     gap_shift = abs(float(gap_small[n_kernel]) - float(gap_big[n_kernel]))
     return {"coefficient_deviation": coeff_dev, "gap_shift": gap_shift,
             "dim": params.dim, "dim_big": big.dim}

@@ -8,7 +8,6 @@ from gkpstab import (
     DimensionError,
     GkpParams,
     InvalidInputError,
-    QuadratureGridError,
     build_code,
     build_codewords,
     build_conjugated_quadratures,
@@ -252,11 +251,6 @@ def test_mean_photon_number_tracks_inverse_eps():
     target = 5.0
     for w in code.codewords:
         assert abs(mean_photon_number(w) - target) <= 0.3 * target
-
-
-def test_quadrature_grid_guard(small_code):
-    with pytest.raises(QuadratureGridError):
-        build_codewords(small_code.params, grid_halfwidth=2.0)
 
 
 def test_codewords_reject_eps_zero():

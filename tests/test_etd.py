@@ -7,12 +7,14 @@ against high-precision arithmetic, the real Kraus form against the complex
 channel operators, and the jump counts against the stage structure.
 """
 
+import functools
+
 import mpmath
 import numpy as np
 import pytest
 
 from gkpstab import GkpParams, build_code, build_dissipators
-from gkpstab import etd
+from gkpstab import etd, ode
 from gkpstab.etd import SplitPropagator, _phi123
 from gkpstab.analysis import random_density_matrix
 from gkpstab.codes import ETA_SENSOR
@@ -267,7 +269,7 @@ def test_non_hermitian_jump_maps_the_hermitian_part(tiny_model):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_run_counts_jump_applications(tiny_model):
+def test_run_counts_jump_applications(tiny_model, monkeypatch):
     dim, vs = tiny_model
     prop = SplitPropagator(vs, [1.0] * len(vs))
     calls = []
@@ -279,13 +281,14 @@ def test_run_counts_jump_applications(tiny_model):
     xb = prop.to_basis(rho0)
     assert np.array_equal(prop.step(xb, 0.1, prop.apply_jump(xb)), prop.step(xb, 0.1))
 
-    # an oversized first step forces rejections: an attempt costs 11 jump
-    # applications, a retry keeps its first stage and costs 10
+    # an oversized first step forces rejections: every attempt, a retry
+    # included, costs 11 jump applications
     calls.clear()
-    _, stats = prop.run(rho0, 1.0, rtol=1e-9, atol=1e-12, h0=1.0)
+    monkeypatch.setattr(etd, "_drive", functools.partial(ode._drive, h=1.0))
+    _, stats = prop.run(rho0, 1.0, rtol=1e-9, atol=1e-12)
     assert stats["n_reject"] >= 1
     assert stats["n_jumps"] == len(calls)
-    assert stats["n_jumps"] == 11 * stats["n_accept"] + 10 * stats["n_reject"]
+    assert stats["n_jumps"] == 11 * (stats["n_accept"] + stats["n_reject"])
 
     # the residual's jump is the next step's first stage: 4 per step, plus 1
     adj = SplitPropagator(vs, [1.0] * len(vs), adjoint=True)
@@ -302,8 +305,9 @@ def test_attempt_evaluates_three_phi_tables(tiny_model, monkeypatch):
     prop = SplitPropagator(vs, [1.0] * len(vs))
     args = []
     monkeypatch.setattr(etd, "_phi123", lambda z: args.append(z) or _phi123(z))
+    monkeypatch.setattr(etd, "_drive", functools.partial(ode._drive, h=0.01))
     _, stats = prop.run(random_density_matrix(dim, np.random.default_rng(11)), 0.01,
-                        h0=0.01, rtol=1e-3, atol=1e-3)
+                        rtol=1e-3, atol=1e-3)
     assert (stats["n_accept"], stats["n_reject"]) == (1, 0)
     assert len(args) == 3
     for z, s in zip(args, (0.01, 0.005, 0.0025)):
