@@ -5,7 +5,7 @@ Starting from the |0> codeword with loss rate kappa1 = eps/5 (one photon
 lifetime per horizon), the logical Z expectation Tr(J_z rho(t)) is tracked
 against the stationary logical observables of the noiseless dynamics. The
 "on" run adds the four stabilizing dissipators; the "off" run has the loss
-channel alone.
+channel alone, which the library evaluates in closed form.
 
 This is the desk-size version (eps = 0.14). The production tier (eps = 0.1,
 dim = 200) lives in the acceptance suite; tiers at eps = 1/20 and 1/30

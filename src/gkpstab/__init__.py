@@ -57,6 +57,7 @@ from .lindblad import (
     evolve,
     lindblad_rhs,
     logical_operators,
+    pure_loss_trajectory,
     stabilizer_model,
 )
 

@@ -40,6 +40,7 @@ from .lindblad import (
     adjoint_rhs,
     evolve,
     logical_operators,
+    pure_loss_trajectory,
     stabilizer_model,
 )
 
@@ -443,7 +444,8 @@ class ErrorRateReport:
 
     on/off follow kappa1 * (1 - Tr(J_z rho(1/kappa1))); fitted_* are
     log-linear rates of the Tr(J_z rho(t)) records over the full grid.
-    traj_on/traj_off hold the full Trajectory objects for CSV export.
+    traj_on/traj_off hold the full Trajectory objects for CSV export;
+    traj_off is closed-form (meta["method"] "closed_form"), None at kappa1 = 0.
 
     off_rate is a one-point estimator on a non-exponential decay and is not
     expected to equal kappa1. The "off" run is the pure-loss channel with
@@ -487,9 +489,10 @@ def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0,
                           solver=None, code=None):
     """The on/off photon-loss experiment.
 
-    Both runs start from the |0> codeword projector and integrate to
-    t_f = 1/kappa1: "on" under the four stabilizing dissipators plus the
-    loss channel (a, kappa1), "off" under the loss channel alone. The
+    Both runs start from the |0> codeword projector and go to
+    t_f = 1/kappa1: "on" integrates the four stabilizing dissipators plus
+    the loss channel (a, kappa1); "off" is the loss channel alone, in closed
+    form (pure_loss_trajectory on the codeword as a rank-1 factor). The
     logical observables are computed once from the noiseless model and both
     trajectories are scored against them. kappa1=0 runs the stabilized model
     alone over five decay times (steady-state control).
@@ -513,15 +516,14 @@ def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0,
     base = stabilizer_model(code)
     logicals = logical_operators(base, code)
 
-    rho0 = np.outer(code.codewords[0], code.codewords[0].conj())
+    zero = code.codewords[0]
+    rho0 = np.outer(zero, zero.conj())
     if kappa1 > 0:
         t_final = 1.0 / kappa1
         on_model = base.with_photon_loss(kappa1)
-        off_model = LindbladModel((on_model.channels[-1],))
     else:
         t_final = 5.0 / convergence_rate(epsilon).value
         on_model = base
-        off_model = None
     record = np.linspace(0.0, t_final, n_records)
     solver = solver or SolverOptions()
     spec = ObservableSpec(lyapunov=code.lyapunov, logicals=logicals, photon_number=True)
@@ -530,9 +532,8 @@ def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0,
                      options=solver, observables=spec)
     jz_on = traj_on.column("jz")
     traj_off = None
-    if off_model is not None:
-        traj_off = evolve(off_model, rho0, t_final, record_times=record,
-                          options=solver, observables=spec)
+    if kappa1 > 0:
+        traj_off = pure_loss_trajectory(zero[:, None], kappa1, record, observables=spec)
         jz_off = traj_off.column("jz")
     else:
         jz_off = np.ones_like(jz_on)

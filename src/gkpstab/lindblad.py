@@ -1,25 +1,21 @@
-"""Lindblad master equation: right-hand sides, time integration, stationary
-logical observables, and Bloch coordinates.
+"""Lindblad master equation: right-hand sides, time integration, the
+closed-form photon-loss channel, stationary logical observables, and Bloch
+coordinates.
 
 The Hamiltonian is identically zero throughout; dynamics is a sum of
 dissipation channels (operator, rate). Two integration backends sit behind
 evolve(), both driven by the one adaptive step loop in ode.py: the explicit
-Dormand-Prince 5(4) pair, and an exponential integrator that treats the stiff
-drift exactly (see etd.py). evolve() picks the backend from the model and
-the horizon alone: the stabilizer channels make the truncated generator
-stiff (spectral radius ~ ||W||, which grows exponentially with eps*dim), so
-production-size runs take the exponential backend, while a loss-only or
-short run takes the explicit pair.
+Dormand-Prince 5(4) pair, which evaluates lindblad_rhs in dense products,
+and an exponential integrator that treats the stiff drift exactly (see
+etd.py). evolve() picks the backend from the model and the horizon alone:
+the stabilizer channels make the truncated generator stiff (spectral radius
+~ ||W||, which grows exponentially with eps*dim), so production-size runs
+take the exponential backend, while a small or short run takes the explicit
+pair.
 
-The explicit pair evaluates lindblad_rhs, which applies a channel elementwise
-when its operator has all nonzeros on one diagonal (a, a†, powers of a, the
-number operator): the jump is then a weighted diagonal shift of the state,
-and when every channel is of this kind the drift G is diagonal too, so a
-loss-only right-hand side costs O(d²) instead of four dense products. When
-every channel is of this kind with real entries (model.keeps_real), a real
-state keeps zero imaginary part for all time, so evolve() runs the explicit
-pair on it in real arithmetic: the same states bitwise, at half the memory
-traffic.
+Photon loss alone needs no integrator: pure_loss_trajectory records the
+amplitude-damping channel in closed form, from a factor of the initial
+state, through the same recorder as evolve().
 """
 
 import warnings
@@ -49,6 +45,7 @@ __all__ = [
     "lindblad_rhs",
     "adjoint_rhs",
     "evolve",
+    "pure_loss_trajectory",
     "logical_operators",
     "bloch_coordinates",
 ]
@@ -91,41 +88,6 @@ class LindbladModel:
         """G = sum_k r_k A_k†A_k / 2, built on first use."""
         return sum(r * (op.conj().T @ op) for op, r in zip(self.operators, self.rates)) / 2.0
 
-    @cached_property
-    def bands(self):
-        """The one-diagonal channels, for lindblad_rhs; built on first use.
-
-        Returns (per_channel, g_diag). per_channel[i] is (offset, weight)
-        when every nonzero of the i-th operator A lies on one diagonal,
-        A[i, i + offset] (a: +1, a†: -1, a^m: +m, n: 0), and None otherwise;
-        weight is r v v^H with v = np.diagonal(A, offset), real when v is.
-        Then A†A is diagonal, so when every channel has one offset G is the
-        diagonal g_diag; otherwise g_diag is None.
-        """
-        per_channel, g_diag = [], np.zeros(self.dim)
-        for op, r in zip(self.operators, self.rates):
-            rows, cols = np.nonzero(op)
-            offsets = np.unique(cols - rows)
-            if offsets.size != 1:
-                per_channel.append(None)
-                g_diag = None
-                continue
-            k = int(offsets[0])
-            v = np.diagonal(op, k)
-            if not v.imag.any():
-                v = v.real
-            per_channel.append((k, r * np.outer(v, v.conj())))
-            if g_diag is not None:
-                # (A†A)_mm = |A[m - k, m]|²
-                g_diag[max(k, 0):self.dim + min(k, 0)] += 0.5 * r * np.abs(v) ** 2
-        return per_channel, g_diag
-
-    @cached_property
-    def keeps_real(self):
-        """True when lindblad_rhs maps a real state to a real one: every
-        channel is one-diagonal (G is the real g_diag) with real entries."""
-        return self.bands[1] is not None and not any(op.imag.any() for op in self.operators)
-
     def with_channel(self, op, rate):
         """New model with one channel appended."""
         return LindbladModel(self.channels + ((np.asarray(op, dtype=complex), float(rate)),))
@@ -150,37 +112,14 @@ def _check_same_dim(model, rho):
 
 
 def lindblad_rhs(model, rho):
-    """sum_k r_k A rho A† - (G rho + rho G). Traceless by construction.
-
-    A channel whose operator has all its nonzeros on one diagonal offset k
-    (model.bands: a, a†, powers of a, n) is applied elementwise, as the
-    shift (A rho A†)_ij = v_i conj(v_j) rho_{i+k, j+k} with v the diagonal
-    of A; and when every channel is one-diagonal, G is diagonal and the
-    drift is -(g_i + g_j) rho_ij. A loss-only model therefore costs O(d²)
-    a call. Any other channel, and the drift of a model that has one, use
-    dense products. A real rho is taken complex unless model.keeps_real.
-    """
-    rho = _check_same_dim(model, rho)
-    if not model.keeps_real:
-        rho = rho.astype(complex, copy=False)
-    bands, g_diag = model.bands
-    if g_diag is None:
-        g = model.drift
-        out = -(g @ rho + rho @ g)
-    else:
-        out = -(g_diag[:, None] + g_diag[None, :]) * rho
-    d = model.dim
-    for (op, rate), band in zip(model.channels, bands):
-        if rate == 0.0:
-            continue
-        if band is None:
+    """sum_k r_k A rho A† - (G rho + rho G), in dense products. Traceless by
+    construction; a real rho is taken complex."""
+    rho = _check_same_dim(model, rho).astype(complex, copy=False)
+    g = model.drift
+    out = -(g @ rho + rho @ g)
+    for op, rate in model.channels:
+        if rate != 0.0:
             out += rate * (op @ rho @ op.conj().T)
-            continue
-        k, weight = band
-        if k >= 0:
-            out[:d - k, :d - k] += weight * rho[k:, k:]
-        else:
-            out[-k:, -k:] += weight * rho[:d + k, :d + k]
     return out
 
 
@@ -231,11 +170,12 @@ class Trajectory:
 
     records maps column name -> array aligned with times. Columns always
     include "trace"; "lyapunov", "nbar", "jx", "jy", "jz" appear per spec.
-    meta holds the backend's stats: "method", "n_accept", "n_reject", the
-    smallest and largest accepted step "h_min" and "h_max", and "h_final",
-    plus "n_rhs" (right-hand side evaluations, 6 per attempt + 1 per
-    rejection + 1) from the rk45 backend and "n_jumps" (11 per attempt),
-    "trace_defect" and "blocks" from the etd4 backend
+    meta["method"] is "closed_form" from pure_loss_trajectory, with only
+    "rank" (the columns of its factor), or evolve()'s backend, "rk45" or
+    "etd4", with its stats: "n_accept", "n_reject", the smallest and largest
+    accepted step "h_min" and "h_max", and "h_final", plus "n_rhs"
+    (right-hand side evaluations, 6 per attempt + 1 per rejection + 1) from
+    rk45 and "n_jumps" (11 per attempt), "trace_defect" and "blocks" from etd4
     ("blocks" counts the n mod 4 blocks of the state the run carried: 16
     for a generic complex state and 10 for a generic real one, 8 for a
     complex parity-even one and 6 for a real one such as a codeword
@@ -252,59 +192,24 @@ class Trajectory:
         return np.asarray(self.records[name])
 
 
-# evolve integrates with the explicit pair while its stability-limited step
-# count stays at or below this, and with the exponential integrator beyond
-MAX_EXPLICIT_STEPS = 50_000
-
-
-def evolve(model, rho0, t_final, record_times=None, options=None, observables=None):
-    """Integrate the master equation and record observables.
-
-    record_times defaults to 201 evenly spaced points, 0 and t_final
-    included. Rows and snapshots are kept at exactly the record and snapshot
-    times in [0, t_final]. rho0 must be Hermitian to 1e-10 (InvalidInputError
-    otherwise); both backends integrate its Hermitian part. The backend is
-    "rk45" when the explicit pair's stability-limited step count, estimated
-    from ||G||_1, is at most MAX_EXPLICIT_STEPS, and "etd4" otherwise; the
-    choice is stored in meta["method"]. On "rk45" a rho0 with zero
-    imaginary part under one-diagonal real channels (model.keeps_real: a
-    loss-only model, say) is integrated in real arithmetic, which gives the complex run's
-    states bitwise; snapshots are complex either way. Accepted states are
-    exactly Hermitian on both backends: the explicit pair keeps the
-    Hermitian part of each step, and the exponential backend carries
-    Hermitian states by construction and rescales the trace to its initial
-    value. Emits
-    PositivityWarning if the state acquires an eigenvalue below
-    -positivity_tol at a record point.
-    """
-    options = options or SolverOptions()
-    observables = observables or ObservableSpec()
-    rho0 = _check_same_dim(model, rho0).astype(complex, copy=False)
-    if not np.isfinite(rho0).all():
-        raise InvalidInputError("initial state has non-finite entries")
-    herm = np.abs(rho0 - rho0.conj().T).max()
-    if herm > 1e-10:
-        raise InvalidInputError(f"initial state Hermiticity defect {herm:.3e} beyond 1e-10")
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
-    if record_times is None:
-        record_times = np.linspace(0.0, t_final, 201)
+def _recorder(observables, record_times, dim):
+    """(stops, on_record, finish): the sorted record and snapshot times;
+    on_record(t, rho), which keeps a complex snapshot and a row of
+    observables when t is exactly a snapshot and a record time, and warns
+    once from the positivity monitor; finish(meta) -> Trajectory."""
     record_set = set(float(t) for t in record_times)
     snapshot_times = set(float(t) for t in observables.snapshot_times)
-    all_stops = sorted(record_set | snapshot_times)
-
     times, recs, snaps = [], {"trace": []}, {}
     if observables.lyapunov is not None:
         recs["lyapunov"] = []
     if observables.photon_number:
         recs["nbar"] = []
-        n_op_diag = np.arange(model.dim)
+        n_op_diag = np.arange(dim)
     if observables.logicals is not None:
         recs.update({"jx": [], "jy": [], "jz": []})
     warned = [False]
 
     def on_record(t, rho):
-        # ode._drive lands on every stop bitwise
         if t in snapshot_times:
             snaps[t] = rho.astype(complex)
         if t not in record_set:
@@ -329,6 +234,54 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
                     PositivityWarning,
                 )
 
+    def finish(meta):
+        return Trajectory(
+            times=np.asarray(times),
+            records={k: np.asarray(v) for k, v in recs.items()},
+            snapshots=snaps,
+            meta=meta,
+        )
+
+    return sorted(record_set | snapshot_times), on_record, finish
+
+
+# evolve integrates with the explicit pair while its stability-limited step
+# count stays at or below this, and with the exponential integrator beyond
+MAX_EXPLICIT_STEPS = 50_000
+
+
+def evolve(model, rho0, t_final, record_times=None, options=None, observables=None):
+    """Integrate the master equation and record observables.
+
+    record_times defaults to 201 evenly spaced points, 0 and t_final
+    included. Rows and snapshots are kept at exactly the record and snapshot
+    times in [0, t_final]. rho0 must be Hermitian to 1e-10 (InvalidInputError
+    otherwise); both backends integrate its Hermitian part, in complex
+    arithmetic. The backend is "rk45" when the explicit pair's
+    stability-limited step count, estimated from ||G||_1, is at most
+    MAX_EXPLICIT_STEPS, and "etd4" otherwise; the choice is stored in
+    meta["method"]. Accepted states are exactly Hermitian on both backends:
+    the explicit pair keeps the Hermitian part of each step, and the
+    exponential backend carries Hermitian states by construction and
+    rescales the trace to its initial value. Emits PositivityWarning if the
+    state acquires an eigenvalue below -positivity_tol at a record point.
+    Photon loss alone has a closed form; see pure_loss_trajectory.
+    """
+    options = options or SolverOptions()
+    observables = observables or ObservableSpec()
+    rho0 = _check_same_dim(model, rho0).astype(complex, copy=False)
+    if not np.isfinite(rho0).all():
+        raise InvalidInputError("initial state has non-finite entries")
+    herm = np.abs(rho0 - rho0.conj().T).max()
+    if herm > 1e-10:
+        raise InvalidInputError(f"initial state Hermiticity defect {herm:.3e} beyond 1e-10")
+    if t_final <= 0:
+        raise ValueError("t_final must be positive")
+    if record_times is None:
+        record_times = np.linspace(0.0, t_final, 201)
+    # ode._drive lands on every stop bitwise
+    stops, on_record, finish = _recorder(observables, record_times, model.dim)
+
     # ||G||_1 bounds the spectral radius of the Hermitian drift G; the
     # spectrum of L reaches ~ -2||G|| and the explicit 5(4) pair is stable
     # for steps up to ~3.3/|lambda|
@@ -337,11 +290,11 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
     if method == "rk45":
         stats = ode.integrate(
             lambda y: lindblad_rhs(model, y),
-            rho0.real if model.keeps_real and not rho0.imag.any() else rho0,
+            rho0,
             t_final,
             rtol=options.rtol,
             atol=options.atol,
-            record_times=all_stops,
+            record_times=stops,
             on_record=on_record,
             diagnostics=f"drift norm ||G||_1 = {g_norm:.3e}",
         )
@@ -352,16 +305,55 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
             t_final,
             rtol=options.rtol,
             atol=options.atol,
-            record_times=all_stops,
+            record_times=stops,
             on_record=on_record,
         )
     stats["method"] = method
-    return Trajectory(
-        times=np.asarray(times),
-        records={k: np.asarray(v) for k, v in recs.items()},
-        snapshots=snaps,
-        meta=stats,
-    )
+    return finish(stats)
+
+
+def pure_loss_trajectory(factor, rate, record_times, observables=None):
+    """Photon loss alone, the channel (a, rate), in closed form from
+    rho0 = Y0 Y0† for the d x r factor Y0: the trajectory evolve() would
+    integrate for that one-channel model.
+
+    Loss for a time t is the amplitude-damping channel with Kraus operators
+    E_k = sum_m c_k(m) |m><m+k|, where c_k(m)² = C(m+k, k) T^m (1-T)^k with
+    T = exp(-rate t) is a binomial probability, formed in log space. It only
+    lowers photon numbers, so it is exact in the truncated space. Column
+    y_j of Y0 gives Phi_j[m, k] = c_k(m) y_j[m+k] and rho(t) = sum_j Phi_j
+    Phi_j†: one d x d product per column and record, real when Y0 is, in
+    O(d²) memory; at t = 0, rho is Y0 Y0†. Rows and snapshots are kept at
+    every record and snapshot time through evolve()'s recorder. meta is
+    {"method": "closed_form", "rank": r}. Raises ValueError on a negative
+    rate or time.
+    """
+    y = np.asarray(factor)
+    if y.ndim != 2:
+        raise ShapeMismatchError(f"factor must be d x r, got shape {y.shape}")
+    if not rate >= 0:
+        raise ValueError(f"loss rate must be non-negative, got {rate}")
+    d, r = y.shape
+    stops, on_record, finish = _recorder(observables or ObservableSpec(), record_times, d)
+    if stops and stops[0] < 0:
+        raise ValueError(f"record and snapshot times must be non-negative, got {stops[0]}")
+
+    def gram(phi):
+        return phi @ phi.conj().T  # conj() of a real array is the array itself
+
+    # log n! for n < 2d - 1; the windows of a zero-padded column are y_j[m + k]
+    log_fact = np.cumsum(np.log(np.maximum(np.arange(2 * d - 1), 1.0)))
+    m, k = np.arange(d)[:, None], np.arange(d)[None, :]
+    half_log_binom = 0.5 * (log_fact[m + k] - log_fact[m] - log_fact[k])
+    padded = np.concatenate([y, np.zeros((d - 1, r), dtype=y.dtype)])
+    for t in stops:
+        if rate * t == 0.0:
+            on_record(t, gram(y))
+            continue
+        c = np.exp(half_log_binom - 0.5 * rate * t * m + 0.5 * np.log(-np.expm1(-rate * t)) * k)
+        on_record(t, sum(gram(c * np.lib.stride_tricks.sliding_window_view(padded[:, j], d))
+                         for j in range(r)))
+    return finish({"method": "closed_form", "rank": r})
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,9 @@ the next proposal is at least h (Hairer, Norsett & Wanner, Solving ODEs I,
 sec. II.4, keep the step proposal across an output point).
 
 Dormand-Prince: the 5th-order solution propagates, the embedded 4th-order
-difference is the error estimate. The state is a dense matrix, real or
-complex as y0 is (a real flow from a real state runs in real arithmetic),
-and the autonomous right-hand side is evaluated in matrix form; no
-superoperator is ever materialized.
+difference is the error estimate. The state is a dense matrix, and the
+autonomous right-hand side is evaluated in matrix form; no superoperator is
+ever materialized.
 """
 
 import math

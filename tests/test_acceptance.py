@@ -25,6 +25,7 @@ from gkpstab import (
     kernel_codewords,
     lindblad_rhs,
     make_ladder,
+    pure_loss_trajectory,
     stabilizer_model,
 )
 from gkpstab.analysis import (
@@ -214,6 +215,28 @@ def test_loss_only_evolve_matches_pure_loss_channel():
     for t, rho in traj.snapshots.items():
         expected = pure_loss_channel(rho0, math.exp(-kappa1 * t))
         assert np.abs(rho - expected).max() <= 1e-8, f"t={t}"
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_closed_form_loss_matches_pure_loss_channel(dtype):
+    # the unprotected arm's closed form, on a rank-3 factor at dim 60,
+    # against the diagonal-shift form above at every record
+    dim, kappa1 = 60, 0.02
+    rng = np.random.default_rng(14)
+    y0 = rng.standard_normal((dim, 3)).astype(dtype)
+    if dtype is complex:
+        y0 += 1j * rng.standard_normal((dim, 3))
+    y0 /= np.linalg.norm(y0)
+    rho0 = y0 @ y0.conj().T
+    record = np.linspace(0.0, 1.0 / kappa1, 11)
+    traj = pure_loss_trajectory(
+        y0, kappa1, record,
+        ObservableSpec(snapshot_times=tuple(record), photon_number=False, positivity_tol=None))
+    assert traj.meta == {"method": "closed_form", "rank": 3}
+    assert len(traj.snapshots) == len(record)
+    for t, rho in traj.snapshots.items():
+        expected = pure_loss_channel(rho0, math.exp(-kappa1 * t))
+        assert np.abs(rho - expected).max() <= 1e-12, f"t={t}"
 
 
 @pytest.mark.slow

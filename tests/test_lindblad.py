@@ -10,6 +10,7 @@ from gkpstab import (
     GkpParams,
     InvalidInputError,
     LindbladModel,
+    LogicalOperators,
     ObservableSpec,
     PositivityWarning,
     ShapeMismatchError,
@@ -24,6 +25,7 @@ from gkpstab import (
     logical_operators,
     make_ladder,
     make_quadratures,
+    pure_loss_trajectory,
     stabilizer_model,
 )
 from gkpstab import lindblad
@@ -56,11 +58,28 @@ def test_rhs_traceless_random_hermitian(rng):
     assert abs(np.trace(lindblad_rhs(model, h))) <= 1e-12 * np.abs(h).max() * dim
 
 
-def _dense_rhs(model, rho):
-    """sum_k r_k A rho A† - (G rho + rho G), every product dense."""
-    jump = sum(r * (op @ rho @ op.conj().T) for op, r in model.channels)
+def _shift_rhs(model, rho):
+    """lindblad_rhs written out apart from it: a channel whose operator A
+    has all its nonzeros on the diagonal offset k is applied as the shift
+    (A rho A†)_ij = v_i conj(v_j) rho_{i+k, j+k}, v = np.diagonal(A, k);
+    any other channel, and the drift, in dense products."""
+    dim = rho.shape[0]
     g = sum(r * (op.conj().T @ op) for op, r in model.channels) / 2.0
-    return jump - (g @ rho + rho @ g)
+    out = -(g @ rho + rho @ g)
+    for op, r in model.channels:
+        rows, cols = np.nonzero(op)
+        offsets = np.unique(cols - rows)
+        if offsets.size != 1:
+            out += r * (op @ rho @ op.conj().T)
+            continue
+        k = int(offsets[0])
+        v = np.diagonal(op, k)
+        weight = r * np.outer(v, v.conj())
+        if k >= 0:
+            out[:dim - k, :dim - k] += weight * rho[k:, k:]
+        else:
+            out[-k:, -k:] += weight * rho[:dim + k, :dim + k]
+    return out
 
 
 def _one_diagonal(dim, k, rng):
@@ -75,30 +94,24 @@ def test_one_diagonal_channels_match_dense_rhs(case):
     rng = np.random.default_rng(77)
     a = make_ladder(dim)
     dense = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    channels, offsets = {
-        "a": ([a], [1]),
-        "a_dag": ([a.conj().T], [-1]),
-        "a2": ([a @ a], [2]),
-        "n": ([np.diag(np.arange(dim)).astype(complex)], [0]),
-        "random+3": ([_one_diagonal(dim, 3, rng)], [3]),
-        "random-2": ([_one_diagonal(dim, -2, rng)], [-2]),
-        "a_and_a_dag": ([a, a.conj().T], [1, -1]),
-        "a_and_dense": ([a, dense], [1, None]),
-        "a_and_real_dense": ([a, dense.real], [1, None]),
+    channels = {
+        "a": [a],
+        "a_dag": [a.conj().T],
+        "a2": [a @ a],
+        "n": [np.diag(np.arange(dim)).astype(complex)],
+        "random+3": [_one_diagonal(dim, 3, rng)],
+        "random-2": [_one_diagonal(dim, -2, rng)],
+        "a_and_a_dag": [a, a.conj().T],
+        "a_and_dense": [a, dense],
+        "a_and_real_dense": [a, dense.real],
     }[case]
     model = LindbladModel(tuple((op, 0.3 + 0.4 * i) for i, op in enumerate(channels)))
-    bands, g_diag = model.bands
-    assert [b and b[0] for b in bands] == offsets
-    assert (g_diag is None) == (None in offsets)
     rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    ref = _dense_rhs(model, rho)
+    ref = _shift_rhs(model, rho)
     assert np.abs(lindblad_rhs(model, rho) - ref).max() <= 1e-14 * np.abs(ref).max()
-    # a real state runs in real arithmetic when every channel is real and
-    # one-diagonal, and is taken complex otherwise (a real dense channel
-    # too); either way it gets the complex result
+    # a real state is taken complex and gets the complex result
     real = lindblad_rhs(model, rho.real)
-    assert model.keeps_real == (case in ("a", "a_dag", "a2", "n", "a_and_a_dag"))
-    assert np.isrealobj(real) == model.keeps_real
+    assert np.iscomplexobj(real)
     assert np.array_equal(real, lindblad_rhs(model, rho.real.astype(complex)))
 
 
@@ -332,34 +345,6 @@ def test_positivity_warning_from_every_rotation_block(block):
         evolve(loss_model(8, 1.0), rho0, 0.1, record_times=[0.0, 0.1])
 
 
-def test_loss_only_run_is_real_and_a_complex_channel_run_is_not(monkeypatch):
-    # a real state under real one-diagonal channels takes the rk45 backend
-    # in real arithmetic; the snapshots stay complex, and a complex channel
-    # or a real dense one (the quadrature a + a†) keeps the run complex
-    dim = 12
-    rho0 = np.zeros((dim, dim))
-    rho0[4, 4] = rho0[8, 8] = 0.5
-    rho0[4, 8] = rho0[8, 4] = 0.5
-    phased = make_ladder(dim) * np.exp(1j * np.arange(dim))
-    seen = []
-    integrate = lindblad.ode.integrate
-
-    def watched(f, y0, *args, **kwargs):
-        seen.append(y0.dtype)
-        return integrate(f, y0, *args, **kwargs)
-
-    monkeypatch.setattr(lindblad.ode, "integrate", watched)
-    spec = ObservableSpec(snapshot_times=(0.5,))
-    quadrature = make_ladder(dim) + make_ladder(dim).T
-    for model, dtype in ((loss_model(dim), float), (LindbladModel(((phased, 1.0),)), complex),
-                         (LindbladModel(((quadrature, 1.0),)), complex)):
-        traj = evolve(model, rho0, 0.5, record_times=[0.0, 0.5], observables=spec)
-        assert traj.meta["method"] == "rk45"
-        assert seen.pop() == dtype
-        assert traj.snapshots[0.5].dtype == complex
-        assert traj.column("trace") == pytest.approx(1.0, abs=1e-12)
-
-
 def test_step_budget_guard(small_stiff_case, monkeypatch):
     code, model, rho0 = small_stiff_case
     budget = functools.partial(lindblad.ode._drive, max_steps=5)
@@ -380,6 +365,81 @@ def test_invalid_inputs(small_stiff_case):
     skew[0, 1] += 1e-9
     with pytest.raises(InvalidInputError, match="Hermiticity"):
         evolve(model, skew, 1.0)
+
+
+# --- the closed-form loss channel ------------------------------------------------
+
+
+def _loss_factor(dim, rank, seed):
+    y = np.random.default_rng(seed).standard_normal((dim, rank))
+    return y / np.linalg.norm(y)
+
+
+def _symmetric(dim, rng):
+    h = rng.standard_normal((dim, dim))
+    return h + h.T
+
+
+def test_pure_loss_row_at_zero_is_the_initial_states():
+    dim = 30
+    rng = np.random.default_rng(5)
+    logicals = LogicalOperators(*(_symmetric(dim, rng) for _ in range(3)), 0.0)
+    lyap = _symmetric(dim, rng)
+    y0 = _loss_factor(dim, 3, 5)
+    rho0 = y0 @ y0.T
+    traj = pure_loss_trajectory(y0, 0.03, [0.0, 1.0],
+                                ObservableSpec(lyapunov=lyap, logicals=logicals))
+    row = {name: traj.column(name)[0] for name in traj.records}
+    expected = {
+        "trace": float(np.real(np.trace(rho0))),
+        "lyapunov": float(np.real(np.vdot(lyap, rho0))),
+        "nbar": float(np.real(np.sum(np.arange(dim) * np.diag(rho0)))),
+    }
+    expected.update(zip(("jx", "jy", "jz"), bloch_coordinates(logicals, rho0)))
+    assert row == expected
+
+
+def test_pure_loss_records_like_evolve():
+    # the same columns, times and snapshots as the integrated loss-only run
+    dim = 20
+    rng = np.random.default_rng(6)
+    logicals = LogicalOperators(*(_symmetric(dim, rng) for _ in range(3)), 0.0)
+    spec = ObservableSpec(lyapunov=_symmetric(dim, rng), logicals=logicals,
+                          snapshot_times=(0.25, 0.5 + 1e-9))
+    y0 = _loss_factor(dim, 2, 6)
+    record = [0.0, 0.5, 1.0]
+    closed = pure_loss_trajectory(y0, 1.0, record, spec)
+    integrated = evolve(loss_model(dim), y0 @ y0.T, 1.0, record_times=record,
+                        observables=spec)
+    assert integrated.meta["method"] == "rk45"
+    assert closed.times.tolist() == integrated.times.tolist() == record
+    assert list(closed.records) == list(integrated.records)
+    for name in closed.records:
+        np.testing.assert_allclose(closed.column(name), integrated.column(name), atol=1e-8)
+    assert list(closed.snapshots) == list(integrated.snapshots) == [0.25, 0.5 + 1e-9]
+    for t, rho in closed.snapshots.items():
+        assert rho.dtype == complex
+        assert np.abs(rho - integrated.snapshots[t]).max() <= 1e-8
+
+
+def test_pure_loss_without_loss_keeps_the_state():
+    y0 = _loss_factor(10, 2, 8)
+    traj = pure_loss_trajectory(y0, 0.0, [0.0, 5.0],
+                                ObservableSpec(snapshot_times=(5.0,)))
+    assert np.array_equal(traj.snapshots[5.0], (y0 @ y0.T).astype(complex))
+
+
+def test_pure_loss_invalid_inputs():
+    y0 = _loss_factor(8, 1, 7)
+    with pytest.raises(ValueError, match="loss rate"):
+        pure_loss_trajectory(y0, -0.1, [0.0, 1.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        pure_loss_trajectory(y0, 0.1, [-1.0, 1.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        pure_loss_trajectory(y0, 0.1, [0.0, 1.0],
+                             ObservableSpec(snapshot_times=(-0.5,)))
+    with pytest.raises(ShapeMismatchError):
+        pure_loss_trajectory(y0[:, 0], 0.1, [1.0])
 
 
 # --- logical operators and Bloch coordinates ------------------------------------

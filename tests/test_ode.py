@@ -1,17 +1,15 @@
 """The step loop ode._drive: its error test, its reuse of the state after a
 rejection, its retreat from non-finite error estimates, and its record
 policy (equal steps up to each record time, none longer than h / SAFETY,
-no reset of the step after landing on one); and the Dormand-Prince pair
-on a real state."""
+no reset of the step after landing on one)."""
 
 import numpy as np
 import pytest
 
-from gkpstab import LindbladModel, evolve, lindblad_rhs, make_ladder
-from gkpstab.analysis import random_density_matrix
+from gkpstab import evolve
 from gkpstab.fock import max_abs
 from gkpstab.lindblad import ObservableSpec
-from gkpstab.ode import SAFETY, _drive, integrate
+from gkpstab.ode import SAFETY, _drive
 
 RTOL, ATOL = 0.1, 0.01
 
@@ -153,24 +151,3 @@ def test_records_cost_at_most_one_step_each(small_code, small_model):
         assert meta["method"] == "etd4"
         accepted[n] = meta["n_accept"]
     assert accepted[101] <= accepted[2] + 101
-
-
-def test_real_state_integrates_bitwise_as_its_complex_cast():
-    # complex arithmetic on zero imaginary parts is exact, so a loss-only
-    # run from a real state takes the same steps to the same states in
-    # real arithmetic
-    dim = 40
-    model = LindbladModel(((make_ladder(dim), 1.0),))
-    rho0 = random_density_matrix(dim, np.random.default_rng(17)).real
-    runs = []
-    for y0 in (rho0, rho0.astype(complex)):
-        records = []
-        stats = integrate(lambda y: lindblad_rhs(model, y), y0, 2.0,
-                          record_times=np.linspace(0.0, 2.0, 11),
-                          on_record=lambda t, y: records.append((t, y.copy())))
-        runs.append((records, stats))
-    (real, real_stats), (cast, cast_stats) = runs
-    assert real_stats == cast_stats
-    assert [t for t, _ in real] == [t for t, _ in cast]
-    for (_, y), (_, z) in zip(real, cast):
-        assert np.isrealobj(y) and np.array_equal(y, z)
