@@ -3,11 +3,13 @@
 numerically: the 4x4 circulant coefficient matrix and its explicit
 eigenpairs, the rewrite of the Lyapunov derivative through it, the
 cosh/cos operator inequality, and the commutation/product rules the
-construction relies on.
+construction relies on. The suite reads one code bundle, so the identities
+are checked on the dissipators and W that every trajectory runs.
 """
 
 import numpy as np
 
+from gkpstab import GkpParams, build_code
 from gkpstab.analysis import (
     build_t_matrix,
     run_identity_suite,
@@ -27,6 +29,6 @@ print(f"numeric vs closed forms: eigenpair dev {report.measured:.1e} (tol {repor
       f"{'PASS' if report.passed else 'FAIL'}")
 
 print("\nfull identity suite at eps = 0.1 (dim 200):")
-for result in run_identity_suite(0.1, dim=200):
+for result in run_identity_suite(build_code(GkpParams(0.1, dim=200))):
     flag = "PASS" if result.passed else "FAIL"
     print(f"  {flag} {result.name}: measured {result.measured:.2e} (tol {result.tol:g})")

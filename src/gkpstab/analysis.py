@@ -17,8 +17,6 @@ from .codes import (
     GkpParams,
     build_code,
     build_conjugated_quadratures,
-    build_dissipators,
-    build_lyapunov,
     convergence_rate,
     ETA_QUBIT,
 )
@@ -34,7 +32,6 @@ from .fock import (
     twirl,
 )
 from .lindblad import (
-    LindbladModel,
     ObservableSpec,
     SolverOptions,
     adjoint_rhs,
@@ -163,29 +160,27 @@ def _at_most(name, measured, tol):
     return CheckResult(name, measured, tol, measured <= tol)
 
 
-def verify_lyapunov_derivative_identity(epsilon, eta=ETA_QUBIT, dim=None):
+def verify_lyapunov_derivative_identity(code):
     """Check sum_k D*_k(W) = sum_{k,l} W_k† T_kl W_l on the interior block,
-    to 1e-5.
+    to 1e-5, for the bundle's W under stabilizer_model(code).
 
     W_k = exp(-i eta R_k†) V_k chains two displacement-type exponentials, so
     the margin uses order=2 corner clearance. exp(-i eta R_k†) is
     (exp(i eta R_k))† = (V_k + I)†, so W_k = (V_k + I)† V_k.
     """
-    params = GkpParams(epsilon, eta, dim)
-    dim = params.dim
-    vs = build_dissipators(params)
-    w = build_lyapunov(vs)
-    lhs = adjoint_rhs(LindbladModel(tuple((v, 1.0) for v in vs)), w)
+    params = code.params
+    w = code.lyapunov
+    lhs = adjoint_rhs(stabilizer_model(code), w)
 
-    t = build_t_matrix(epsilon, eta).matrix
-    eye = np.eye(dim)
-    wk = [(v + eye).conj().T @ v for v in vs]
+    t = build_t_matrix(params.epsilon, params.eta).matrix
+    eye = np.eye(code.dim)
+    wk = [(v + eye).conj().T @ v for v in code.dissipators]
     rhs = np.zeros_like(w)
     for k in range(4):
         for l in range(4):
             rhs += t[k, l] * (wk[k].conj().T @ wk[l])
 
-    dev = _interior_max(lhs - rhs, interior_margin(dim, eta, order=2))
+    dev = _interior_max(lhs - rhs, interior_margin(code.dim, params.eta, order=2))
     return _at_most("lyapunov_derivative_identity", dev, 1e-5)
 
 
@@ -202,24 +197,23 @@ def _cosh_p_cos_q(epsilon, eta, dim):
     return cosh_p, cos_q
 
 
-def verify_lambda_identity(epsilon, eta=ETA_QUBIT, dim=None):
-    """Check the closed form of Lambda±† Lambda± against direct construction,
-    to 1e-5 for both signs.
+def verify_lambda_identity(code):
+    """Check the closed form of Lambda±† Lambda± against direct construction
+    from the bundle's dissipators, to 1e-5 for both signs.
 
     Lambda± = e^{-i eta R†} e^{i eta R/2} ± e^{i eta R†} e^{-i eta R/2} and
     the closed form is 2 e^{-eta^2 s/8} (cosh(3 eta sinh(eps) P)
     ± e^{-3 eta^2 s/4} cos(eta cosh(eps) Q)) with s = sinh(2 eps).
     """
-    params = GkpParams(epsilon, eta, dim)
-    dim = params.dim
+    epsilon, eta, dim = code.params.epsilon, code.params.eta, code.dim
     margin = interior_margin(dim, eta, order=2)
-    r, _ = build_conjugated_quadratures(params)
+    r, _ = build_conjugated_quadratures(code.params)
     cosh_p, cos_q = _cosh_p_cos_q(epsilon, eta, dim)
     s = math.sinh(2.0 * epsilon)
     e2 = eta * eta
 
     # V_0 + I = e^{i eta R} and V_2 + I = e^{-i eta R}; F^2 R F^-2 = -R exactly
-    v = build_dissipators(params)
+    v = code.dissipators
     e_minus = (v[0] + np.eye(dim)).conj().T
     e_plus = (v[2] + np.eye(dim)).conj().T
     half_plus = matrix_exponential(0.5j * eta * r)
@@ -555,15 +549,15 @@ def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0,
 # ---------------------------------------------------------------------------
 
 
-def run_identity_suite(epsilon=0.05, eta=ETA_QUBIT, dim=None):
-    """All seven closed-form checks at one parameter set."""
-    code = build_code(GkpParams(epsilon, eta, dim))
+def run_identity_suite(code):
+    """All seven closed-form checks; four read the bundle's dissipators and W."""
+    epsilon, eta, dim = code.params.epsilon, code.params.eta, code.dim
     return [
         verify_t_spectrum(build_t_matrix(epsilon, eta)),
-        verify_lyapunov_derivative_identity(epsilon, eta, code.dim),
-        verify_lambda_identity(epsilon, eta, code.dim),
-        operator_inequality_min_eigs(epsilon, eta, code.dim),
+        verify_lyapunov_derivative_identity(code),
+        verify_lambda_identity(code),
+        operator_inequality_min_eigs(epsilon, eta, dim),
         commutation_check(code),
         glauber_check(code),
-        envelope_conjugation_check(epsilon, code.dim),
+        envelope_conjugation_check(epsilon, dim),
     ]

@@ -94,13 +94,13 @@ def _parse_epsilons(p):
 
 class Resolver:
     """flag > config > default for every parameter, with the raw config text
-    kept for the echo."""
+    kept for the echo. A config key no PARAMS entry defines is a usage error."""
 
     def __init__(self, config_path):
         self.flat, self.raw = ({}, "") if not config_path else io.parse_config(config_path)
-        if "solver.method" in self.flat:
-            raise UsageError("config key solver.method is not read: the integrator "
-                             "is chosen from the model")
+        unread = sorted(set(self.flat) - {key for _, _, key, _ in PARAMS.values()})
+        if unread:
+            raise UsageError(f"no subcommand reads config key {', '.join(unread)}")
 
     def resolve(self, args):
         """The value of every parameter args.command reads, by name."""
@@ -263,16 +263,16 @@ def cmd_qec_sim(p, resolver):
 
 def cmd_check(p, resolver):
     t0 = time.time()
-    results = run_identity_suite(p["epsilon"], p["eta"], p["dim"])
+    code = build_code(GkpParams(p["epsilon"], p["eta"], p["dim"]))
+    results = run_identity_suite(code)
     all_pass = True
     for r in results:
         flag = "PASS" if r.passed else "FAIL"
         print(f"{flag} {r.name}: measured {r.measured:.3e} (tol {r.tol:g})")
         all_pass &= r.passed
     if p["prefix"] or p["outdir"] or resolver.flat:
-        dim = GkpParams(p["epsilon"], p["eta"], p["dim"]).dim
         _finish(_stem(p, "check"), "check", resolver, p,
-                {"dim": dim, "results": results, "all_pass": all_pass}, t0)
+                {"dim": code.dim, "results": results, "all_pass": all_pass}, t0)
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 

@@ -316,7 +316,6 @@ class GkpCode:
     dissipators: tuple
     lyapunov: np.ndarray
     codewords: tuple
-    s0: np.ndarray = None
     sx: np.ndarray = None
     sy: np.ndarray = None
     sz: np.ndarray = None
@@ -338,15 +337,14 @@ def build_code(params):
     lyap = build_lyapunov(dissipators)
     codewords = tuple(build_codewords(params))
     if params.lattice == "qubit":
-        s0, sx, sy, sz = logical_basis(list(codewords))
+        _, sx, sy, sz = logical_basis(list(codewords))
     else:
-        s0 = sx = sy = sz = None
+        sx = sy = sz = None
     return GkpCode(
         params=params,
         dissipators=dissipators,
         lyapunov=lyap,
         codewords=codewords,
-        s0=s0,
         sx=sx,
         sy=sy,
         sz=sz,

@@ -19,7 +19,7 @@ state, through the same recorder as evolve().
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -196,9 +196,13 @@ def _recorder(observables, record_times, dim):
     """(stops, on_record, finish): the sorted record and snapshot times;
     on_record(t, rho), which keeps a complex snapshot and a row of
     observables when t is exactly a snapshot and a record time, and warns
-    once from the positivity monitor; finish(meta) -> Trajectory."""
+    once from the positivity monitor; finish(meta) -> Trajectory. Raises
+    ValueError on a negative record or snapshot time."""
     record_set = set(float(t) for t in record_times)
     snapshot_times = set(float(t) for t in observables.snapshot_times)
+    stops = sorted(record_set | snapshot_times)
+    if stops and stops[0] < 0:
+        raise ValueError(f"record and snapshot times must be non-negative, got {stops[0]}")
     times, recs, snaps = [], {"trace": []}, {}
     if observables.lyapunov is not None:
         recs["lyapunov"] = []
@@ -242,7 +246,7 @@ def _recorder(observables, record_times, dim):
             meta=meta,
         )
 
-    return sorted(record_set | snapshot_times), on_record, finish
+    return stops, on_record, finish
 
 
 # evolve integrates with the explicit pair while its stability-limited step
@@ -255,12 +259,12 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
 
     record_times defaults to 201 evenly spaced points, 0 and t_final
     included. Rows and snapshots are kept at exactly the record and snapshot
-    times in [0, t_final]. rho0 must be Hermitian to 1e-10 (InvalidInputError
-    otherwise); both backends integrate its Hermitian part, in complex
-    arithmetic. The backend is "rk45" when the explicit pair's
-    stability-limited step count, estimated from ||G||_1, is at most
-    MAX_EXPLICIT_STEPS, and "etd4" otherwise; the choice is stored in
-    meta["method"]. Accepted states are exactly Hermitian on both backends:
+    times, which must lie in [0, t_final] (ValueError otherwise). rho0 must
+    be Hermitian to 1e-10 (InvalidInputError otherwise); both backends
+    integrate its Hermitian part, in complex arithmetic. The backend is
+    "rk45" when the explicit pair's stability-limited step count, estimated
+    from ||G||_1, is at most MAX_EXPLICIT_STEPS, and "etd4" otherwise; the
+    choice is stored in meta["method"]. Accepted states are exactly Hermitian on both backends:
     the explicit pair keeps the Hermitian part of each step, and the
     exponential backend carries Hermitian states by construction and
     rescales the trace to its initial value. Emits PositivityWarning if the
@@ -281,6 +285,8 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
         record_times = np.linspace(0.0, t_final, 201)
     # ode._drive lands on every stop bitwise
     stops, on_record, finish = _recorder(observables, record_times, model.dim)
+    if stops and stops[-1] > t_final:
+        raise ValueError(f"record and snapshot times must not exceed t_final, got {stops[-1]}")
 
     # ||G||_1 bounds the spectral radius of the Hermitian drift G; the
     # spectrum of L reaches ~ -2||G|| and the explicit 5(4) pair is stable
@@ -324,9 +330,10 @@ def pure_loss_trajectory(factor, rate, record_times, observables=None):
     y_j of Y0 gives Phi_j[m, k] = c_k(m) y_j[m+k] and rho(t) = sum_j Phi_j
     Phi_j†: one d x d product per column and record, real when Y0 is, in
     O(d²) memory; at t = 0, rho is Y0 Y0†. Rows and snapshots are kept at
-    every record and snapshot time through evolve()'s recorder. meta is
+    every record and snapshot time through evolve()'s recorder, without its
+    positivity monitor: a Gram matrix has no negative eigenvalue. meta is
     {"method": "closed_form", "rank": r}. Raises ValueError on a negative
-    rate or time.
+    rate or a negative record or snapshot time.
     """
     y = np.asarray(factor)
     if y.ndim != 2:
@@ -334,9 +341,8 @@ def pure_loss_trajectory(factor, rate, record_times, observables=None):
     if not rate >= 0:
         raise ValueError(f"loss rate must be non-negative, got {rate}")
     d, r = y.shape
-    stops, on_record, finish = _recorder(observables or ObservableSpec(), record_times, d)
-    if stops and stops[0] < 0:
-        raise ValueError(f"record and snapshot times must be non-negative, got {stops[0]}")
+    spec = replace(observables or ObservableSpec(), positivity_tol=None)
+    stops, on_record, finish = _recorder(spec, record_times, d)
 
     def gram(phi):
         return phi @ phi.conj().T  # conj() of a real array is the array itself
@@ -417,7 +423,8 @@ def logical_operators(model, code, horizon_multiplier=20.0, tol=1e-7):
 
 
 def bloch_coordinates(logicals, rho):
-    """(Tr(Jx rho), Tr(Jy rho), Tr(Jz rho)) as real numbers.
+    """(Tr(Jx rho), Tr(Jy rho), Tr(Jz rho)) as real numbers, from np.vdot(J, rho):
+    Tr(J rho) for Hermitian J, its complex conjugate for Hermitian rho.
 
     Raises InvalidInputError if any imaginary part exceeds 1e-8.
     """
@@ -426,7 +433,7 @@ def bloch_coordinates(logicals, rho):
     for j in (logicals.jx, logicals.jy, logicals.jz):
         if j.shape != rho.shape:
             raise ShapeMismatchError(f"operator shape {j.shape} vs state {rho.shape}")
-        val = np.sum(j * rho.T)  # Tr(J rho) without forming J rho
+        val = np.vdot(j, rho)
         if abs(val.imag) > 1e-8:
             raise InvalidInputError(f"Bloch coordinate has imaginary part {val.imag:.3e}")
         out.append(float(val.real))

@@ -112,7 +112,7 @@ def test_criterion_5_circulant_identities():
         r = verify_t_spectrum(build_t_matrix(eps))
         spectrum_ok &= r.passed
         worst = max(worst, r.measured)
-    identity = verify_lyapunov_derivative_identity(0.05, dim=300)
+    identity = verify_lyapunov_derivative_identity(build_code(GkpParams(0.05, dim=300)))
     ok = spectrum_ok and identity.passed
     report(5, ok, f"spectrum worst dev {worst:.2e} (tol 1e-10); "
                   f"derivative identity dev {identity.measured:.2e} "
@@ -128,7 +128,7 @@ def test_criterion_6_operator_inequality():
     worst_eig = 0.0
     for eps in (0.025, 0.05, 0.1):
         worst_eig = min(worst_eig, operator_inequality_min_eigs(eps, dim=400).measured)
-    lam = verify_lambda_identity(0.05, dim=400)
+    lam = verify_lambda_identity(build_code(GkpParams(0.05, dim=400)))
     ok = worst_eig >= -1e-6 and lam.passed
     report(6, ok, f"min interior eigenvalue {worst_eig:.2e} (>= -1e-6); "
                   f"closed-form dev {lam.measured:.2e} (tol 1e-5)")

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -13,6 +14,8 @@ from gkpstab import (
     build_dissipators,
     build_lyapunov,
     cli,
+    codes,
+    fock,
 )
 from gkpstab.analysis import (
     CirculantT,
@@ -32,7 +35,7 @@ from gkpstab.analysis import (
     verify_t_spectrum,
 )
 from gkpstab.codes import ETA_QUBIT, kappa
-from gkpstab.fock import interior_block, interior_margin
+from gkpstab.fock import interior_block, interior_margin, rotate
 from gkpstab.lindblad import (
     LindbladModel,
     ObservableSpec,
@@ -117,7 +120,7 @@ def test_t_spectrum_mismatch_raises():
 
 
 def test_lyapunov_derivative_identity_unit_scale():
-    report = verify_lyapunov_derivative_identity(0.05, dim=200)
+    report = verify_lyapunov_derivative_identity(build_code(GkpParams(0.05, dim=200)))
     assert report.passed, f"deviation {report.measured:.3e}"
 
 
@@ -138,7 +141,7 @@ def test_adjoint_rhs_matches_bracket_form():
 
 
 def test_lambda_identity_unit_scale():
-    report = verify_lambda_identity(0.05, dim=300)
+    report = verify_lambda_identity(build_code(GkpParams(0.05, dim=300)))
     assert report.passed, f"deviation {report.measured:.3e}"
 
 
@@ -164,12 +167,43 @@ def test_envelope_conjugation():
     assert envelope_conjugation_check(0.05, 200).measured <= 1e-6
 
 
-def test_identity_suite_all_pass():
-    results = run_identity_suite(0.1, dim=200)
+def test_identity_suite_all_pass(code200):
+    results = run_identity_suite(code200)
     assert all(r.passed for r in results), [
         (r.name, r.measured) for r in results if not r.passed
     ]
     assert len(results) == 7
+
+
+def test_identity_suite_builds_v0_once(monkeypatch):
+    # one matrix exponential for the bundle's V_0, one for the half step of
+    # the Lambda identity, one for the product rule and two for the envelope
+    calls = []
+    original = fock.matrix_exponential
+
+    def counting(a):
+        calls.append(a.shape)
+        return original(a)
+
+    for module in (codes, analysis):
+        monkeypatch.setattr(module, "matrix_exponential", counting)
+    results = run_identity_suite(build_code(GkpParams(0.2)))
+    assert all(r.passed for r in results)
+    assert len(calls) == 5
+
+
+def test_identity_checks_read_the_bundle(code200):
+    # a bundle whose V_0 is off by 1e-3 in one entry of the interior block
+    # (42 x 42 at dim 200), with its orbit and W rebuilt from it: both
+    # identities must see the change
+    v0 = code200.dissipators[0].copy()
+    v0[10, 12] += 1e-3
+    orbit = tuple(rotate(v0, k) for k in range(4))
+    broken = dataclasses.replace(code200, dissipators=orbit, lyapunov=build_lyapunov(orbit))
+    for check in (verify_lyapunov_derivative_identity, verify_lambda_identity):
+        assert check(code200).passed
+        report = check(broken)
+        assert not report.passed, (report.name, report.measured)
 
 
 # --- experiment machinery ---------------------------------------------------------

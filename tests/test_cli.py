@@ -117,6 +117,22 @@ def test_solver_method_config_key_is_usage_error(tmp_path, capsys):
     assert not list(tmp_path.glob("*.json"))
 
 
+def test_misspelt_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nepsilon = 0.25\n\n[solver]\nrtl = 1e-3\n")
+    assert main(["codewords", "--config", str(cfg), "--outdir", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "solver.rtl" in err[0]
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_config_key_of_another_subcommand_is_accepted(tmp_path):
+    # codewords reads no tolerance, but lyapunov and qec-sim read solver.rtol
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nepsilon = 0.25\n\n[solver]\nrtol = 1e-6\n")
+    assert main(["codewords", "--config", str(cfg), "--outdir", str(tmp_path)]) == EXIT_OK
+
+
 def test_check_subcommand_passes(tmp_path, capsys):
     assert main(["check", "--epsilon", "0.1", "--outdir", str(tmp_path)]) == EXIT_OK
     out = capsys.readouterr().out

@@ -31,6 +31,7 @@ from gkpstab import (
 from gkpstab import lindblad
 from gkpstab.analysis import random_density_matrix
 from gkpstab.etd import SplitPropagator
+from gkpstab.fock import min_eigenvalue
 
 
 def loss_model(dim, rate=1.0):
@@ -317,6 +318,24 @@ def test_snapshot_near_a_record_time_is_its_own_stop():
     assert list(traj.snapshots) == [snap]
 
 
+def test_negative_record_or_snapshot_time_is_rejected():
+    rho0 = random_density_matrix(8, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="non-negative"):
+        evolve(loss_model(8), rho0, 1.0, record_times=[-0.5, 0.5, 1.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        evolve(loss_model(8), rho0, 1.0, record_times=[0.5, 1.0],
+               observables=ObservableSpec(snapshot_times=(-0.5,)))
+
+
+def test_record_or_snapshot_time_past_t_final_is_rejected():
+    rho0 = random_density_matrix(8, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="t_final"):
+        evolve(loss_model(8), rho0, 1.0, record_times=[0.5, 1.0, 2.0])
+    with pytest.raises(ValueError, match="t_final"):
+        evolve(loss_model(8), rho0, 1.0, record_times=[0.5, 1.0],
+               observables=ObservableSpec(snapshot_times=(1.5,)))
+
+
 def test_positivity_warning():
     model = loss_model(2, 1.0)
     rho0 = np.diag([1.0 + 2e-6, -2e-6]).astype(complex)
@@ -429,6 +448,23 @@ def test_pure_loss_without_loss_keeps_the_state():
     assert np.array_equal(traj.snapshots[5.0], (y0 @ y0.T).astype(complex))
 
 
+def test_closed_form_loss_skips_the_positivity_monitor(monkeypatch):
+    # a Gram matrix has no eigenvalue to flag; evolve's default spec still checks
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return min_eigenvalue(a)
+
+    monkeypatch.setattr(lindblad, "min_eigenvalue", counting)
+    y0 = _loss_factor(10, 2, 9)
+    record = [0.0, 0.5, 1.0]
+    pure_loss_trajectory(y0, 0.5, record, ObservableSpec(positivity_tol=1e-6))
+    assert calls == []
+    evolve(loss_model(10), y0 @ y0.T, 1.0, record_times=record)
+    assert len(calls) == len(record)
+
+
 def test_pure_loss_invalid_inputs():
     y0 = _loss_factor(8, 1, 7)
     with pytest.raises(ValueError, match="loss rate"):
@@ -490,7 +526,7 @@ def test_bloch_of_reference_states(small_logicals):
 
 def test_bloch_records_are_bloch_coordinates(small_logicals):
     # evolve records bloch_coordinates of each recorded state, bit for bit
-    # the sum(J * rho.T) form of Tr(J rho)
+    # the np.vdot(J, rho) pairing
     code, model, logicals = small_logicals
     c0, c1 = code.codewords
     plus = (c0 + c1) / np.sqrt(2.0)
@@ -504,8 +540,39 @@ def test_bloch_records_are_bloch_coordinates(small_logicals):
         rho = traj.snapshots[t]
         recorded = [traj.column(name)[i] for name in ("jx", "jy", "jz")]
         assert recorded == list(bloch_coordinates(logicals, rho))
-        assert recorded == [float(np.real(np.sum(j * rho.T)))
+        assert recorded == [float(np.real(np.vdot(j, rho)))
                             for j in (logicals.jx, logicals.jy, logicals.jz)]
+
+
+def _hermitian(dim, rng):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return g + g.conj().T
+
+
+@pytest.mark.parametrize("non_hermitian", ["state", "operators"])
+def test_bloch_coordinates_are_traces(non_hermitian):
+    # the pairing is Tr(J rho) for Hermitian J and its conjugate for Hermitian
+    # rho: either way the real parts are those of Tr(J rho), and the 1e-8
+    # test on the imaginary part fires exactly when Tr(J rho) fails it
+    dim = 12
+    rng = np.random.default_rng(21)
+    ops = [_hermitian(dim, rng) for _ in range(3)]
+    rho = _hermitian(dim, rng)
+    skew = 1j * _hermitian(dim, rng)
+    for scale, real in ((1e-12, True), (1e-3, False)):
+        if non_hermitian == "state":
+            js, state = ops, rho + scale * skew
+        else:
+            js, state = [j + scale * skew for j in ops], rho
+        logicals = LogicalOperators(*js, 0.0)
+        traces = [np.trace(j @ state) for j in js]
+        assert (max(abs(t.imag) for t in traces) <= 1e-8) == real
+        if real:
+            np.testing.assert_allclose(bloch_coordinates(logicals, state),
+                                       [t.real for t in traces], rtol=1e-13)
+        else:
+            with pytest.raises(InvalidInputError):
+                bloch_coordinates(logicals, state)
 
 
 def test_bloch_errors(small_logicals):
