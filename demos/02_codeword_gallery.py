@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Finite-energy codewords, two independent ways.
 
-Route one samples the position-space Gaussian combs and projects them onto
-Hermite functions; route two asks the Lyapunov operator for its kernel.
-They must agree, and both codewords must be annihilated by all four
+Route one is closed form: the finite-energy envelope exp(-eps n) applied to
+the ideal combs, whose Fock coefficients are sums of Hermite functions over
+the lattice sites (by Mehler's formula, the same states as the
+position-space Gaussian combs); route two asks the Lyapunov operator for its
+kernel. They must agree, and both codewords must be annihilated by all four
 stabilizing dissipators.
 """
 
@@ -22,7 +24,7 @@ code = build_code(GkpParams(eps))
 print(f"eps = {eps}, truncation dim = {code.dim} (rule: 20/eps)")
 
 c0, c1 = code.codewords
-print(f"\nquadrature route: <0|0> = {np.linalg.norm(c0):.12f}, "
+print(f"\nclosed-form route: <0|0> = {np.linalg.norm(c0):.12f}, "
       f"<0|1> = {abs(np.vdot(c0, c1)):.2e}")
 print(f"mean photon numbers: {mean_photon_number(c0):.3f}, {mean_photon_number(c1):.3f} "
       f"(1/(2 eps) = {1 / (2 * eps):.2f})")
@@ -38,12 +40,12 @@ resid = code.codeword_residuals()
 print(f"\nmax ||V_k psi|| over 4 dissipators x 2 codewords: {resid.max():.2e}")
 
 kernel = kernel_codewords(code.lyapunov, 2)
-quad = np.vstack(code.codewords).T
+closed = np.vstack(code.codewords).T
 eig = np.vstack(kernel).T
-p_quad = quad @ np.linalg.inv(quad.conj().T @ quad) @ quad.conj().T
+p_closed = closed @ np.linalg.inv(closed.conj().T @ closed) @ closed.conj().T
 p_eig = eig @ eig.conj().T
-print(f"projector distance quadrature vs eigen-kernel: "
-      f"{np.linalg.norm(p_quad - p_eig, 2):.2e}")
+print(f"projector distance closed form vs eigen-kernel: "
+      f"{np.linalg.norm(p_closed - p_eig, 2):.2e}")
 
 sensor = build_code(GkpParams(eps, eta=ETA_SENSOR))
 print(f"\nsensor lattice: {len(sensor.codewords)} codeword, "

@@ -79,7 +79,9 @@ def _parse_epsilons(p):
             raise UsageError(f"bad epsilon range {p['epsilon_range']!r}")
         if n < 1 or not (0 < lo <= hi):
             raise UsageError("epsilon range must satisfy 0 < lo <= hi and n >= 1")
-        if len(parts) == 4 and parts[3] == "log":
+        if len(parts) == 4 and parts[3] != "log":
+            raise UsageError(f"epsilon range spacing must be 'log', got {parts[3]!r}")
+        if len(parts) == 4:
             eps = list(np.geomspace(lo, hi, n))
         else:
             eps = list(np.linspace(lo, hi, n))

@@ -173,86 +173,59 @@ def build_lyapunov(dissipators):
 
 
 # ---------------------------------------------------------------------------
-# Codewords: position-space Gaussian combs projected onto the Fock basis
+# Codewords: the finite-energy envelope applied to the ideal combs
 # ---------------------------------------------------------------------------
 
-def _comb_spec(params):
-    """Peak spacing, weight exponent, and retained-peak count for the comb.
-
-    Peaks sit at j*spacing/cosh(eps), weight exp(-w2*j^2); j runs over even
-    and odd integers for the qubit lattice and over all integers for the
-    sensor lattice. K is the smallest integer whose weight drops below 1e-14.
-    """
-    th = math.tanh(params.epsilon)
-    if params.lattice == "qubit":
-        spacing = math.sqrt(math.pi)
-        w2 = 0.5 * math.pi * th
-    elif params.lattice == "sensor":
-        spacing = math.sqrt(2.0 * math.pi)
-        w2 = math.pi * th
-    else:
-        raise ValueError(
-            f"codewords are defined for the qubit/sensor lattice constants, got eta={params.eta}"
-        )
-    k_max = int(math.ceil(math.sqrt(14.0 * math.log(10.0) / w2)))
-    return spacing, w2, k_max
-
-
-def _comb_on_grid(q, spacing, w2, k_max, cosh_eps, tanh_eps, parity):
-    psi = np.zeros_like(q)
-    for j in range(-k_max - 1, k_max + 2):
-        if parity is not None and j % 2 != parity:
-            continue
-        weight = math.exp(-w2 * j * j)
-        center = j * spacing / cosh_eps
-        psi += weight * np.exp(-((q - center) ** 2) / (2.0 * tanh_eps))
-    return psi
+# the lattice sums stop at |x_j| <= sqrt(2 dim + 1) + _COMB_MARGIN
+_COMB_MARGIN = 8.0
 
 
 def build_codewords(params):
     """Fock-coefficient vectors of the finite-energy codewords.
 
-    The position-space wavefunctions (Gaussian combs of width sqrt(tanh eps),
-    Mehler-kernel weights) are sampled on a uniform grid and projected onto
-    Hermite functions by trapezoidal quadrature, which is spectrally accurate
-    here. The qubit lattice yields |0> from the even comb and |1> from the
-    odd comb orthogonalized against it; the sensor lattice yields one vector.
-    The odd Fock coefficients are exactly zero.
+    A codeword is an ideal comb sum_j |q = x_j> under the envelope
+    exp(-eps (Q^2+P^2)/2) = exp(-eps (n + 1/2)), which is diagonal in Fock
+    space, so up to normalization c_n = exp(-eps n) sum_j h_n(x_j). By
+    Mehler's formula, sum_n exp(-eps n) h_n(q) h_n(x) is a constant times
+    exp(-tanh(eps) x^2/2) exp(-(q - x/cosh eps)^2 / (2 tanh eps)): these are
+    the Fock coefficients of the position-space Gaussian combs, exactly.
+    The qubit lattice (x_j = j sqrt(pi)) yields |0> from even j and |1> from
+    odd j orthogonalized against it; the sensor lattice (x_j = j sqrt(2 pi))
+    yields one vector.
 
-    The grid ends one spacing past the last peak, so the weight it drops is
-    below 2 sum_{j >= k_max} exp(-2 w2 j^2) < 1e-27 (w2 k_max^2 >= 14 ln 10).
+    h_n(-x) = (-1)^n h_n(x), so the combs, symmetric under x -> -x, have
+    exactly zero odd coefficients, and each even one pairs +-x_j into
+    2 h_n(x_j). The sums stop at |x_j| <= sqrt(2 dim + 1) + 8: every n < dim
+    has its turning point sqrt(2n + 1) inside that bound and decays
+    monotonically beyond it; on the bound every |h_n| is below 2e-22 (dims 2
+    to 2000 checked, dim 2 the largest).
     """
     if params.epsilon == 0:
         raise ValueError("codewords need epsilon > 0 (zero-width combs are not normalizable)")
-    spacing, w2, k_max = _comb_spec(params)
-    th = math.tanh(params.epsilon)
-    ch = math.cosh(params.epsilon)
+    if params.lattice == "qubit":
+        spacing = math.sqrt(math.pi)
+    elif params.lattice == "sensor":
+        spacing = math.sqrt(2.0 * math.pi)
+    else:
+        raise ValueError(
+            f"codewords are defined for the qubit/sensor lattice constants, got eta={params.eta}"
+        )
+    j = np.arange(int((math.sqrt(2.0 * params.dim + 1.0) + _COMB_MARGIN) / spacing) + 1)
+    even_rows = hermite_functions(params.dim, j * spacing)[0::2]
+    pair = np.where(j == 0, 1.0, 2.0)
+    envelope = np.exp(-params.epsilon * np.arange(0, params.dim, 2))
 
-    halfwidth = (k_max + 1) * spacing
-
-    step = min(math.sqrt(th) / 8.0, 0.02)
-    npts = int(math.ceil(2.0 * halfwidth / step)) + 1
-    q = np.linspace(-halfwidth, halfwidth, npts)
-    weights = np.full(npts, q[1] - q[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-
-    # every comb is even in q, so it has no overlap with the odd Hermite
-    # functions: only the even Fock coefficients are computed, and the odd
-    # ones are exactly zero (the codewords live on two of the four n mod 4
-    # blocks of the rotation symmetry)
-    even_basis = hermite_functions(params.dim, q)[0::2]
-
-    def project(parity):
+    def comb(parity):
         coeff = np.zeros(params.dim)
-        coeff[0::2] = even_basis @ (weights * _comb_on_grid(q, spacing, w2, k_max, ch, th, parity))
+        terms = pair if parity is None else pair * (j % 2 == parity)
+        coeff[0::2] = envelope * (even_rows @ terms)
         return coeff
 
     if params.lattice == "sensor":
-        coeff = project(None)
+        coeff = comb(None)
         return [coeff / np.linalg.norm(coeff)]
 
-    even, odd = project(0), project(1)
+    even, odd = comb(0), comb(1)
     one = odd - (even @ odd) / (even @ even) * even
     return [even / np.linalg.norm(even), one / np.linalg.norm(one)]
 

@@ -177,7 +177,8 @@ def test_identity_suite_all_pass(code200):
 
 def test_identity_suite_builds_v0_once(monkeypatch):
     # one matrix exponential for the bundle's V_0, one for the half step of
-    # the Lambda identity, one for the product rule and two for the envelope
+    # the Lambda identity and one for the product rule; the envelope is
+    # exponentiated on its diagonal
     calls = []
     original = fock.matrix_exponential
 
@@ -189,7 +190,7 @@ def test_identity_suite_builds_v0_once(monkeypatch):
         monkeypatch.setattr(module, "matrix_exponential", counting)
     results = run_identity_suite(build_code(GkpParams(0.2)))
     assert all(r.passed for r in results)
-    assert len(calls) == 5
+    assert len(calls) == 3
 
 
 def test_identity_checks_read_the_bundle(code200):

@@ -51,6 +51,15 @@ def test_kappa_range_parsing(capsys):
     assert len(out) == 6
 
 
+def test_kappa_range_rejects_unknown_spacing(capsys):
+    # a misspelt fourth field must not fall back to linear spacing
+    assert main(["kappa", "--epsilon-range", "1e-3:0.1:3:lgo"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'lgo'" in err[0]
+    assert captured.out == ""
+
+
 def test_codewords_roundtrip(tmp_path):
     assert main(["codewords", "--epsilon", "0.2", "--outdir", str(tmp_path),
                  "--prefix", "cw"]) == EXIT_OK

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,9 +21,11 @@ from gkpstab import (
     make_quadratures,
     mean_photon_number,
 )
+from gkpstab import codes
 from gkpstab.codes import ETA_QUBIT, ETA_SENSOR, logical_basis
 from gkpstab.etd import SplitPropagator
 from gkpstab.fock import interior_block, matrix_exponential, rotate
+from gkpstab.hermite import hermite_functions
 
 
 # --- parameters ---------------------------------------------------------------
@@ -243,6 +246,70 @@ def test_codewords_match_kernel_span(small_code):
     p_quad = quad @ np.linalg.inv(quad.conj().T @ quad) @ quad.conj().T
     p_eig = eig @ eig.conj().T
     assert np.linalg.norm(p_quad - p_eig, 2) <= 1e-5
+
+
+LATTICES = {
+    "qubit": (ETA_QUBIT, math.sqrt(math.pi)),
+    "sensor": (ETA_SENSOR, math.sqrt(2.0 * math.pi)),
+}
+
+
+@pytest.mark.parametrize("lattice", LATTICES)
+def test_codeword_is_the_position_space_comb(lattice):
+    # Mehler's formula: exp(-eps n) on the ideal comb is the Gaussian comb
+    # sum_j exp(-tanh(eps) x_j^2/2) exp(-(q - x_j/cosh eps)^2 / (2 tanh eps)),
+    # |0> on the even sites for the qubit lattice; at eps = 0.3, dim 150 the
+    # Fock tail left out is exp(-45) ~ 3e-20
+    eta, spacing = LATTICES[lattice]
+    eps, dim = 0.3, 150
+    word = build_codewords(GkpParams(eps, eta=eta, dim=dim))[0]
+    j = np.arange(-16, 17)
+    x = spacing * (j[j % 2 == 0] if lattice == "qubit" else j)
+    q = np.linspace(-8.0, 8.0, 41)
+    th, ch = math.tanh(eps), math.cosh(eps)
+    comb = np.exp(-th * x ** 2 / 2 - (q[:, None] - x / ch) ** 2 / (2 * th)).sum(axis=1)
+    psi = hermite_functions(dim, q).T @ word
+    fitted = (psi @ comb) / (comb @ comb) * comb
+    assert np.abs(psi - fitted).max() <= 1e-12 * np.abs(fitted).max()
+
+
+@pytest.mark.parametrize("lattice", LATTICES)
+def test_codewords_ignore_a_wider_lattice_cut(monkeypatch, lattice):
+    eta, spacing = LATTICES[lattice]
+    params = GkpParams(0.1, eta=eta)
+    words = build_codewords(params)
+    monkeypatch.setattr(codes, "_COMB_MARGIN", codes._COMB_MARGIN + 20 * spacing)
+    for a, b in zip(words, build_codewords(params), strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+def mp_qubit_codewords(eps, dim):
+    """|0>, |1> from exp(-eps n) sum_j h_n(j sqrt(pi)) in 40-digit arithmetic,
+    summing both signs of j out to twenty sites past the library's cut."""
+    with mpmath.workdps(40):
+        j_max = int(math.sqrt(2 * dim + 1) / math.sqrt(math.pi)) + 25
+        up = [mpmath.sqrt(mpmath.mpf(2) / (n + 1)) for n in range(dim)]
+        down = [mpmath.sqrt(mpmath.mpf(n) / (n + 1)) for n in range(dim)]
+        combs = [[mpmath.mpf(0)] * dim for _ in range(2)]
+        for j in range(-j_max, j_max + 1):
+            x = j * mpmath.sqrt(mpmath.pi)
+            h_prev, h = 0, mpmath.pi ** -0.25 * mpmath.exp(-x * x / 2)
+            for n in range(dim):
+                combs[j % 2][n] += h
+                h_prev, h = h, up[n] * x * h - down[n] * h_prev
+        envelope = [mpmath.exp(-eps * n) for n in range(dim)]
+        combs = [[e * c for e, c in zip(envelope, comb)] for comb in combs]
+        even, odd = (mpmath.matrix(c) for c in combs)
+        one = odd - (even.T * odd)[0] / (even.T * even)[0] * even
+        return [np.array([float(v) for v in c / mpmath.norm(c)]) for c in (even, one)]
+
+
+def test_codewords_past_the_underflow_of_h0():
+    # at dim 1000 the lattice reaches |x| ~ 52, where h_0 underflows in
+    # double precision while the high orders are O(0.3)
+    params = GkpParams(0.02, dim=1000)
+    for got, want in zip(build_codewords(params), mp_qubit_codewords(0.02, 1000), strict=True):
+        assert np.abs(got - want).max() <= 1e-13
 
 
 def test_mean_photon_number_tracks_inverse_eps():

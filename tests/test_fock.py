@@ -77,6 +77,18 @@ def test_commutator_brute_force_dim5():
     np.testing.assert_allclose(q @ p - p @ q - 1j * np.eye(5), expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 50, 400])
+def test_energy_is_exactly_diagonal(dim):
+    # Q^2+P^2 has exactly zero off-diagonal and imaginary entries: the
+    # envelope check exponentiates its diagonal alone
+    q, p = make_quadratures(dim)
+    h = q @ q + p @ p
+    assert not (h - np.diag(np.diag(h))).any()
+    assert not h.imag.any()
+    n = np.arange(dim - 1)
+    np.testing.assert_allclose(np.diag(h).real, np.append(2 * n + 1, dim - 1), rtol=1e-15)
+
+
 # --- matrix exponential -----------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_hermite, factorial
@@ -36,6 +37,30 @@ def test_high_order_stays_finite():
     assert np.all(np.isfinite(h))
     # oscillatory region has O(1) amplitude even at n=649
     assert 0.1 < np.abs(h[649]).max() < 1.0
+
+
+def mp_hermite_functions(n_max, q):
+    """The same recurrence in 40-digit arithmetic, which has no underflow."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(q)
+        rows = [mpmath.pi ** -0.25 * mpmath.exp(-x * x / 2)]
+        rows.append(mpmath.sqrt(2) * x * rows[0])
+        for n in range(1, n_max - 1):
+            rows.append(mpmath.sqrt(mpmath.mpf(2) / (n + 1)) * x * rows[n]
+                        - mpmath.sqrt(mpmath.mpf(n) / (n + 1)) * rows[n - 1])
+        return np.array([float(v) for v in rows[:n_max]])
+
+
+@pytest.mark.parametrize("q", [38.7, 45.0, 60.0])
+def test_past_the_underflow_of_h0(q):
+    # h_0(q) underflows past |q| ~ 38.6, yet h_n(q) is O(0.3) once
+    # n >~ q^2/2; both signs of q, every order up to 2000
+    want = mp_hermite_functions(2000, q)
+    assert np.abs(want).max() > 0.3
+    got = hermite_functions(2000, [q, -q])
+    assert np.abs(got[:, 0] - want).max() <= 1e-13
+    np.testing.assert_array_equal(got[1::2, 1], -got[1::2, 0])
+    np.testing.assert_array_equal(got[0::2, 1], got[0::2, 0])
 
 
 def test_underflow_region_is_zero_not_nan():
