@@ -388,8 +388,11 @@ def lyapunov_decay_experiment(epsilon, eta=ETA_QUBIT, dim=None, n_trials=10, see
     commutes with F-conjugation, rho(t) twirled is the flow of rho0 twirled,
     and Tr(W twirl(rho)) = Tr(W rho). The twirl is a density matrix, and the
     exponential backend carries its 4 diagonal blocks instead of the 16 of a
-    generic state.
+    generic state. Raises ValueError for n_trials < 1, which would leave
+    no rate to test.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     t0 = time.time()
     params = GkpParams(epsilon, eta, dim)
     rate = convergence_rate(epsilon, eta)
@@ -498,7 +501,11 @@ def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0,
 
     The experiment is deterministic: both runs start from the codeword
     projector, so seed is accepted for call compatibility and ignored.
+    Raises ValueError for n_records < 2: the rates need a record at t_f
+    besides the one at t = 0.
     """
+    if n_records < 2:
+        raise ValueError(f"n_records must be at least 2, got {n_records}")
     t0 = time.time()
     params = GkpParams(epsilon, ETA_QUBIT, dim)
     if params.dim > MAX_DIM:

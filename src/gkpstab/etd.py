@@ -43,9 +43,11 @@ and the drift keep that parity, block (j, i) stays ±(block (i, j))ᵀ, and
 only the blocks with i <= j are carried: 6 of the 8 of a parity-even state,
 10 of the 16 of a generic one, all 4 of a rotation-invariant one.
 
-Any other channel set runs through the same code with one complex block.
-Either way the propagator evolves the Hermitian part of its input and
-returns an exactly Hermitian matrix.
+This real blocked form is the only one. A channel set without the π/2
+rotation symmetry (one with q or p, for instance) is rejected with a
+ValueError; lindblad.evolve integrates such sets with its explicit pair
+where that is affordable. The propagator evolves the Hermitian part of its
+input and returns an exactly Hermitian matrix.
 """
 
 import math
@@ -82,17 +84,17 @@ def _phi123(z):
 
 def _charge_kraus(ops, rates):
     """Real Kraus operators of sum_k r_k V_k X V_k†, each of definite charge
-    under the π/2 rotation F = diag(i^n), as (charge, factor) pairs; or None.
+    under the π/2 rotation F = diag(i^n), as (charge, factor) pairs.
 
     A factor of charge c has entries only where m - n ≡ c (mod 4), so that
-    F K F† = i^c K. A channel with a single charge (a, a†) is its own
-    factor. A channel V with several needs its orbit F V F†, F² V F^-2,
+    F K F† = i^c K. A channel with a single charge (a, a†, n, a^m) is its
+    own factor. A channel V with several needs its orbit F V F†, F² V F^-2,
     F³ V F^-3 among the channels, bitwise (fock.rotate) and at its rate r;
     the four then give the factors 2 sqrt(r) V_c, V_c being V masked to
     charge c, because sum_k F^k V F^-k X (F^k V F^-k)† = 4 sum_c V_c X V_c†.
     This is a unitary mixing of the Kraus operators, so the map is the same.
-    Every factor must be exactly real or exactly imaginary. None when some
-    channel fits neither case.
+    Every factor must be exactly real or exactly imaginary. Raises
+    ValueError naming the first channel that fails either condition.
     """
     n = np.arange(ops[0].shape[0])
     charge = np.subtract.outer(n, n) % 4
@@ -108,13 +110,16 @@ def _charge_kraus(ops, rates):
                 j = next((j for j in range(i + 1, len(ops)) if j not in paired
                           and rates[j] == r and np.array_equal(ops[j], w)), None)
                 if j is None:
-                    return None
+                    raise ValueError(
+                        f"channel {i} lacks the pi/2 rotation symmetry: it mixes charges "
+                        f"{charges} and its rotation by {k} is not a channel at rate {r}")
                 paired.add(j)
             weight *= 2.0
         for c in charges:
             k = np.where(charge == c, v, 0.0)
             if k.real.any() and k.imag.any():
-                return None
+                raise ValueError(f"channel {i} has no real Kraus form: its charge-{c} "
+                                 "part is neither real nor imaginary")
             out.append((c, weight * (k.imag if k.imag.any() else k.real)))
     return out
 
@@ -125,31 +130,29 @@ class SplitPropagator:
     ops/rates define the channels; G = sum rates * op†op / 2 always. With
     adjoint=False the Kraus factors are A_k = sqrt(r_k) V_k (forward master
     equation); with adjoint=True they are A_k = sqrt(r_k) V_k† (observable
-    evolution), which shares the same drift.
+    evolution), which shares the same drift. The channels must pass the
+    rotation-symmetry detector (_charge_kraus, ValueError otherwise).
 
-    The Fock space splits into nb blocks of n mod nb: nb = 4 when the
-    channels pass the rotation-symmetry detector (_charge_kraus), else 1.
-    real_form tells which: on the real form basis holds the real eigenbasis
-    of each block of G, kraus the real factors in it, one block per source
-    block, and a factor of charge c sends block (i, j) of the state to
-    (i + c, j + c). Otherwise the factors, the one basis and the state are
-    complex.
+    The Fock space splits into the 4 blocks of n mod 4. basis holds the real
+    eigenbasis of each block of G, kraus the real factors in it, one block
+    per source block, and a factor of charge c sends block (i, j) of the
+    state to (i + c, j + c).
 
-    Between to_basis and from_basis the state is a carrier: a flat array of
-    the occupied blocks, those of the sectors j - i (mod nb) where the input
-    has a non-zero block. The jump and the drift keep every sector, so the
-    others stay exactly zero and are never stored. to_basis takes the
-    Hermitian part X = S + iA (S symmetric, A antisymmetric) of its input,
-    and from_basis returns an exactly Hermitian matrix. On the real form the
-    carrier is the real M = S + A: a real congruence keeps symmetry, so the
-    jump sum K M Kᵀ carries both parts, the phi-weights act on M as on X,
-    Tr X = Tr M and ||X||_F = ||M||_F. When the input's imaginary part is
-    all zero, Mᵀ = M; when its real part is, Mᵀ = -M. Both parities are kept
-    by the flow, so such a carrier holds only the blocks (i, j) with i <= j
-    (the layout's sign is ±1): apply_jump reads a dropped source block as
-    the signed transposed view of its mirror, from_basis fills the mirrors
-    in, and _max_modulus and _frobenius measure the whole M. to_basis fixes
-    the layout that step, apply_jump and from_basis use until the next
+    Between to_basis and from_basis the state is a carrier: a flat real
+    array of the occupied blocks, those of the sectors j - i (mod 4) where
+    the input has a non-zero block. The jump and the drift keep every
+    sector, so the others stay exactly zero and are never stored. to_basis
+    takes the Hermitian part X = S + iA (S symmetric, A antisymmetric) of
+    its input and carries the real M = S + A: a real congruence keeps
+    symmetry, so the jump sum K M Kᵀ carries both parts, the phi-weights act
+    on M as on X, Tr X = Tr M and ||X||_F = ||M||_F. from_basis returns the
+    exactly Hermitian S + iA. When the input's imaginary part is all zero,
+    Mᵀ = M; when its real part is, Mᵀ = -M. Both parities are kept by the
+    flow, so such a carrier holds only the blocks (i, j) with i <= j (the
+    layout's sign is ±1): apply_jump reads a dropped source block as the
+    signed transposed view of its mirror, from_basis fills the mirrors in,
+    and _max_modulus and _frobenius measure the whole M. to_basis fixes the
+    layout that step, apply_jump and from_basis use until the next
     to_basis. adjoint is kept, because run rescales the trace of forward
     states only. n_jumps counts the jump applications made so far.
     """
@@ -158,25 +161,20 @@ class SplitPropagator:
         ops = [np.asarray(v, dtype=complex) for v in ops]
         self.dim = dim = ops[0].shape[0]
         factors = _charge_kraus(ops, rates)
-        self.real_form = factors is not None
-        if not self.real_form:
-            factors = [(0, np.sqrt(r) * v) for v, r in zip(ops, rates)]
-        nb = 4 if self.real_form else 1
-        self._slices = [slice(b, dim, nb) for b in range(nb)]
-        sl = self._slices
+        self._slices = sl = [slice(b, dim, 4) for b in range(4)]
         # a factor of charge c maps block j to j + c, so G is block-diagonal
         self._g_eigs, self.basis = [], []
-        for j in range(nb):
-            g = sum(k[sl[(j + c) % nb], sl[j]].conj().T @ k[sl[(j + c) % nb], sl[j]]
+        for j in range(4):
+            g = sum(k[sl[(j + c) % 4], sl[j]].T @ k[sl[(j + c) % 4], sl[j]]
                     for c, k in factors) / 2.0
-            ew, vecs = np.linalg.eigh(0.5 * (g + g.conj().T))
+            ew, vecs = np.linalg.eigh(0.5 * (g + g.T))
             self._g_eigs.append(ew)
             self.basis.append(vecs)
         if adjoint:
-            factors = [(-c, k.conj().T) for c, k in factors]
-        self._charges = [c % nb for c, _ in factors]
-        self.kraus = [tuple(self.basis[(j + c) % nb].conj().T @ k[sl[(j + c) % nb], sl[j]]
-                            @ self.basis[j] for j in range(nb)) for c, k in factors]
+            factors = [(-c, k.T) for c, k in factors]
+        self._charges = [c % 4 for c, _ in factors]
+        self.kraus = [tuple(self.basis[(j + c) % 4].T @ k[sl[(j + c) % 4], sl[j]]
+                            @ self.basis[j] for j in range(4)) for c, k in factors]
         self.adjoint = adjoint
         self.n_jumps = 0
         self._layout = None
@@ -188,9 +186,8 @@ class SplitPropagator:
         only the blocks with i <= j are carried: block (j, i) is
         sign·(block (i, j))ᵀ. sign = 0 carries every block of the sectors.
         """
-        nb = len(self.basis)
-        blocks = [(i, (i + s) % nb) for s in sorted(sectors) for i in range(nb)
-                  if not sign or i <= (i + s) % nb]
+        blocks = [(i, (i + s) % 4) for s in sorted(sectors) for i in range(4)
+                  if not sign or i <= (i + s) % 4]
         self._sign = sign
         if self._layout is not None and list(self._layout) == blocks:
             return
@@ -213,44 +210,37 @@ class SplitPropagator:
 
     def to_basis(self, x):
         x = np.asarray(x)
+        x = x.astype(np.result_type(x, np.float64), copy=False)
+        # M = S + A of the Hermitian part S + iA: symmetric for a real input,
+        # antisymmetric for an imaginary one
         sign = 0
-        if self.real_form:
-            x = x.astype(np.result_type(x, np.float64), copy=False)
-            # M = S + A of the Hermitian part S + iA: symmetric for a real
-            # input, antisymmetric for an imaginary one
-            if not np.iscomplexobj(x) or not x.imag.any():
-                sign, m = 1, x.real + x.real.T
-            elif not x.real.any():
-                sign, m = -1, x.imag - x.imag.T
-            else:
-                m = x.real + x.imag
-                m += (x.real - x.imag).T
+        if not np.iscomplexobj(x) or not x.imag.any():
+            sign, m = 1, x.real + x.real.T
+        elif not x.real.any():
+            sign, m = -1, x.imag - x.imag.T
         else:
-            x = x.astype(complex, copy=False)
-            m = x + x.conj().T
+            m = x.real + x.imag
+            m += (x.real - x.imag).T
         m *= 0.5
-        sl, nb = self._slices, len(self._slices)
-        sectors = {(j - i) % nb for i in range(nb) for j in range(nb) if m[sl[i], sl[j]].any()}
-        self._set_layout(sectors | {-s % nb for s in sectors} or {0}, sign)
-        out = np.empty(self._zsum.size, dtype=m.dtype)
+        sl = self._slices
+        sectors = {(j - i) % 4 for i in range(4) for j in range(4) if m[sl[i], sl[j]].any()}
+        self._set_layout(sectors | {-s % 4 for s in sectors} or {0}, sign)
+        out = np.empty(self._zsum.size)
         for (i, j), blk in self._blocks(out).items():
-            blk[...] = self.basis[i].conj().T @ m[sl[i], sl[j]] @ self.basis[j]
+            blk[...] = self.basis[i].T @ m[sl[i], sl[j]] @ self.basis[j]
         return out
 
     def from_basis(self, m):
-        full = np.zeros((self.dim, self.dim), dtype=m.dtype)
+        full = np.zeros((self.dim, self.dim))
         sl = self._slices
         for (i, j), blk in self._blocks(m).items():
-            full[sl[i], sl[j]] = self.basis[i] @ blk @ self.basis[j].conj().T
+            full[sl[i], sl[j]] = self.basis[i] @ blk @ self.basis[j].T
             if (j, i) not in self._layout:
                 full[sl[j], sl[i]] = self._sign * full[sl[i], sl[j]].T
+        # S + iA from M = S + A
         out = np.empty((self.dim, self.dim), dtype=complex)
-        if self.real_form:
-            # S + iA from M = S + A
-            np.add(full, full.T, out=out.real)
-            np.subtract(full, full.T, out=out.imag)
-        else:
-            np.add(full, full.conj().T, out=out)
+        np.add(full, full.T, out=out.real)
+        np.subtract(full, full.T, out=out.imag)
         out *= 0.5
         return out
 
@@ -260,29 +250,26 @@ class SplitPropagator:
         A source block carried only as its mirror is read as the transposed
         view of the mirror, with the parity's sign."""
         self.n_jumps += 1
-        nb = len(self.basis)
         out = np.zeros_like(m)
         blocks = self._blocks(m)
         for (p, q), dest in self._blocks(out).items():
             for c, k in zip(self._charges, self.kraus):
-                i, j = (p - c) % nb, (q - c) % nb
+                i, j = (p - c) % 4, (q - c) % 4
                 if (i, j) in blocks:
-                    dest += k[i] @ blocks[i, j] @ k[j].conj().T
+                    dest += k[i] @ blocks[i, j] @ k[j].T
                 elif self._sign > 0:
-                    dest += k[i] @ blocks[j, i].T @ k[j].conj().T
+                    dest += k[i] @ blocks[j, i].T @ k[j].T
                 else:
-                    dest -= k[i] @ blocks[j, i].T @ k[j].conj().T
+                    dest -= k[i] @ blocks[j, i].T @ k[j].T
         return out
 
     def _max_modulus(self, m):
         """max |X_ij| of the state a carrier holds.
 
-        On the real form |X_ij| = sqrt((M_ij² + M_ji²)/2); block (j, i)
-        holds the transposes of block (i, j), or ± block (i, j) itself when
-        only (i, j) is carried. A NaN anywhere gives NaN.
+        |X_ij| = sqrt((M_ij² + M_ji²)/2); block (j, i) holds the transposes
+        of block (i, j), or ± block (i, j) itself when only (i, j) is
+        carried. A NaN anywhere gives NaN.
         """
-        if not self.real_form:
-            return np.abs(m).max()
         blocks = self._blocks(m)
         tops = []
         for (i, j), blk in blocks.items():

@@ -65,8 +65,8 @@ class LindbladModel:
             op = np.asarray(op)
             if op.ndim != 2 or op.shape[0] != op.shape[1]:
                 raise ShapeMismatchError(f"channel operator must be square, got {op.shape}")
-            if rate < 0:
-                raise ValueError(f"channel rates must be non-negative, got {rate}")
+            if not 0 <= rate < np.inf:
+                raise ValueError(f"channel rates must be finite and non-negative, got {rate}")
             dims.add(op.shape[0])
         if len(dims) != 1:
             raise ShapeMismatchError(f"channel operators disagree on dimension: {dims}")
@@ -180,7 +180,7 @@ class Trajectory:
     for a generic complex state and 10 for a generic real one, 8 for a
     complex parity-even one and 6 for a real one such as a codeword
     projector, 4 for a rotation-invariant one such as fock.twirl of a
-    state, 1 when the channels lack the π/2 rotation symmetry).
+    state).
     """
 
     times: np.ndarray
@@ -261,11 +261,14 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
     included. Rows and snapshots are kept at exactly the record and snapshot
     times, which must lie in [0, t_final] (ValueError otherwise). rho0 must
     be Hermitian to 1e-10 (InvalidInputError otherwise); both backends
-    integrate its Hermitian part, in complex arithmetic. The backend is
-    "rk45" when the explicit pair's stability-limited step count, estimated
-    from ||G||_1, is at most MAX_EXPLICIT_STEPS, and "etd4" otherwise; the
-    choice is stored in meta["method"]. Accepted states are exactly Hermitian on both backends:
-    the explicit pair keeps the Hermitian part of each step, and the
+    integrate its Hermitian part. The backend is "rk45" when the explicit
+    pair's stability-limited step count, estimated from ||G||_1, is at most
+    MAX_EXPLICIT_STEPS, and "etd4" otherwise; the choice is stored in
+    meta["method"]. rk45 takes any channel set; etd4 needs the π/2 rotation
+    symmetry of the paper's channels (see etd.py), so a set that lacks it,
+    one with q or p for instance, raises ValueError where the rule picks
+    etd4. Accepted states are exactly Hermitian on both backends: the
+    explicit pair keeps the Hermitian part of each step, and the
     exponential backend carries Hermitian states by construction and
     rescales the trace to its initial value. Emits PositivityWarning if the
     state acquires an eigenvalue below -positivity_tol at a record point.

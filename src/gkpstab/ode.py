@@ -56,14 +56,13 @@ SAFETY = 0.9
 
 
 def _drive(attempt, norm, y, t_final, rtol, atol, record_times, exponent, max_growth,
-           h=FIRST_STEP, on_accept=None, on_record=None, max_steps=MAX_STEPS,
-           diagnostics=None):
+           on_accept=None, on_record=None, diagnostics=None):
     """Adaptive march from t=0 to t_final, stopping exactly at each record time.
 
-    h is the first step and max_steps the budget of attempts; both backends
-    keep the defaults. attempt(y, h) returns (candidate, error_estimate) for
-    a step of size h from y; after a rejection it is called again with the
-    same y object.
+    The first step is FIRST_STEP and the budget of attempts MAX_STEPS, both
+    read at call time. attempt(y, h) returns (candidate, error_estimate)
+    for a step of size h from y; after a rejection it is called again with
+    the same y object.
     norm measures a state. The step is accepted iff norm(error_estimate) <=
     atol + rtol * max(norm(y), norm(candidate)); a non-finite error retreats
     to h/4 and counts as a rejection. on_accept(y) is called with every
@@ -87,7 +86,7 @@ def _drive(attempt, norm, y, t_final, rtol, atol, record_times, exponent, max_gr
     largest accepted step "h_min" and "h_max" (None when no step was taken)
     and the next step size "h_final".
     """
-    t = 0.0
+    t, h = 0.0, FIRST_STEP
     record = sorted(set(float(tr) for tr in record_times if 0.0 < tr <= t_final))
     if not record or record[-1] < t_final:
         record.append(t_final)
@@ -98,9 +97,9 @@ def _drive(attempt, norm, y, t_final, rtol, atol, record_times, exponent, max_gr
     h_min, h_max = np.inf, 0.0
     ri = 0
     while t < t_final - 1e-14 * max(1.0, t_final):
-        if n_accept + n_reject > max_steps:
+        if n_accept + n_reject > MAX_STEPS:
             raise StepSizeUnderflowError(
-                f"step budget {max_steps} exhausted at t={t:.6g}{suffix}")
+                f"step budget {MAX_STEPS} exhausted at t={t:.6g}{suffix}")
         t_stop = record[ri]
         n_left = max(1, math.ceil(SAFETY * (t_stop - t) / h))
         h_try = (t_stop - t) / n_left

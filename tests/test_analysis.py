@@ -341,6 +341,15 @@ def test_error_rate_experiment_resource_guard():
         error_rate_experiment(0.01)  # dim 2000 over the default ceiling
 
 
+def test_experiments_reject_an_empty_grid():
+    # one record is t = 0 alone, and no trial leaves no rate to test
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="n_records"):
+            error_rate_experiment(0.14, n_records=n)
+    with pytest.raises(ValueError, match="n_trials"):
+        lyapunov_decay_experiment(0.14, n_trials=0)
+
+
 def truncation_convergence_check(epsilon, eta=ETA_QUBIT, dim=None, factor=1.5):
     """Compare codewords and kernel eigenvalues at dim and factor*dim.
 

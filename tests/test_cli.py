@@ -60,6 +60,18 @@ def test_kappa_range_rejects_unknown_spacing(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("args", [["qec-sim", "--records", "0"], ["qec-sim", "--records", "1"],
+                                  ["lyapunov", "--trials", "0"]],
+                         ids=["records0", "records1", "trials0"])
+def test_empty_experiment_is_usage_error(args, tmp_path, capsys):
+    # no record at t_f, or no trial, leaves no rate to report or to test
+    assert main(args + ["--epsilon", "0.14", "--outdir", str(tmp_path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == "" and not any(tmp_path.iterdir())
+
+
 def test_codewords_roundtrip(tmp_path):
     assert main(["codewords", "--epsilon", "0.2", "--outdir", str(tmp_path),
                  "--prefix", "cw"]) == EXIT_OK

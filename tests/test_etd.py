@@ -7,18 +7,17 @@ against high-precision arithmetic, the real Kraus form against the complex
 channel operators, and the jump counts against the stage structure.
 """
 
-import functools
-
 import mpmath
 import numpy as np
 import pytest
 
-from gkpstab import GkpParams, build_code, build_dissipators
+from gkpstab import GkpParams, build_code, build_dissipators, evolve
 from gkpstab import etd, ode
 from gkpstab.etd import SplitPropagator, _phi123
 from gkpstab.analysis import random_density_matrix
 from gkpstab.codes import ETA_SENSOR
 from gkpstab.fock import make_ladder, make_quadratures
+from gkpstab.lindblad import ObservableSpec
 
 
 def test_phi_functions_against_mpmath():
@@ -59,13 +58,14 @@ def _dense_superoperator(dim, vs):
     return sup
 
 
-def _assert_matches_dense(prop, dim, sup):
+def _assert_matches_dense(prop, dim, sup, grid=((0.4, 0.002), (1.2, 0.004))):
+    # grid holds (t_final, h) pairs of the fixed-step marches
     evals, evecs = np.linalg.eig(sup)
     coeffs = np.linalg.solve(evecs, random_density_matrix(
         dim, np.random.default_rng(2)).flatten())
     rho0 = (evecs @ coeffs).reshape(dim, dim)
 
-    for t_final, h in ((0.4, 0.002), (1.2, 0.004)):
+    for t_final, h in grid:
         exact = (evecs @ (np.exp(evals * t_final) * coeffs)).reshape(dim, dim)
         xb = prop.to_basis(rho0)
         for _ in range(int(round(t_final / h))):
@@ -80,47 +80,22 @@ def test_krogstad_matches_dense_propagator(tiny_model):
     _assert_matches_dense(prop, dim, _dense_superoperator(dim, vs))
 
 
-def test_unclosed_channel_set_takes_complex_path(tiny_model):
-    # one generic complex channel breaks the rotation symmetry, so the set
-    # runs on one complex block, which must still be exact
-    dim, vs = tiny_model
-    rng = np.random.default_rng(5)
-    extra = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(dim)
-    prop = SplitPropagator(vs + [extra], [1.0] * len(vs) + [0.05])
-    assert not prop.real_form
-    assert all(np.iscomplexobj(k) for k in prop.kraus)
-    _assert_matches_dense(prop, dim, _dense_superoperator(dim, vs + [np.sqrt(0.05) * extra]))
-
-
 @pytest.mark.parametrize("with_loss", [False, True], ids=["stabilizers", "plus_loss"])
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
-@pytest.mark.parametrize("dim", [28, 143])
-def test_blocked_form_matches_one_block_form(small_code, dim, adjoint, with_loss, monkeypatch):
-    # dim 143 has uneven blocks (36, 36, 36, 35)
-    vs = list(small_code.dissipators) if dim == 143 else list(build_dissipators(GkpParams(0.1, dim=dim)))
-    ops, rates = vs, [1.0] * 4
+def test_blocked_form_matches_dense_propagator(adjoint, with_loss):
+    # dim 30 has uneven blocks (8, 8, 7, 7). The steps are half those of
+    # the dim-28 test: at h = 0.002/0.004 the forward march reads 8.3e-9,
+    # the fourth-order step error; at h/2 it reads 5.1e-10
+    dim = 30
+    ops, rates = list(build_dissipators(GkpParams(0.1, dim=dim))), [1.0] * 4
     if with_loss:
-        ops, rates = vs + [make_ladder(dim)], rates + [0.02]
-    blocked = SplitPropagator(ops, rates, adjoint=adjoint)
-    monkeypatch.setattr(etd, "_charge_kraus", lambda ops, rates: None)
-    dense = SplitPropagator(ops, rates, adjoint=adjoint)
-    assert [len(b) for b in blocked.basis] == [len(range(j, dim, 4)) for j in range(4)]
-    assert len(dense.basis) == 1 and not dense.real_form
-
-    rho = random_density_matrix(dim, np.random.default_rng(12))
-    outs = []
-    for prop in (blocked, dense):
-        xb = prop.to_basis(rho)
-        jump = prop.from_basis(prop.apply_jump(xb))
-        for _ in range(3):
-            xb = prop.step(xb, 0.05)
-        outs.append((jump, prop.from_basis(xb)))
-    (jump, stepped), (jump_ref, stepped_ref) = outs
-    assert np.abs(jump - jump_ref).max() <= 1e-12 * np.abs(jump_ref).max()
-    # the stiff drift amplifies roundoff in the stages: at dim 143 three
-    # steps of the one-block form move by up to 1.5e-10 (relative) under a
-    # mere permutation of the Fock basis, so steps are compared at 1e-9
-    assert np.abs(stepped - stepped_ref).max() <= 1e-9 * np.abs(stepped_ref).max()
+        ops, rates = ops + [make_ladder(dim)], rates + [0.02]
+    prop = SplitPropagator(ops, rates, adjoint=adjoint)
+    assert [len(b) for b in prop.basis] == [8, 8, 7, 7]
+    sup = _dense_superoperator(dim, [np.sqrt(r) * v for v, r in zip(ops, rates)])
+    if adjoint:
+        sup = sup.conj().T   # L* in the Hilbert-Schmidt product
+    _assert_matches_dense(prop, dim, sup, grid=((0.4, 0.001), (1.2, 0.002)))
 
 
 def test_parity_even_states_take_six_or_eight_blocks(small_code):
@@ -196,77 +171,80 @@ def test_max_modulus_sees_a_nan_in_any_block(tiny_model):
         assert np.isnan(prop._max_modulus(bad))
 
 
-def test_rotation_asymmetric_channel_set_takes_one_block(tiny_model):
-    # F q F† = p is not a channel: one complex block, which must still be
-    # exact
+def test_channel_set_without_rotation_symmetry_is_rejected(tiny_model, small_model):
+    # F q F† = p is not a channel, so stabilizers + q have no real blocked
+    # form; single-charge channels (a, a†, n, a²) pass the detector
     dim, vs = tiny_model
+    a = make_ladder(dim)
+    for extra in (a, a.T, a.T @ a, a @ a):
+        SplitPropagator(vs + [extra], [1.0] * len(vs) + [0.02])
     q = make_quadratures(dim)[0]
-    prop = SplitPropagator(vs + [q], [1.0] * len(vs) + [0.02])
-    assert not prop.real_form and len(prop.basis) == 1
-    _assert_matches_dense(prop, dim, _dense_superoperator(dim, vs + [np.sqrt(0.02) * q]))
+    with pytest.raises(ValueError, match="channel 4 lacks the pi/2 rotation symmetry"):
+        SplitPropagator(vs + [q], [1.0] * len(vs) + [0.02])
+    # evolve picks etd4 at dim 143 and raises there
+    with_q = small_model.with_channel(make_quadratures(small_model.dim)[0], 0.02)
+    rho = np.eye(small_model.dim) / small_model.dim
+    with pytest.raises(ValueError, match="rotation symmetry"):
+        evolve(with_q, rho, 0.2, record_times=[0.2],
+               observables=ObservableSpec(positivity_tol=None))
 
 
 def test_sensor_lattice_passes_the_symmetry_detector():
     vs = build_dissipators(GkpParams(0.1, eta=ETA_SENSOR, dim=40))
     prop = SplitPropagator(vs, [1.0] * len(vs))
-    assert prop.real_form and len(prop.basis) == 4
+    assert len(prop.basis) == 4
 
 
 @pytest.mark.parametrize("with_loss", [False, True], ids=["stabilizers", "plus_loss"])
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
-def test_real_form_jump_matches_complex_operators(tiny_model, with_loss, adjoint):
-    dim, vs = tiny_model
-    ops, rates = list(vs), [1.0] * len(vs)
-    if with_loss:
-        ops.append(make_ladder(dim).astype(complex))
-        rates.append(0.02)
-    prop = SplitPropagator(ops, rates, adjoint=adjoint)
-    assert prop.real_form
-    assert all(np.isrealobj(k) for k in prop.kraus) and np.isrealobj(prop.basis)
+def test_real_form_jump_matches_complex_operators(tiny_model, small_code, with_loss, adjoint):
+    # dim 143 has uneven blocks (36, 36, 36, 35)
+    for dim, vs in (tiny_model, (small_code.dim, list(small_code.dissipators))):
+        ops, rates = list(vs), [1.0] * len(vs)
+        if with_loss:
+            ops.append(make_ladder(dim).astype(complex))
+            rates.append(0.02)
+        prop = SplitPropagator(ops, rates, adjoint=adjoint)
+        assert all(np.isrealobj(k) for k in prop.basis + [k for ks in prop.kraus for k in ks])
 
-    rho = random_density_matrix(dim, np.random.default_rng(6))
-    sym = rho.real.astype(complex)             # real symmetric
-    anti = 1j * rho.imag                       # purely imaginary Hermitian
-    for x in (sym, anti, rho):
-        want = sum(r * (v.conj().T @ x @ v if adjoint else v @ x @ v.conj().T)
-                   for v, r in zip(ops, rates))
-        got = prop.from_basis(prop.apply_jump(prop.to_basis(x)))
-        assert got.dtype == complex
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        assert np.array_equal(got, got.conj().T)
+        rho = random_density_matrix(dim, np.random.default_rng(6))
+        sym = rho.real.astype(complex)             # real symmetric
+        anti = 1j * rho.imag                       # purely imaginary Hermitian
+        for x in (sym, anti, rho):
+            want = sum(r * (v.conj().T @ x @ v if adjoint else v @ x @ v.conj().T)
+                       for v, r in zip(ops, rates))
+            got = prop.from_basis(prop.apply_jump(prop.to_basis(x)))
+            assert got.dtype == complex
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(got, got.conj().T)
 
 
 def test_one_part_state_of_any_symmetry_gets_its_exact_map(tiny_model):
     # a real or purely imaginary X of no symmetry gets the map of its
-    # Hermitian part, the real symmetric or the imaginary antisymmetric one,
-    # on the blocked form and on one complex block; the blocked form may
-    # leave a rounding-level other part, which the error bound covers
+    # Hermitian part, the real symmetric or the imaginary antisymmetric one;
+    # the blocked form may leave a rounding-level other part, which the
+    # error bound covers
     dim, vs = tiny_model
     y = np.random.default_rng(9).standard_normal((dim, dim))
-    q = make_quadratures(dim)[0]
-    for ops, rates in ((vs, [1.0] * len(vs)), (vs + [q], [1.0] * len(vs) + [0.02])):
-        prop = SplitPropagator(ops, rates)
-        for z, herm in ((y, 0.5 * (y + y.T)), (1j * y, 0.5j * (y - y.T))):
-            got = prop.from_basis(prop.apply_jump(prop.to_basis(z)))
-            want = sum(r * (v @ herm @ v.conj().T) for v, r in zip(ops, rates))
-            assert np.array_equal(got, got.conj().T)
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    prop = SplitPropagator(vs, [1.0] * len(vs))
+    for z, herm in ((y, 0.5 * (y + y.T)), (1j * y, 0.5j * (y - y.T))):
+        got = prop.from_basis(prop.apply_jump(prop.to_basis(z)))
+        want = sum(v @ herm @ v.conj().T for v in vs)
+        assert np.array_equal(got, got.conj().T)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_non_hermitian_jump_maps_the_hermitian_part(tiny_model):
-    # a complex input of no symmetry, on the blocked form and on one complex
-    # block (q breaks the rotation symmetry)
+    # a complex input of no symmetry
     dim, vs = tiny_model
     rng = np.random.default_rng(10)
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     herm = 0.5 * (x + x.conj().T)
-    q = make_quadratures(dim)[0]
-    for ops, rates in ((vs, [1.0] * len(vs)), (vs + [q], [1.0] * len(vs) + [0.02])):
-        prop = SplitPropagator(ops, rates)
-        got = prop.from_basis(prop.apply_jump(prop.to_basis(x)))
-        want = sum(r * (v @ herm @ v.conj().T) for v, r in zip(ops, rates))
-        assert np.array_equal(got, got.conj().T)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    prop = SplitPropagator(vs, [1.0] * len(vs))
+    got = prop.from_basis(prop.apply_jump(prop.to_basis(x)))
+    want = sum(v @ herm @ v.conj().T for v in vs)
+    assert np.array_equal(got, got.conj().T)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_run_counts_jump_applications(tiny_model, monkeypatch):
@@ -284,7 +262,7 @@ def test_run_counts_jump_applications(tiny_model, monkeypatch):
     # an oversized first step forces rejections: every attempt, a retry
     # included, costs 11 jump applications
     calls.clear()
-    monkeypatch.setattr(etd, "_drive", functools.partial(ode._drive, h=1.0))
+    monkeypatch.setattr(ode, "FIRST_STEP", 1.0)
     _, stats = prop.run(rho0, 1.0, rtol=1e-9, atol=1e-12)
     assert stats["n_reject"] >= 1
     assert stats["n_jumps"] == len(calls)
@@ -305,7 +283,7 @@ def test_attempt_evaluates_three_phi_tables(tiny_model, monkeypatch):
     prop = SplitPropagator(vs, [1.0] * len(vs))
     args = []
     monkeypatch.setattr(etd, "_phi123", lambda z: args.append(z) or _phi123(z))
-    monkeypatch.setattr(etd, "_drive", functools.partial(ode._drive, h=0.01))
+    monkeypatch.setattr(ode, "FIRST_STEP", 0.01)
     _, stats = prop.run(random_density_matrix(dim, np.random.default_rng(11)), 0.01,
                         rtol=1e-3, atol=1e-3)
     assert (stats["n_accept"], stats["n_reject"]) == (1, 0)

@@ -6,7 +6,7 @@ no reset of the step after landing on one)."""
 import numpy as np
 import pytest
 
-from gkpstab import evolve
+from gkpstab import evolve, ode
 from gkpstab.fock import max_abs
 from gkpstab.lindblad import ObservableSpec
 from gkpstab.ode import SAFETY, _drive
@@ -28,8 +28,10 @@ def toy_attempt(candidate, estimates):
 
 def drive(attempt, y):
     # one step of h = 1 covers [0, 1]
-    return _drive(attempt, max_abs, y, 1.0, RTOL, ATOL, record_times=(),
-                  exponent=0.2, max_growth=5.0, h=1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ode, "FIRST_STEP", 1.0)
+        return _drive(attempt, max_abs, y, 1.0, RTOL, ATOL, record_times=(),
+                      exponent=0.2, max_growth=5.0)
 
 
 @pytest.mark.parametrize("y, candidate", [([2.0], [-3.0]), ([-3.0], [2.0])])
@@ -83,10 +85,12 @@ def march(record_times, h=PROPOSAL):
         attempts.append(h)
         return y + np.array([0.0, h]), np.array([TOL * (h / H_TOL) ** 5])
 
-    _, stats = _drive(attempt, max_abs, np.array([1.0, 0.0]), 1.0, RTOL, ATOL,
-                      record_times, exponent=0.2, max_growth=5.0, h=h,
-                      on_accept=lambda y: accepted.append(y[1]),
-                      on_record=lambda t, y: records.append((t, y[1])))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ode, "FIRST_STEP", h)
+        _, stats = _drive(attempt, max_abs, np.array([1.0, 0.0]), 1.0, RTOL, ATOL,
+                          record_times, exponent=0.2, max_growth=5.0,
+                          on_accept=lambda y: accepted.append(y[1]),
+                          on_record=lambda t, y: records.append((t, y[1])))
     return attempts, accepted, records, stats
 
 
