@@ -17,7 +17,7 @@ from gkpstab.etd import SplitPropagator, _phi123
 from gkpstab.analysis import random_density_matrix
 from gkpstab.codes import ETA_SENSOR
 from gkpstab.fock import make_ladder, make_quadratures
-from gkpstab.lindblad import ObservableSpec
+from gkpstab.lindblad import LindbladModel, ObservableSpec
 
 
 def test_phi_functions_against_mpmath():
@@ -80,6 +80,35 @@ def test_krogstad_matches_dense_propagator(tiny_model):
     _assert_matches_dense(prop, dim, _dense_superoperator(dim, vs))
 
 
+def _assert_evolve_matches_dense(dim, ops, rates):
+    # evolve's explicit pair on the whole complex matrix against the exact
+    # propagator, at the times of the fixed-step marches
+    model = LindbladModel(tuple(zip(ops, rates)))
+    evals, evecs = np.linalg.eig(
+        _dense_superoperator(dim, [np.sqrt(r) * v for v, r in zip(ops, rates)]))
+    rho0 = random_density_matrix(dim, np.random.default_rng(2))
+    coeffs = np.linalg.solve(evecs, rho0.flatten())
+    for t_final in (0.4, 1.2):
+        exact = (evecs @ (np.exp(evals * t_final) * coeffs)).reshape(dim, dim)
+        traj = evolve(model, rho0, t_final, record_times=[t_final],
+                      observables=ObservableSpec(snapshot_times=(t_final,), positivity_tol=None))
+        assert traj.meta["method"] == "rk45"
+        assert np.abs(traj.snapshots[t_final] - exact).max() <= 5e-9, f"t={t_final}"
+
+
+def test_unclosed_channel_set_takes_complex_path(tiny_model):
+    # one generic complex channel breaks the rotation symmetry: the
+    # exponential integrator refuses it, and evolve runs it on the complex
+    # explicit pair, which must still be exact
+    dim, vs = tiny_model
+    rng = np.random.default_rng(5)
+    extra = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(dim)
+    ops, rates = vs + [extra], [1.0] * len(vs) + [0.05]
+    with pytest.raises(ValueError, match="channel 4 lacks the pi/2 rotation symmetry"):
+        SplitPropagator(ops, rates)
+    _assert_evolve_matches_dense(dim, ops, rates)
+
+
 @pytest.mark.parametrize("with_loss", [False, True], ids=["stabilizers", "plus_loss"])
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
 def test_blocked_form_matches_dense_propagator(adjoint, with_loss):
@@ -96,6 +125,60 @@ def test_blocked_form_matches_dense_propagator(adjoint, with_loss):
     if adjoint:
         sup = sup.conj().T   # L* in the Hilbert-Schmidt product
     _assert_matches_dense(prop, dim, sup, grid=((0.4, 0.001), (1.2, 0.002)))
+
+
+def _one_block_run(ops, rates, adjoint, x, h, n_steps):
+    """The jump of x and n_steps Krogstad steps of size h from x, in the
+    complex eigenbasis of the whole G, with no use of the rotation symmetry:
+    an independent reference for the blocked form."""
+    g = sum(r * (v.conj().T @ v) for v, r in zip(ops, rates)) / 2.0
+    ew, u = np.linalg.eigh(0.5 * (g + g.conj().T))
+    ks = [u.conj().T @ (np.sqrt(r) * (v.conj().T if adjoint else v)) @ u
+          for v, r in zip(ops, rates)]
+
+    def jump(m):
+        return sum(k @ m @ k.conj().T for k in ks)
+
+    z = -(ew[:, None] + ew[None, :])
+    e_h, p1_h, p2_h, p3_h = _phi123(h * z)
+    e_2, p1_2, p2_2, _ = _phi123(0.5 * h * z)
+    xb = u.conj().T @ (0.5 * (x + x.conj().T)) @ u
+    jumped = u @ jump(xb) @ u.conj().T
+    for _ in range(n_steps):
+        n1 = jump(xb)
+        n2 = jump(e_2 * xb + (0.5 * h) * p1_2 * n1)
+        n3 = jump(e_2 * xb + (0.5 * h) * ((p1_2 - 2.0 * p2_2) * n1 + 2.0 * p2_2 * n2))
+        n4 = jump(e_h * xb + h * ((p1_h - 2.0 * p2_h) * n1 + 2.0 * p2_h * n3))
+        xb = e_h * xb + h * ((p1_h - 3.0 * p2_h + 4.0 * p3_h) * n1
+                             + (2.0 * p2_h - 4.0 * p3_h) * (n2 + n3)
+                             + (-p2_h + 4.0 * p3_h) * n4)
+    return jumped, u @ xb @ u.conj().T
+
+
+@pytest.mark.parametrize("with_loss", [False, True], ids=["stabilizers", "plus_loss"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+@pytest.mark.parametrize("dim", [28, 143])
+def test_blocked_form_matches_one_block_form(small_code, dim, adjoint, with_loss):
+    # dim 143 has uneven blocks (36, 36, 36, 35)
+    vs = list(small_code.dissipators) if dim == 143 else list(build_dissipators(GkpParams(0.1, dim=dim)))
+    ops, rates = vs, [1.0] * 4
+    if with_loss:
+        ops, rates = vs + [make_ladder(dim)], rates + [0.02]
+    prop = SplitPropagator(ops, rates, adjoint=adjoint)
+    assert [len(b) for b in prop.basis] == [len(range(j, dim, 4)) for j in range(4)]
+
+    rho = random_density_matrix(dim, np.random.default_rng(12))
+    xb = prop.to_basis(rho)
+    jump = prop.from_basis(prop.apply_jump(xb))
+    for _ in range(3):
+        xb = prop.step(xb, 0.05)
+    stepped = prop.from_basis(xb)
+    jump_ref, stepped_ref = _one_block_run(ops, rates, adjoint, rho, 0.05, 3)
+    assert np.abs(jump - jump_ref).max() <= 1e-12 * np.abs(jump_ref).max()
+    # the stiff drift amplifies roundoff in the stages: at dim 143 three
+    # steps of the one-block form move by up to 1.5e-10 (relative) under a
+    # mere permutation of the Fock basis, so steps are compared at 1e-9
+    assert np.abs(stepped - stepped_ref).max() <= 1e-9 * np.abs(stepped_ref).max()
 
 
 def test_parity_even_states_take_six_or_eight_blocks(small_code):
@@ -187,6 +270,13 @@ def test_channel_set_without_rotation_symmetry_is_rejected(tiny_model, small_mod
     with pytest.raises(ValueError, match="rotation symmetry"):
         evolve(with_q, rho, 0.2, record_times=[0.2],
                observables=ObservableSpec(positivity_tol=None))
+
+
+def test_rotation_asymmetric_channel_set_takes_one_block(tiny_model):
+    # F q F† = p is not a channel: no blocked form, so evolve runs the set
+    # on the whole matrix, one block, which must still be exact
+    dim, vs = tiny_model
+    _assert_evolve_matches_dense(dim, vs + [make_quadratures(dim)[0]], [1.0] * len(vs) + [0.02])
 
 
 def test_sensor_lattice_passes_the_symmetry_detector():
