@@ -501,8 +501,9 @@ def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0,
 
     The experiment is deterministic: both runs start from the codeword
     projector, so seed is accepted for call compatibility and ignored.
-    Raises ValueError for n_records < 2: the rates need a record at t_f
-    besides the one at t = 0.
+    Raises ValueError for n_records < 2, since the rates need a record at
+    t_f besides the one at t = 0, and for a kappa1 that is not finite and
+    non-negative.
     """
     if n_records < 2:
         raise ValueError(f"n_records must be at least 2, got {n_records}")
@@ -513,6 +514,8 @@ def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0,
             f"dim {params.dim} exceeds the maximum {MAX_DIM}; reduce the epsilon scope"
         )
     kappa1 = epsilon / 5.0 if kappa1 is None else float(kappa1)
+    if not (np.isfinite(kappa1) and kappa1 >= 0):
+        raise ValueError(f"kappa1 must be finite and non-negative, got {kappa1}")
     code = code or build_code(params)
     base = stabilizer_model(code)
     logicals = logical_operators(base, code)

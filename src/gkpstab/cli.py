@@ -36,7 +36,7 @@ from .codes import (
     mean_photon_number,
 )
 from .errors import GkpStabError
-from .lindblad import SolverOptions, logical_operators, stabilizer_model
+from .lindblad import STATIONARY_TOL, SolverOptions, logical_operators, stabilizer_model
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -325,7 +325,7 @@ PARAMS = {
     "trials": (int, "number of random initial states", "run.trials", 10),
     "kappa1": (float, "loss rate (default epsilon/5)", "run.kappa1", None),
     "records": (int, "number of record times", "run.records", 51),
-    "tol": (float, "residual stopping tolerance", "run.tol", 1e-7),
+    "tol": (float, "step-defect stopping tolerance", "run.tol", STATIONARY_TOL),
     "horizon_multiplier": (float, "fallback horizon in units of 1/kappa",
                            "run.horizon_multiplier", 20.0),
     "long_running": (bool, "allow epsilon <= 1/20 tiers", None, False),

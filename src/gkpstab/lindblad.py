@@ -369,7 +369,7 @@ def pure_loss_trajectory(factor, rate, record_times, observables=None):
 class LogicalOperators:
     """Stationary logical observables and the residual left at stop time.
 
-    convergence_residual is the max over x,y,z of ||L*(J)||_F / ||J||_F.
+    convergence_residual is the worst last step defect (see logical_operators).
     """
 
     jx: np.ndarray
@@ -381,23 +381,23 @@ class LogicalOperators:
         return {name: np.linalg.eigvalsh(getattr(self, name)) for name in ("jx", "jy", "jz")}
 
 
-def logical_operators(model, code, horizon_multiplier=20.0, tol=1e-7):
+# logical_operators' default tol, which gkpstab logical-ops reads too
+STATIONARY_TOL = 1e-10
+
+
+def logical_operators(model, code, horizon_multiplier=20.0, tol=STATIONARY_TOL):
     """Evolve S_x, S_y, S_z under the adjoint flow until stationary.
 
-    Stops when ||adjoint_rhs(X)||_F <= tol * ||X||_F, falling back to the
-    horizon horizon_multiplier / kappa(eps, eta). The macro step is fixed at
-    ~1/kappa: exact stationary points are fixed points of the exponential
-    step at any size, so the limit is step-independent and error control on
-    the (irrelevant) stiff transient would only slow the march down. A
-    ConvergenceWarning reports a residual still above tol at the horizon;
-    the operators are returned regardless. Note the Frobenius residual has a
-    roundoff floor: corner entries of X at machine noise are amplified by
-    the stiff drift. Measured as the smallest residual over a 20/kappa march
-    (worst of x, y, z): 7.4e-5 at eps=0.14, dim 143, where the default tol
-    cannot be met and the march warns at the horizon although the operators
-    are converged; 4.8e-8 at eps=0.1, dim 200, where the march stops at
-    8.6e-8 after 16 steps per operator, only a factor of 2 inside tol;
-    1.3e-10 at eps=0.05, dim 400, where it stops after 17 to 21 steps.
+    Fixed exponential steps Phi_h, h = 0.4/kappa(eps, eta), until the step
+    defect ||Phi_h(X) - X||_F / (h ||Phi_h(X)||_F) is at most tol, or to the
+    horizon horizon_multiplier / kappa. Exact stationary points are fixed
+    points of the step at any h, so the limit does not depend on h, and
+    error control on the (irrelevant) stiff transient would only slow the
+    march down. The step damps the truncation corner, so the defect falls
+    to roundoff (1e-11 at eps = 0.14, dim 143); at the default tol the march
+    stops after 14-16 steps per operator there, 15 at eps = 0.1, dim 200,
+    and 17-21 at eps = 0.05, dim 400. A ConvergenceWarning reports a defect
+    still above tol at the horizon; the operators are returned regardless.
     """
     if code.params.lattice != "qubit":
         raise ValueError("logical operators need the two-codeword lattice")
@@ -418,7 +418,7 @@ def logical_operators(model, code, horizon_multiplier=20.0, tol=1e-7):
         worst = max(worst, resid)
     if worst > tol:
         warnings.warn(
-            f"adjoint residual {worst:.3e} above tol {tol:.1e} at t={t_max:.3g}; "
+            f"adjoint step defect {worst:.3e} above tol {tol:.1e} at t={t_max:.3g}; "
             "returning the horizon values",
             ConvergenceWarning,
         )

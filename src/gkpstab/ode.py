@@ -55,6 +55,11 @@ MAX_STEPS = 10_000_000  # accepted plus rejected steps of one run
 SAFETY = 0.9
 
 
+def _min_step(t):
+    """The shortest step the march takes from time t: ~1e4 ulp of t."""
+    return 1e4 * np.finfo(float).eps * max(abs(t), 1.0)
+
+
 def _drive(attempt, norm, y, t_final, rtol, atol, record_times, exponent, max_growth,
            on_accept=None, on_record=None, diagnostics=None):
     """Adaptive march from t=0 to t_final, stopping exactly at each record time.
@@ -79,8 +84,10 @@ def _drive(attempt, norm, y, t_final, rtol, atol, record_times, exponent, max_gr
     not reset the controller; "h_final" is therefore the controller's step
     after the last accepted one, not the length of a step cut to t_final.
 
-    Raises StepSizeUnderflowError when the step budget is spent or the
-    controller is driven below ~1e4 ulp of the current time, appending
+    Raises ValueError, before any step, when two neighbours of the grid
+    0, the record times in (0, t_final], t_final lie closer than
+    _min_step of the earlier one, and StepSizeUnderflowError when the step
+    budget is spent or the controller is driven below _min_step, appending
     `diagnostics` (a string) to the message. Returns (y, stats): the
     accepted and rejected steps "n_accept" and "n_reject", the smallest and
     largest accepted step "h_min" and "h_max" (None when no step was taken)
@@ -90,6 +97,10 @@ def _drive(attempt, norm, y, t_final, rtol, atol, record_times, exponent, max_gr
     record = sorted(set(float(tr) for tr in record_times if 0.0 < tr <= t_final))
     if not record or record[-1] < t_final:
         record.append(t_final)
+    for a, b in zip([0.0] + record, record):
+        if b - a < _min_step(a):
+            raise ValueError(f"stops {a!r} and {b!r} are closer than the shortest step "
+                             f"{_min_step(a):.3e}")
     if on_record is not None and 0.0 in record_times:
         on_record(0.0, y)
     suffix = f"; {diagnostics}" if diagnostics else ""
@@ -103,7 +114,7 @@ def _drive(attempt, norm, y, t_final, rtol, atol, record_times, exponent, max_gr
         t_stop = record[ri]
         n_left = max(1, math.ceil(SAFETY * (t_stop - t) / h))
         h_try = (t_stop - t) / n_left
-        if h_try < 1e4 * np.finfo(float).eps * max(abs(t), 1.0):
+        if h_try < _min_step(t):
             raise StepSizeUnderflowError(
                 f"step size underflow at t={t:.6g} (h={h_try:.3e}){suffix}")
         candidate, estimate = attempt(y, h_try)

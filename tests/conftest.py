@@ -39,7 +39,7 @@ def model200(code200):
 
 @pytest.fixture(scope="session")
 def logicals200(code200, model200):
-    return logical_operators(model200, code200, tol=1e-7)
+    return logical_operators(model200, code200)
 
 
 @pytest.fixture(scope="session")

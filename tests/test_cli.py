@@ -180,8 +180,10 @@ def test_check_failure_exit_code(capsys):
     (None, ["lyapunov", "--epsilon", "0.3"]),  # kappa <= 0 from here on
     (None, ["qec-sim", "--epsilon", "0.3"]),
     (None, ["logical-ops", "--epsilon", "0.3"]),
+    (None, ["qec-sim", "--epsilon", "0.15", "--dim", "40", "--records", "3", "--kappa1=-0.05"]),
+    (None, ["qec-sim", "--epsilon", "0.15", "--dim", "40", "--records", "3", "--kappa1=nan"]),
 ], ids=["no-section", "bad-value", "negative-eps", "zero-eps", "lyapunov-kappa",
-        "qec-kappa", "logical-ops-kappa"])
+        "qec-kappa", "logical-ops-kappa", "qec-negative-kappa1", "qec-nan-kappa1"])
 def test_bad_input_is_usage_error(config, argv, tmp_path, capsys):
     if config is not None:
         cfg = tmp_path / "run.ini"

@@ -358,12 +358,12 @@ def test_run_counts_jump_applications(tiny_model, monkeypatch):
     assert stats["n_jumps"] == len(calls)
     assert stats["n_jumps"] == 11 * (stats["n_accept"] + stats["n_reject"])
 
-    # the residual's jump is the next step's first stage: 4 per step, plus 1
+    # the step defect needs no jump of its own: 4 per step
     adj = SplitPropagator(vs, [1.0] * len(vs), adjoint=True)
     before = adj.n_jumps
     *_, steps = adj.run_to_stationary(np.eye(dim) + rho0, h=0.5, residual_tol=0.0, t_max=3.0)
     assert steps == 6
-    assert adj.n_jumps - before == 4 * steps + 1
+    assert adj.n_jumps - before == 4 * steps
 
 
 def test_attempt_evaluates_three_phi_tables(tiny_model, monkeypatch):
@@ -455,6 +455,25 @@ def test_stationary_fixed_point_h_independent(small_code):
             small_code.sz.astype(complex), h=h, residual_tol=1e-14, t_max=250.0)
         outs.append(x)
     assert np.abs(outs[0] - outs[1]).max() <= 1e-8
+
+
+def test_stationary_march_stops_on_its_step_defect(small_code):
+    # the step damps the truncation corner, so at eps = 0.14, dim 143 the
+    # defect falls past 1e-10 well inside the horizon; the generator
+    # residual ||L*(X)||_F / ||X||_F stops near 1e-5 there
+    from gkpstab import kappa
+
+    rate = kappa(small_code.params.epsilon)
+    vs = list(small_code.dissipators)
+    prop = SplitPropagator(vs, [1.0] * len(vs), adjoint=True)
+    _x, resid, _t, steps = prop.run_to_stationary(small_code.sz, h=0.4 / rate,
+                                                  residual_tol=1e-10, t_max=20.0 / rate)
+    assert resid <= 1e-10 and steps < 50
+    # 50 steps of h sum to 1e-13 short of 20/kappa; a march to the horizon
+    # ends there and reports its last full step, not the defect of a sliver
+    _x, resid, _t, steps = prop.run_to_stationary(small_code.sz, h=0.4 / rate,
+                                                  residual_tol=0.0, t_max=20.0 / rate)
+    assert steps == 50 and resid <= 1e-10
 
 
 def test_adjoint_preserves_identity(tiny_model):

@@ -318,6 +318,28 @@ def test_snapshot_near_a_record_time_is_its_own_stop():
     assert list(traj.snapshots) == [snap]
 
 
+def test_stops_one_ulp_apart_are_rejected_before_any_step(small_code, small_model):
+    # the march cannot step between two stops closer than its shortest step,
+    # so such a grid is refused up front, naming both times
+    after, below = np.nextafter(1.0, 2.0), np.nextafter(2.0, 0.0)
+    rho0 = random_density_matrix(8, np.random.default_rng(3))
+    for records, snapshots, pair in (([1.0, 2.0], (after,), "1.0 and 1.0000000000000002"),
+                                     ([1.0, after, 2.0], (), "1.0 and 1.0000000000000002"),
+                                     ([1.0, below], (), "1.9999999999999998 and 2.0")):
+        with pytest.raises(ValueError, match=f"stops {pair} are closer"):
+            evolve(loss_model(8), rho0, 2.0, record_times=records,
+                   observables=ObservableSpec(snapshot_times=snapshots))
+    # etd4, which the rule picks at this size: snapshots on linspace(0, tf, 6)
+    # and records on linspace(0, tf, 51) fall 1 ulp apart at 7.14 and later
+    kappa1 = small_code.params.epsilon / 5.0
+    tf = 1.0 / kappa1
+    c0 = small_code.codewords[0]
+    with pytest.raises(ValueError, match="7.1428571428571415 and 7.142857142857142 are closer"):
+        evolve(small_model.with_photon_loss(kappa1), np.outer(c0, c0), tf,
+               record_times=np.linspace(0.0, tf, 51),
+               observables=ObservableSpec(snapshot_times=tuple(np.linspace(0.0, tf, 6))))
+
+
 def test_negative_record_or_snapshot_time_is_rejected():
     rho0 = random_density_matrix(8, np.random.default_rng(3))
     with pytest.raises(ValueError, match="non-negative"):
@@ -484,10 +506,7 @@ def test_pure_loss_invalid_inputs():
 def small_logicals():
     code = build_code(GkpParams(0.14))
     model = stabilizer_model(code)
-    # eps=0.14 at dim=143 is stiffer than the production point (||W||~5e6),
-    # so the Frobenius residual floors near ||W||*eps_mach ~ 6e-5; the state
-    # itself is converged to ~1e-10 (fixed points at different h agree)
-    return code, model, logical_operators(model, code, horizon_multiplier=40.0, tol=1e-4)
+    return code, model, logical_operators(model, code)
 
 
 def test_logical_spectra_bounded(small_logicals):
