@@ -57,6 +57,9 @@ import numpy as np
 from .fock import rotate
 from .ode import _drive, _min_step
 
+# step differences that run_to_stationary's extrapolation combines
+STATIONARY_WINDOW = 4
+
 
 def _phi123(z):
     """phi_1, phi_2, phi_3 of exp on a (non-positive) real array, elementwise.
@@ -93,7 +96,8 @@ def _charge_kraus(ops, rates):
     the four then give the factors 2 sqrt(r) V_c, V_c being V masked to
     charge c, because sum_k F^k V F^-k X (F^k V F^-k)† = 4 sum_c V_c X V_c†.
     This is a unitary mixing of the Kraus operators, so the map is the same.
-    Every factor must be exactly real or exactly imaginary. Raises
+    A global phase of a channel is divided out; every factor must then be
+    real or imaginary, to within the roundoff of that division. Raises
     ValueError naming the first channel that fails either condition.
     """
     n = np.arange(ops[0].shape[0])
@@ -115,12 +119,20 @@ def _charge_kraus(ops, rates):
                         f"{charges} and its rotation by {k} is not a channel at rate {r}")
                 paired.add(j)
             weight *= 2.0
+        top = v.flat[np.argmax(np.abs(v))]
         for c in charges:
-            k = np.where(charge == c, v, 0.0)
-            if k.real.any() and k.imag.any():
+            # a global phase leaves the map alone: divide it out, taking the
+            # phase of the largest entry, to within the roundoff of the division
+            k = np.where(charge == c, v, 0.0) * (abs(top) / top)
+            slack = 4.0 * np.finfo(float).eps * np.abs(k)
+            if np.all(np.abs(k.imag) <= slack):
+                k = k.real
+            elif np.all(np.abs(k.real) <= slack):
+                k = k.imag
+            else:
                 raise ValueError(f"channel {i} has no real Kraus form: its charge-{c} "
-                                 "part is neither real nor imaginary")
-            out.append((c, weight * (k.imag if k.imag.any() else k.real)))
+                                 "part is neither real nor imaginary up to a phase of the channel")
+            out.append((c, weight * k))
     return out
 
 
@@ -151,9 +163,9 @@ class SplitPropagator:
     flow, so such a carrier holds only the blocks (i, j) with i <= j (the
     layout's sign is ±1): apply_jump reads a dropped source block as the
     signed transposed view of its mirror, from_basis fills the mirrors in,
-    and _max_modulus and _frobenius measure the whole M. to_basis fixes the
-    layout that step, apply_jump and from_basis use until the next
-    to_basis. adjoint is kept, because run rescales the trace of forward
+    and _max_modulus, _inner and _frobenius measure the whole M. to_basis
+    fixes the layout that step, apply_jump and from_basis use until the
+    next to_basis. adjoint is kept, because run rescales the trace of forward
     states only. n_jumps counts the jump applications made so far.
     """
 
@@ -278,13 +290,18 @@ class SplitPropagator:
                 tops.append(np.max(blk * blk + mirror * mirror))
         return np.sqrt(0.5 * np.max(tops))
 
-    def _frobenius(self, m):
-        """||X||_F of the state a carrier holds: ||M||_F, in which a block
-        carried without its mirror counts twice."""
+    def _inner(self, a, b):
+        """Re Tr(X_a† X_b) of the states two carriers hold: <M_a, M_b>, in
+        which a block carried without its mirror counts twice."""
         if not self._sign:
-            return np.linalg.norm(m)
-        return math.sqrt(sum((1.0 if (j, i) in self._layout else 2.0) * np.vdot(blk, blk)
-                             for (i, j), blk in self._blocks(m).items()))
+            return float(a @ b)
+        blocks = self._blocks(b)
+        return float(sum((1.0 if (j, i) in self._layout else 2.0) * np.vdot(blk, blocks[i, j])
+                         for (i, j), blk in self._blocks(a).items()))
+
+    def _frobenius(self, m):
+        """||X||_F of the state a carrier holds."""
+        return math.sqrt(self._inner(m, m))
 
     def _trace(self, m):
         return m[self._diag].sum()
@@ -380,26 +397,79 @@ class SplitPropagator:
         return self.from_basis(xb), stats
 
     def run_to_stationary(self, x0, h, residual_tol, t_max):
-        """Fixed steps until ||Phi_h(X) - X||_F <= residual_tol * h * ||Phi_h(X)||_F.
+        """Fixed steps until ||Phi_h(X) - X||_F <= residual_tol * h * ||Phi_h(X)||_F,
+        X being the last iterate or the extrapolated point Y below.
 
         Exact stationary points are fixed points of the step for any h, so
         the limit does not depend on h; h only sets how fast the decaying
-        part dies. The march ends within ode._min_step of t_max rather than
-        take a sliver step, whose defect would be roundoff. n steps cost 4n
-        jump applications. Returns (X, the last defect over h ||Phi_h(X)||_F,
-        reached time, steps).
+        part dies. Phi_h is linear, so after each step the reduced-rank
+        extrapolation of the last STATIONARY_WINDOW step differences
+        U_j = X_{j+1} - X_j (Sidi, Vector Extrapolation Methods, SIAM 2017)
+        gives a point Y = sum g_j X_j, sum g_j = 1, with its exact image
+        Phi_h(Y) = sum g_j X_{j+1} and defect Phi_h(Y) - Y = sum g_j U_j at
+        no jump application; the g_j minimize ||sum g_j U_j||_F. When Y
+        meets the test, Phi_h(Y) is returned. Only the last iterate and the
+        differences are kept. The march ends within ode._min_step of t_max
+        rather than take a sliver step, whose defect would be roundoff, and
+        a shorter last step is not extrapolated. n steps cost 4n jump
+        applications. Returns (X, its defect over h ||Phi_h(X)||_F, reached
+        time, steps); a march that never meets the test returns its last
+        iterate and that step's defect.
         """
-        xb = self.to_basis(x0)
+        xb, resid, t, n = self._march(self.to_basis(x0), h, residual_tol, t_max)
+        return self.from_basis(xb), float(resid), t, n
+
+    def _march(self, xb, h, residual_tol, t_max):
+        """run_to_stationary on a carrier. The window is freed on return,
+        before from_basis allocates the dense result."""
         t = 0.0
         n = 0
         resid = np.inf
+        diffs, gram = [], np.zeros((0, 0))
         while t_max - t >= _min_step(t):
             hh = min(h, t_max - t)
+            # only the differences the next extrapolation combines live
+            # through the step
+            drop = max(0, len(diffs) + 1 - STATIONARY_WINDOW)
+            diffs, gram = diffs[drop:], gram[drop:, drop:]
             new = self.step(xb, hh)
             t += hh
             n += 1
-            resid = self._frobenius(new - xb) / (hh * max(self._frobenius(new), 1e-300))
+            diff = new - xb
             xb = new
+            resid = self._frobenius(diff) / (hh * max(self._frobenius(xb), 1e-300))
             if resid <= residual_tol:
                 break
-        return self.from_basis(xb), float(resid), t, n
+            if hh < h or not np.isfinite(resid):
+                diffs, gram = [], np.zeros((0, 0))
+                continue
+            cross = np.array([self._inner(u, diff) for u in diffs + [diff]])
+            diffs.append(diff)
+            gram = np.block([[gram, cross[:-1, None]], [cross[None, :]]])
+            stop = self._extrapolate(xb, diffs, gram, h, residual_tol)
+            if stop is not None:
+                return stop + (t, n)
+        return xb, resid, t, n
+
+    def _extrapolate(self, last, diffs, gram, h, residual_tol):
+        """(Phi_h(Y), its defect over h ||Phi_h(Y)||_F) for the reduced-rank
+        extrapolation Y = sum g_j X_j, sum g_j = 1, of the iterates whose step
+        differences U_j = X_{j+1} - X_j are diffs, last being the newest
+        iterate and gram the _inner products of diffs; None when the defect
+        is above residual_tol or there is a single difference. g minimizes
+        ||sum g_j U_j||_F, which is ||Phi_h(Y) - Y||_F."""
+        if len(diffs) < 2:
+            return None
+        # g = (c, 1 - sum c) minimizes ||U_last + sum c_j (U_j - U_last)||_F
+        rhs = gram[-1, -1] - gram[:-1, -1]
+        c = np.linalg.lstsq(gram[:-1, :-1] - gram[:-1, -1:] + rhs, rhs, rcond=None)[0]
+        g = np.append(c, 1.0 - c.sum())
+        defect = g[-1] * diffs[-1]
+        for gj, u in zip(g, diffs[:-1]):
+            defect += gj * u
+        # Phi_h(Y) = sum g_j X_{j+1}, and X_{j+1} = last - (U_{j+1} + ... + U_last)
+        image = last.copy()
+        for cj, u in zip(np.cumsum(g[:-1]), diffs[1:]):
+            image -= cj * u
+        ratio = self._frobenius(defect) / (h * max(self._frobenius(image), 1e-300))
+        return (image, ratio) if ratio <= residual_tol else None

@@ -16,7 +16,7 @@ from gkpstab import etd, ode
 from gkpstab.etd import SplitPropagator, _phi123
 from gkpstab.analysis import random_density_matrix
 from gkpstab.codes import ETA_SENSOR
-from gkpstab.fock import make_ladder, make_quadratures
+from gkpstab.fock import make_ladder, make_quadratures, rotate
 from gkpstab.lindblad import LindbladModel, ObservableSpec
 
 
@@ -242,6 +242,26 @@ def test_half_layout_matches_the_full_layout(small_code, dim, adjoint, with_loss
             assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), np.abs(x).max())
 
 
+def test_extrapolated_stop_is_the_same_on_the_half_layout(small_code, monkeypatch):
+    # the extrapolation's Gram matrix is taken in _inner, in which a block
+    # carried without its mirror counts twice, so S_z's march stops at the
+    # same step on the same point whichever layout carries it
+    from gkpstab import kappa
+
+    h = 0.4 / kappa(small_code.params.epsilon)
+    vs = list(small_code.dissipators)
+    half = SplitPropagator(vs, [1.0] * 4, adjoint=True)
+    full = SplitPropagator(vs, [1.0] * 4, adjoint=True)
+    monkeypatch.setattr(full, "_set_layout",
+                        lambda sectors, sign: SplitPropagator._set_layout(full, sectors, 0))
+    (x_half, r_half, _t, n_half), (x_full, r_full, _t, n_full) = (
+        prop.run_to_stationary(small_code.sz, h=h, residual_tol=1e-10, t_max=50 * h)
+        for prop in (half, full))
+    assert n_half == n_full < 16 and max(r_half, r_full) <= 1e-10
+    assert abs(r_half - r_full) <= 1e-3 * r_full
+    assert np.abs(x_half - x_full).max() <= 1e-12 * np.abs(x_full).max()
+
+
 def test_max_modulus_sees_a_nan_in_any_block(tiny_model):
     # the step loop retreats from a non-finite error estimate only if the
     # norm reports it, wherever the NaN sits in the carrier
@@ -270,6 +290,26 @@ def test_channel_set_without_rotation_symmetry_is_rejected(tiny_model, small_mod
     with pytest.raises(ValueError, match="rotation symmetry"):
         evolve(with_q, rho, 0.2, record_times=[0.2],
                observables=ObservableSpec(positivity_tol=None))
+
+
+def test_global_phase_of_a_channel_is_divided_out(tiny_model):
+    # e^{0.3i} a and a have one Kraus map, and so one jump up to roundoff;
+    # so do e^{0.3i} (n + a²) and n + a², given their rotation orbits
+    dim, vs = tiny_model
+    a = make_ladder(dim)
+    rho = random_density_matrix(dim, np.random.default_rng(8))
+    for v, copies in ((a, 1), (a.T @ a + a @ a, 4)):
+        jumps = []
+        for channel in (v, np.exp(0.3j) * v):
+            orbit = [rotate(channel, k) for k in range(copies)]
+            prop = SplitPropagator(vs + orbit, [1.0] * len(vs) + [0.02] * len(orbit))
+            jumps.append(prop.from_basis(prop.apply_jump(prop.to_basis(rho))))
+        assert np.abs(jumps[1] - jumps[0]).max() <= 1e-14 * np.abs(jumps[0]).max()
+    # the charge-0 and charge-2 parts of n + e^{0.3i} a² carry different
+    # phases, so no phase of the channel makes both real or imaginary
+    v = a.T @ a + np.exp(0.3j) * (a @ a)
+    with pytest.raises(ValueError, match="channel 4 has no real Kraus form: its charge-2"):
+        SplitPropagator(vs + [rotate(v, k) for k in range(4)], [1.0] * len(vs) + [0.02] * 4)
 
 
 def test_rotation_asymmetric_channel_set_takes_one_block(tiny_model):
@@ -470,10 +510,15 @@ def test_stationary_march_stops_on_its_step_defect(small_code):
                                                   residual_tol=1e-10, t_max=20.0 / rate)
     assert resid <= 1e-10 and steps < 50
     # 50 steps of h sum to 1e-13 short of 20/kappa; a march to the horizon
-    # ends there and reports its last full step, not the defect of a sliver
-    _x, resid, _t, steps = prop.run_to_stationary(small_code.sz, h=0.4 / rate,
-                                                  residual_tol=0.0, t_max=20.0 / rate)
+    # ends there and returns its last iterate, not an extrapolated point,
+    # with the defect of its last full step, not that of a sliver
+    x, resid, _t, steps = prop.run_to_stationary(small_code.sz, h=0.4 / rate,
+                                                 residual_tol=0.0, t_max=20.0 / rate)
     assert steps == 50 and resid <= 1e-10
+    xb = prop.to_basis(small_code.sz)
+    for _ in range(50):
+        xb = prop.step(xb, 0.4 / rate)
+    assert np.array_equal(x, prop.from_basis(xb))
 
 
 def test_adjoint_preserves_identity(tiny_model):

@@ -14,7 +14,7 @@ from gkpstab import (
     matrix_exponential,
 )
 from gkpstab.codes import ETA_QUBIT
-from gkpstab.fock import hermitian_part, min_eigenvalue, rotate, twirl
+from gkpstab.fock import hermitian_part, min_eigenvalue, rotate, spectrum, twirl
 
 
 def test_ladder_dim2():
@@ -197,18 +197,25 @@ def test_twirl_keeps_the_lyapunov_value(small_code, seed):
 
 
 @given(st.integers(2, 60), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["generic", "parity_even", "twirled"]))
+       st.sampled_from(["generic", "parity_even", "twirled"]), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_min_eigenvalue_by_parity_blocks_matches_the_full_spectrum(dim, seed, kind):
-    # a parity-even or twirled matrix takes the two-block route, a generic
-    # one the full eigvalsh; both give the smallest eigenvalue of the whole
-    # matrix
+def test_min_eigenvalue_by_parity_blocks_matches_the_full_spectrum(dim, seed, kind, real):
+    # a parity-even or twirled matrix takes the two-block route and a
+    # generic one the whole matrix; a complex matrix with no imaginary part
+    # goes in real arithmetic. Each gives the whole ascending spectrum
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if real:
+        g.imag = 0.0
     a = hermitian_part(g) / np.sqrt(dim)
     n = np.arange(dim)
     if kind == "parity_even":
         a = np.where(np.subtract.outer(n, n) % 2 == 0, a, 0.0)
     elif kind == "twirled":
         a = twirl(a)
-    assert abs(min_eigenvalue(a) - np.linalg.eigvalsh(a)[0]) <= 1e-12
+    want = np.linalg.eigvalsh(a)
+    for x in (a, a.real) if real else (a,):
+        got = spectrum(x)
+        assert got.shape == want.shape and np.all(np.diff(got) >= 0)
+        assert np.abs(got - want).max() <= 1e-12
+        assert min_eigenvalue(x) == got[0]

@@ -18,6 +18,7 @@ from gkpstab import (
     bloch_coordinates,
     build_code,
     evolve,
+    kappa,
     kernel_codewords,
     lindblad_rhs,
     logical_operators,
@@ -30,6 +31,7 @@ from gkpstab import lindblad
 from gkpstab.analysis import random_density_matrix
 from gkpstab.etd import SplitPropagator
 from gkpstab.fock import min_eigenvalue
+from gkpstab.lindblad import STATIONARY_TOL
 
 
 def loss_model(dim, rate=1.0):
@@ -609,10 +611,44 @@ def test_logical_nonconvergence_warns(small_logicals):
     assert out.convergence_residual > 1e-14  # reported, operators still returned
 
 
+@pytest.mark.parametrize("point, bound", [("small", 1e-9), ("200", 5e-11)])
+def test_logical_operators_match_a_cold_march(point, bound, request):
+    # J_x is marched from S_x + F(J_z - S_z)F†, whose limit is that of S_x;
+    # 60 plain steps of S_x itself are the reference, read on 20 states as
+    # the largest |Tr((J_x - J_ref) rho)| (6.5e-10 and 3.8e-11 when J_x
+    # was marched cold and stopped on its plain step defect)
+    if point == "small":
+        code, model, logicals = request.getfixturevalue("small_logicals")
+    else:
+        code, model = request.getfixturevalue("code200"), request.getfixturevalue("model200")
+        logicals = request.getfixturevalue("logicals200")
+    h = 0.4 / kappa(code.params.epsilon)
+    prop = SplitPropagator(model.operators, model.rates, adjoint=True)
+    ref, _resid, _t, steps = prop.run_to_stationary(code.sx, h=h, residual_tol=0.0, t_max=60 * h)
+    assert steps == 60
+    rng = np.random.default_rng(22)
+    gap = max(abs(np.vdot(logicals.jx - ref, random_density_matrix(code.dim, rng)))
+              for _ in range(20))
+    assert gap <= bound
+    # a returned operator, extrapolated or not, meets the test in a real step
+    for j in (logicals.jx, logicals.jy, logicals.jz):
+        _x, resid, _t, steps = prop.run_to_stationary(j, h=h, residual_tol=0.0, t_max=h)
+        assert steps == 1 and resid <= STATIONARY_TOL
+
+
+def test_logical_operators_take_fewer_steps(small_code, small_model, monkeypatch):
+    # marched cold and stopped on the plain step defect, J_x, J_y and J_z
+    # take 16 + 14 + 16 = 46 steps at eps = 0.14, dim 143
+    jumps = []
+    apply_jump = SplitPropagator.apply_jump
+    monkeypatch.setattr(SplitPropagator, "apply_jump",
+                        lambda self, m: jumps.append(1) or apply_jump(self, m))
+    logical_operators(small_model, small_code)
+    assert len(jumps) % 4 == 0 and len(jumps) // 4 < 46
+
+
 def test_lyapunov_envelope_bound(small_code, small_model):
     # pointwise certificate: Tr(W rho(t)) <= Tr(W rho(0)) e^{-kappa t} (1+1e-3)
-    from gkpstab import kappa
-
     rho0 = random_density_matrix(small_code.dim, np.random.default_rng(17))
     bound = kappa(small_code.params.epsilon)
     horizon = 5.0 / bound
