@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import (
+    _exp_i_r,
     GkpParams,
     build_code,
     build_conjugated_quadratures,
@@ -207,7 +208,6 @@ def verify_lambda_identity(code):
     """
     epsilon, eta, dim = code.params.epsilon, code.params.eta, code.dim
     margin = interior_margin(dim, eta, order=2)
-    r, _ = build_conjugated_quadratures(code.params)
     cosh_p, cos_q = _cosh_p_cos_q(epsilon, eta, dim)
     s = math.sinh(2.0 * epsilon)
     e2 = eta * eta
@@ -216,7 +216,7 @@ def verify_lambda_identity(code):
     v = code.dissipators
     e_minus = (v[0] + np.eye(dim)).conj().T
     e_plus = (v[2] + np.eye(dim)).conj().T
-    half_plus = matrix_exponential(0.5j * eta * r)
+    half_plus = _exp_i_r(code.params, 0.5 * eta)
     half_minus = rotate(half_plus, 2)
     pref = 2.0 * math.exp(-e2 * s / 8.0)
     damp = math.exp(-0.75 * e2 * s)

@@ -162,10 +162,11 @@ class SplitPropagator:
     Mᵀ = M; when its real part is, Mᵀ = -M. Both parities are kept by the
     flow, so such a carrier holds only the blocks (i, j) with i <= j (the
     layout's sign is ±1): apply_jump reads a dropped source block as the
-    signed transposed view of its mirror, from_basis fills the mirrors in,
-    and _max_modulus, _inner and _frobenius measure the whole M. to_basis
-    fixes the layout that step, apply_jump and from_basis use until the
-    next to_basis. adjoint is kept, because run rescales the trace of forward
+    signed transposed view of its mirror, from_basis fills the mirrors in
+    and writes the imaginary (sign +1) or real (sign -1) part of its output
+    as exact zeros, and _max_modulus, _inner and _frobenius measure the
+    whole M. to_basis fixes the layout that step, apply_jump and from_basis
+    use until the next to_basis. adjoint is kept, because run rescales the trace of forward
     states only. n_jumps counts the jump applications made so far.
     """
 
@@ -249,10 +250,14 @@ class SplitPropagator:
             full[sl[i], sl[j]] = self.basis[i] @ blk @ self.basis[j].T
             if (j, i) not in self._layout:
                 full[sl[j], sl[i]] = self._sign * full[sl[i], sl[j]].T
-        # S + iA from M = S + A
-        out = np.empty((self.dim, self.dim), dtype=complex)
-        np.add(full, full.T, out=out.real)
-        np.subtract(full, full.T, out=out.imag)
+        # S + iA from M = S + A; a layout of sign +1 declares A = 0 and one
+        # of sign -1 declares S = 0, so the other part is written as exact
+        # zeros, not as the roundoff of the diagonal blocks
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        if self._sign >= 0:
+            np.add(full, full.T, out=out.real)
+        if self._sign <= 0:
+            np.subtract(full, full.T, out=out.imag)
         out *= 0.5
         return out
 

@@ -48,11 +48,14 @@ def make_quadratures(dim):
 def matrix_exponential(m):
     """exp(m) by scaling-and-squaring with the order-13 diagonal Padé approximant.
 
-    Raises InvalidInputError on non-finite entries and OperatorOverflowError
+    A real input is exponentiated in real arithmetic and returns a real
+    (float64) matrix; any other input is taken as complex. Raises
+    InvalidInputError on non-finite entries and OperatorOverflowError
     (naming the operator norm) if the squaring phase overflows, which happens
     for strongly non-normal inputs such as i*eta*R at large eps*dim.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
+    m = m.astype(np.result_type(m, np.float64), copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatchError(f"matrix_exponential needs a square matrix, got {m.shape}")
     if not np.isfinite(m).all():

@@ -177,20 +177,20 @@ def test_identity_suite_all_pass(code200):
 
 def test_identity_suite_builds_v0_once(monkeypatch):
     # one matrix exponential for the bundle's V_0, one for the half step of
-    # the Lambda identity and one for the product rule; the envelope is
-    # exponentiated on its diagonal
+    # the Lambda identity, both real, and one complex for the product rule;
+    # the envelope is exponentiated on its diagonal
     calls = []
     original = fock.matrix_exponential
 
     def counting(a):
-        calls.append(a.shape)
+        calls.append(a.dtype)
         return original(a)
 
     for module in (codes, analysis):
         monkeypatch.setattr(module, "matrix_exponential", counting)
     results = run_identity_suite(build_code(GkpParams(0.2)))
     assert all(r.passed for r in results)
-    assert len(calls) == 3
+    assert calls == [np.float64, np.float64, np.complex128]
 
 
 def test_identity_checks_read_the_bundle(code200):

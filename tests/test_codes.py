@@ -24,7 +24,7 @@ from gkpstab import (
 from gkpstab import codes
 from gkpstab.codes import ETA_QUBIT, ETA_SENSOR, logical_basis
 from gkpstab.etd import SplitPropagator
-from gkpstab.fock import interior_block, matrix_exponential, rotate
+from gkpstab.fock import interior_block, matrix_exponential, rotate, twirl
 from gkpstab.hermite import hermite_functions
 
 
@@ -119,6 +119,13 @@ def test_conjugated_commutators_interior():
     assert np.abs(interior_block(ss, 2)).max() <= 1e-12
 
 
+def test_conjugated_quadratures_are_real_and_imaginary():
+    # R is real and S purely imaginary in the Fock basis, exactly
+    r, s = build_conjugated_quadratures(GkpParams(0.14, dim=143))
+    assert not r.imag.any()
+    assert not s.real.any()
+
+
 # --- dissipators and Lyapunov operator -------------------------------------------
 
 
@@ -154,6 +161,23 @@ def test_dissipators_are_one_rotation_orbit(eta):
         assert np.abs(v - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("eta", [ETA_QUBIT, ETA_SENSOR], ids=["qubit", "sensor"])
+def test_dissipator_charge_parts_are_real_or_imaginary(eta):
+    # V_0 = F U F^-1 with U = e^{-i eta S} - I real, so U has an exactly zero
+    # imaginary part and each charge part of V_0 is U's times the exact unit
+    # phase i^c: exactly real or exactly imaginary, with no roundoff for
+    # _charge_kraus's slack to absorb
+    params = GkpParams(0.14, eta=eta, dim=143)
+    v0 = build_dissipators(params)[0]
+    assert not rotate(v0, -1).imag.any()
+    n = np.arange(params.dim)
+    charge = np.subtract.outer(n, n) % 4
+    for c in range(4):
+        part = v0[charge == c]
+        assert part.any()
+        assert not part.imag.any() if c % 2 == 0 else not part.real.any()
+
+
 def test_lyapunov_hermitian_and_psd(small_code):
     w = small_code.lyapunov
     assert np.abs(w - w.conj().T).max() == 0.0
@@ -166,14 +190,19 @@ def test_lyapunov_shape_error():
         build_lyapunov([np.eye(3), np.eye(4), np.eye(3), np.eye(3)])
 
 
-def test_lyapunov_commutes_with_rotation_exactly(small_code):
-    w = small_code.lyapunov
-    n = np.arange(small_code.dim)
-    assert not w[np.subtract.outer(n, n) % 4 != 0].any()
-    # the four-product sum it replaces
-    ref = sum(v.conj().T @ v for v in small_code.dissipators)
-    ref = 0.5 * (ref + ref.conj().T)
-    assert np.abs(w - ref).max() <= 1e-14 * np.abs(ref).max()
+def test_lyapunov_commutes_with_rotation_exactly(small_code, code200):
+    for code in (small_code, code200):
+        w = code.lyapunov
+        assert w.dtype == np.complex128
+        n = np.arange(code.dim)
+        assert not w[np.subtract.outer(n, n) % 4 != 0].any()
+        # the four-product sum it replaces, and the twirl of V_0† V_0 (W is
+        # built from the real product of the rotated V_0 instead)
+        v0 = code.dissipators[0]
+        for ref in (sum(v.conj().T @ v for v in code.dissipators),
+                    twirl(4.0 * (v0.conj().T @ v0))):
+            ref = 0.5 * (ref + ref.conj().T)
+            assert np.abs(w - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_lyapunov_rejects_non_orbit(small_code):

@@ -13,7 +13,7 @@ from gkpstab import (
     make_quadratures,
     matrix_exponential,
 )
-from gkpstab.codes import ETA_QUBIT
+from gkpstab.codes import ETA_QUBIT, GkpParams, build_conjugated_quadratures
 from gkpstab.fock import hermitian_part, min_eigenvalue, rotate, spectrum, twirl
 
 
@@ -126,6 +126,19 @@ def test_expm_commuting_diagonal_pairs(dim, seed):
     lhs = matrix_exponential(np.diag(da)) @ matrix_exponential(np.diag(db))
     rhs = matrix_exponential(np.diag(da + db))
     assert np.abs(lhs - rhs).max() <= 1e-10
+
+
+def test_expm_keeps_a_real_input_real():
+    # the rotated dissipator generator F^-1 (i eta R) F, real and non-normal
+    params = GkpParams(0.15, dim=60)
+    r, _ = build_conjugated_quadratures(params)
+    g = rotate(1j * params.eta * r, -1)
+    assert not g.imag.any()
+    out = matrix_exponential(g.real)
+    assert out.dtype == np.float64
+    want = matrix_exponential(g)
+    assert want.dtype == np.complex128
+    assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_expm_rejects_nonfinite():

@@ -511,6 +511,15 @@ def small_logicals():
     return code, model, logical_operators(model, code)
 
 
+def test_logical_operators_keep_their_parity_exactly(small_logicals):
+    # S_x and S_z are real symmetric and S_y purely imaginary; the flow keeps
+    # that parity, and the operators come back with the other part exactly zero
+    _code, _model, logicals = small_logicals
+    assert not logicals.jx.imag.any()
+    assert not logicals.jz.imag.any()
+    assert not logicals.jy.real.any()
+
+
 def test_logical_spectra_bounded(small_logicals):
     code, model, logicals = small_logicals
     assert logicals.convergence_residual <= 1e-4
