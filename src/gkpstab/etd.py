@@ -339,15 +339,48 @@ class SplitPropagator:
     def step(self, xb, h, n1=None):
         """One Krogstad step of size h in the G-eigenbasis.
 
-        n1 is apply_jump(xb) when the caller already has it.
+        n1 is apply_jump(xb) when the caller already has it. The stage inputs
+        e_2 X + a21 N1, e_2 X + (h/2)(a31 N1 + a32 N2), e_h X + h(a41 N1 +
+        a43 N3) and the result e_h X + h(b1 N1 + b23(N2 + N3) + b4 N4) are
+        accumulated in place, every product and sum in the order of those
+        expressions, so the step is bitwise that of the expressions; e_2 X
+        and e_h X are formed once each, and at most five carriers are alive
+        during a jump. The result is a new array.
         """
         e_h, e_2, a21, a31, a32, a41, a43, b1, b23, b4 = self._phi_tables(h)
         if n1 is None:
             n1 = self.apply_jump(xb)
-        n2 = self.apply_jump(e_2 * xb + a21 * n1)
-        n3 = self.apply_jump(e_2 * xb + (0.5 * h) * (a31 * n1 + a32 * n2))
-        n4 = self.apply_jump(e_h * xb + h * (a41 * n1 + a43 * n3))
-        return e_h * xb + h * (b1 * n1 + b23 * (n2 + n3) + b4 * n4)
+        ex = e_2 * xb
+        stage = a21 * n1
+        stage += ex
+        n2 = self.apply_jump(stage)
+        np.multiply(a31, n1, out=stage)
+        term = a32 * n2
+        stage += term
+        del term
+        stage *= 0.5 * h
+        stage += ex
+        n3 = self.apply_jump(stage)
+        # stage takes b1 N1 + b23 (N2 + N3), ex takes e_h X and n2's buffer
+        # the last stage input
+        n2 += n3
+        n2 *= b23
+        np.multiply(b1, n1, out=stage)
+        stage += n2
+        np.multiply(e_h, xb, out=ex)
+        last = np.multiply(a41, n1, out=n2)
+        n3 *= a43
+        last += n3
+        del n2, n3
+        last *= h
+        last += ex
+        n4 = self.apply_jump(last)
+        del last
+        n4 *= b4
+        stage += n4
+        stage *= h
+        ex += stage
+        return ex
 
     def run(self, x0, t_final, rtol=1e-8, atol=1e-10, record_times=(), on_record=None):
         """Adaptive propagation by step doubling with local extrapolation.

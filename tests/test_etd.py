@@ -242,6 +242,38 @@ def test_half_layout_matches_the_full_layout(small_code, dim, adjoint, with_loss
             assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), np.abs(x).max())
 
 
+def _step_by_expressions(prop, xb, h, n1):
+    # the Krogstad step as whole-array expressions, a new array per
+    # operation: the reference the in-place stages must match bit for bit
+    e_h, e_2, a21, a31, a32, a41, a43, b1, b23, b4 = prop._phi_tables(h)
+    n2 = prop.apply_jump(e_2 * xb + a21 * n1)
+    n3 = prop.apply_jump(e_2 * xb + (0.5 * h) * (a31 * n1 + a32 * n2))
+    n4 = prop.apply_jump(e_h * xb + h * (a41 * n1 + a43 * n3))
+    return e_h * xb + h * (b1 * n1 + b23 * (n2 + n3) + b4 * n4)
+
+
+@pytest.mark.parametrize("dim", [28, 143])
+def test_in_place_step_matches_the_expression_form_bitwise(small_code, dim):
+    code = small_code if dim == 143 else build_code(GkpParams(0.1, dim=dim))
+    prop = SplitPropagator(list(code.dissipators) + [make_ladder(dim)], [1.0] * 4 + [0.02])
+    rng = np.random.default_rng(17)
+    y = rng.standard_normal((dim, dim))
+    for x, sign in ((y + y.T, 1), (1j * (y - y.T), -1),
+                    (random_density_matrix(dim, rng), 0)):
+        xb = prop.to_basis(x)
+        assert prop._sign == sign
+        for h in (0.05, 0.4, 0.4):
+            n1 = prop.apply_jump(xb)
+            want = _step_by_expressions(prop, xb, h, n1)
+            inputs = xb.copy(), n1.copy()
+            got = prop.step(xb, h, n1)
+            assert np.array_equal(got, want)
+            # the inputs are left alone and the result is a new array
+            assert np.array_equal(xb, inputs[0]) and np.array_equal(n1, inputs[1])
+            assert not np.shares_memory(got, xb) and not np.shares_memory(got, n1)
+            xb = got
+
+
 def test_extrapolated_stop_is_the_same_on_the_half_layout(small_code, monkeypatch):
     # the extrapolation's Gram matrix is taken in _inner, in which a block
     # carried without its mirror counts twice, so S_z's march stops at the

@@ -1,5 +1,9 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,6 +143,49 @@ def test_expm_keeps_a_real_input_real():
     want = matrix_exponential(g)
     assert want.dtype == np.complex128
     assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _rotated_generator(epsilon, dim):
+    # F^-1 (i eta R) F, the real non-normal matrix the dissipator build exponentiates
+    params = GkpParams(epsilon, dim=dim)
+    r, _ = build_conjugated_quadratures(params)
+    return rotate(1j * params.eta * r, -1).real
+
+
+def _relative_1norm(got, want):
+    return np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
+
+
+def test_expm_matches_mpmath_on_the_rotated_generator():
+    g = _rotated_generator(0.15, 36)
+    with mpmath.workdps(40):
+        want = np.array(mpmath.expm(mpmath.matrix(g.tolist())).tolist(), dtype=float)
+    assert _relative_1norm(matrix_exponential(g), want) <= 5e-15
+
+
+def test_expm_matches_the_complex_route_at_dim_400():
+    # the squaring phase of this exponential is where entries fall to
+    # 1e-284 and are flushed; scipy's exponential of the complex form is
+    # the reference
+    g = _rotated_generator(0.05, 400)
+    want = scipy.linalg.expm(g.astype(complex))
+    assert _relative_1norm(matrix_exponential(g), want) <= 1e-13
+
+
+def test_expm_flush_keeps_large_and_normal_entries():
+    # e^700 is squared up from e^(700/256) next to an exact 1
+    out = matrix_exponential(np.diag([700.0, 0.0]))
+    assert out[1, 1] == 1.0 and out[0, 1] == 0.0 and out[1, 0] == 0.0
+    assert out[0, 0] == pytest.approx(math.exp(700.0), rel=1e-12)
+    # e^-705 is the square of e^-352.5 ≈ 8e-154, just above the flush
+    # threshold sqrt(tiny) ≈ 1.5e-154; eight squarings amplify the
+    # approximant's relative error at -705/256 (1.6e-15) 256-fold
+    out = matrix_exponential(np.diag([-705.0, -705.0]))
+    np.testing.assert_allclose(np.diag(out), math.exp(-705.0), rtol=2e-12)
+    # a 1-norm below theta_13 takes no squaring, so nothing is flushed
+    out = matrix_exponential(np.array([[0.0, 1e-160], [0.0, 0.0]]))
+    np.testing.assert_array_equal(np.diag(out), [1.0, 1.0])
+    assert out[0, 1] == pytest.approx(1e-160, rel=1e-15) and out[1, 0] == 0.0
 
 
 def test_expm_rejects_nonfinite():
