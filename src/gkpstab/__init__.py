@@ -50,7 +50,6 @@ from .lindblad import (
     LindbladModel,
     LogicalOperators,
     ObservableSpec,
-    SolverOptions,
     Trajectory,
     adjoint_rhs,
     bloch_coordinates,

@@ -34,7 +34,6 @@ from .fock import (
 )
 from .lindblad import (
     ObservableSpec,
-    SolverOptions,
     adjoint_rhs,
     evolve,
     logical_operators,
@@ -372,7 +371,7 @@ MAX_DIM = 700        # largest truncation error_rate_experiment accepts
 
 
 def lyapunov_decay_experiment(epsilon, eta=ETA_QUBIT, dim=None, n_trials=10, seed=0,
-                              solver=None, code=None):
+                              code=None):
     """Random-state decay statistics for Tr(W rho(t)) against the rate bound.
 
     Each trial draws a random density matrix (skipped as degenerate when its
@@ -402,7 +401,6 @@ def lyapunov_decay_experiment(epsilon, eta=ETA_QUBIT, dim=None, n_trials=10, see
     model = stabilizer_model(code)
     horizon = DECAY_HORIZON / rate.value
     record = np.linspace(0.0, horizon, DECAY_RECORDS)
-    solver = solver or SolverOptions()
     spec = ObservableSpec(lyapunov=code.lyapunov, photon_number=False, positivity_tol=None)
 
     trials = []
@@ -417,8 +415,7 @@ def lyapunov_decay_experiment(epsilon, eta=ETA_QUBIT, dim=None, n_trials=10, see
             # keep random trials well above the measurement floor
             rho0 = random_density_matrix(params.dim, np.random.default_rng(trial_seed + 10_000))
             w0 = float(np.real(np.vdot(code.lyapunov, rho0)))
-        traj = evolve(model, twirl(rho0), horizon, record_times=record,
-                      options=solver, observables=spec)
+        traj = evolve(model, twirl(rho0), horizon, record_times=record, observables=spec)
         fitted, n_pts = fit_decay_rate(traj.times, traj.column("lyapunov"))
         meta = traj.meta
         trials.append(DecayTrial(trial_seed, w0, fitted, n_pts, False, meta["n_accept"],
@@ -482,8 +479,7 @@ class ErrorRateReport:
         }
 
 
-def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0,
-                          solver=None, code=None):
+def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0, code=None):
     """The on/off photon-loss experiment.
 
     Both runs start from the |0> codeword projector and go to
@@ -529,11 +525,9 @@ def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0,
         t_final = 5.0 / convergence_rate(epsilon).value
         on_model = base
     record = np.linspace(0.0, t_final, n_records)
-    solver = solver or SolverOptions()
     spec = ObservableSpec(lyapunov=code.lyapunov, logicals=logicals, photon_number=True)
 
-    traj_on = evolve(on_model, rho0, t_final, record_times=record,
-                     options=solver, observables=spec)
+    traj_on = evolve(on_model, rho0, t_final, record_times=record, observables=spec)
     jz_on = traj_on.column("jz")
     traj_off = None
     if kappa1 > 0:

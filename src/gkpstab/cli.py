@@ -36,7 +36,7 @@ from .codes import (
     mean_photon_number,
 )
 from .errors import GkpStabError
-from .lindblad import STATIONARY_TOL, SolverOptions, logical_operators, stabilizer_model
+from .lindblad import logical_operators, stabilizer_model
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -222,9 +222,7 @@ def cmd_lyapunov(p, resolver):
     t0 = time.time()
     _guard_long_running(p)
     report = lyapunov_decay_experiment(
-        p["epsilon"], p["eta"], p["dim"], n_trials=p["trials"], seed=p["seed"],
-        solver=SolverOptions(rtol=p["rtol"], atol=p["atol"]),
-    )
+        p["epsilon"], p["eta"], p["dim"], n_trials=p["trials"], seed=p["seed"])
     stem = _stem(p, "lyapunov")
     rows = [
         (t.seed, t.initial_lyapunov, t.fitted_rate, t.n_fit_points, t.degenerate,
@@ -251,8 +249,7 @@ def cmd_qec_sim(p, resolver):
     t0 = time.time()
     _guard_long_running(p)
     report = error_rate_experiment(p["epsilon"], dim=p["dim"], kappa1=p["kappa1"],
-                                   n_records=p["records"],
-                                   solver=SolverOptions(rtol=p["rtol"], atol=p["atol"]))
+                                   n_records=p["records"])
     stem = _stem(p, "qec")
     io.write_trajectory_csv(f"{stem}_on.csv", report.traj_on)
     if report.traj_off is not None:
@@ -283,8 +280,7 @@ def cmd_logical_ops(p, resolver):
     params = GkpParams(p["epsilon"], ETA_QUBIT, p["dim"])
     code = build_code(params)
     model = stabilizer_model(code)
-    logicals = logical_operators(model, code, horizon_multiplier=p["horizon_multiplier"],
-                                 tol=p["tol"])
+    logicals = logical_operators(model, code)
     spectra = logicals.spectra()
     payload = {
         "epsilon": p["epsilon"],
@@ -319,15 +315,10 @@ PARAMS = {
     "epsilon_range": (str, "lo:hi:n or lo:hi:n:log", None, None),
     "eta": (_parse_eta, "lattice constant: qubit, sensor, or a number", "run.eta", "qubit"),
     "dim": (int, "Fock truncation override (rule: 20/epsilon)", "run.dim", None),
-    "rtol": (float, "solver relative tolerance", "solver.rtol", 1e-8),
-    "atol": (float, "solver absolute tolerance", "solver.atol", 1e-10),
     "seed": (int, "random seed (default 0)", "run.seed", 0),
     "trials": (int, "number of random initial states", "run.trials", 10),
     "kappa1": (float, "loss rate (default epsilon/5)", "run.kappa1", None),
     "records": (int, "number of record times", "run.records", 51),
-    "tol": (float, "step-defect stopping tolerance", "run.tol", STATIONARY_TOL),
-    "horizon_multiplier": (float, "fallback horizon in units of 1/kappa",
-                           "run.horizon_multiplier", 20.0),
     "long_running": (bool, "allow epsilon <= 1/20 tiers", None, False),
     "save_operators": (bool, "write jx/jy/jz to an npz file", None, False),
 }
@@ -340,13 +331,13 @@ COMMANDS = {
     "codewords": (cmd_codewords, "build codewords and diagnostics",
                   ("epsilon", "eta", "dim"), {}),
     "lyapunov": (cmd_lyapunov, "random-state decay-rate experiment",
-                 ("epsilon", "eta", "dim", "rtol", "atol", "seed", "trials", "long_running"), {}),
+                 ("epsilon", "eta", "dim", "seed", "trials", "long_running"), {}),
     "qec-sim": (cmd_qec_sim, "photon-loss on/off experiment",
-                ("epsilon", "dim", "rtol", "atol", "kappa1", "records", "long_running"), {}),
+                ("epsilon", "dim", "kappa1", "records", "long_running"), {}),
     "check": (cmd_check, "closed-form identity verification suite",
               ("epsilon", "eta", "dim"), {"epsilon": 0.05}),
     "logical-ops": (cmd_logical_ops, "stationary logical observables",
-                    ("epsilon", "dim", "tol", "horizon_multiplier", "save_operators"), {}),
+                    ("epsilon", "dim", "save_operators"), {}),
 }
 
 

@@ -43,8 +43,9 @@ def default_dim(epsilon):
 class GkpParams:
     """Regularization strength, lattice constant, and Fock truncation.
 
-    dim=None applies the 20/eps rule; passing dim explicitly overrides it
-    (smaller values are accepted but degrade codeword quality).
+    epsilon must be finite and non-negative and eta finite (ValueError
+    otherwise). dim=None applies the 20/eps rule; passing dim explicitly
+    overrides it (smaller values are accepted but degrade codeword quality).
     """
 
     epsilon: float
@@ -52,8 +53,10 @@ class GkpParams:
     dim: int = None
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon}")
+        if not math.isfinite(self.eta):
+            raise ValueError(f"eta must be finite, got {self.eta}")
         if self.dim is None:
             if self.epsilon == 0:
                 raise DimensionError("epsilon=0 has no default truncation; pass dim explicitly")

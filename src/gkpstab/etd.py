@@ -382,7 +382,7 @@ class SplitPropagator:
         ex += stage
         return ex
 
-    def run(self, x0, t_final, rtol=1e-8, atol=1e-10, record_times=(), on_record=None):
+    def run(self, x0, t_final, record_times=(), on_record=None):
         """Adaptive propagation by step doubling with local extrapolation.
 
         Each attempt of ode._drive takes one step of size h and two of size
@@ -391,11 +391,12 @@ class SplitPropagator:
         step share their first stage, so an attempt costs 11 jump
         applications, a retry after a rejection included. ode._drive owns
         the step policy: it starts from ode.FIRST_STEP, spends at most
-        ode.MAX_STEPS attempts and measures the error estimate and the states
-        in _max_modulus, the max |X_ij| of the state a carrier holds. A forward
-        propagator rescales every accepted state to the initial trace, which
-        the exact forward flow conserves (the adjoint flow does not conserve
-        trace, so it is left alone); the largest pre-rescale defect is
+        ode.MAX_STEPS attempts, holds each to ode.RTOL and ode.ATOL and
+        measures the error estimate and the states in _max_modulus, the max
+        |X_ij| of the state a carrier holds. A forward propagator rescales
+        every accepted state to the initial trace, which the exact forward
+        flow conserves (the adjoint flow does not conserve trace, so it is
+        left alone); the largest pre-rescale defect is
         reported in the returned stats, with the number of jump applications
         and of carried blocks. Record times are hit exactly by ode._drive's
         record policy: equal steps up to each record time, none longer than
@@ -426,7 +427,7 @@ class SplitPropagator:
 
         record = None if on_record is None else (lambda t, xb: on_record(t, self.from_basis(xb)))
         xb, stats = _drive(
-            attempt, self._max_modulus, xb, t_final, rtol, atol, record_times,
+            attempt, self._max_modulus, xb, t_final, record_times,
             exponent=0.25, max_growth=4.0,
             on_accept=None if self.adjoint else renormalize, on_record=record)
         stats["n_jumps"] = self.n_jumps - jumps_before

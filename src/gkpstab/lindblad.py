@@ -37,7 +37,6 @@ from .fock import make_ladder, min_eigenvalue, rotate, spectrum
 
 __all__ = [
     "LindbladModel",
-    "SolverOptions",
     "ObservableSpec",
     "Trajectory",
     "LogicalOperators",
@@ -135,18 +134,6 @@ def adjoint_rhs(model, x):
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    """Integration tolerances, read by the step loop ode._drive for both
-    backends. A step is accepted when the max-norm of its local error
-    estimate is at most atol + rtol times the larger max-norm of the state
-    before and after it. The first step and the step budget are the loop's
-    own, ode.FIRST_STEP and ode.MAX_STEPS."""
-
-    rtol: float = 1e-8
-    atol: float = 1e-10
-
-
-@dataclass(frozen=True)
 class ObservableSpec:
     """What evolve() records at each output time.
 
@@ -197,12 +184,14 @@ def _recorder(observables, record_times, dim):
     on_record(t, rho), which keeps a complex snapshot and a row of
     observables when t is exactly a snapshot and a record time, and warns
     once from the positivity monitor; finish(meta) -> Trajectory. Raises
-    ValueError on a negative record or snapshot time."""
+    ValueError on a negative or non-finite record or snapshot time."""
     record_set = set(float(t) for t in record_times)
     snapshot_times = set(float(t) for t in observables.snapshot_times)
     stops = sorted(record_set | snapshot_times)
-    if stops and stops[0] < 0:
-        raise ValueError(f"record and snapshot times must be non-negative, got {stops[0]}")
+    bad = [t for t in stops if not 0 <= t < np.inf]
+    if bad:
+        raise ValueError(f"record and snapshot times must be finite and non-negative, "
+                         f"got {bad[0]}")
     times, recs, snaps = [], {"trace": []}, {}
     if observables.lyapunov is not None:
         recs["lyapunov"] = []
@@ -254,14 +243,16 @@ def _recorder(observables, record_times, dim):
 MAX_EXPLICIT_STEPS = 50_000
 
 
-def evolve(model, rho0, t_final, record_times=None, options=None, observables=None):
+def evolve(model, rho0, t_final, record_times=None, observables=None):
     """Integrate the master equation and record observables.
 
-    record_times defaults to 201 evenly spaced points, 0 and t_final
-    included. Rows and snapshots are kept at exactly the record and snapshot
-    times, which must lie in [0, t_final] (ValueError otherwise). rho0 must
-    be Hermitian to 1e-10 (InvalidInputError otherwise); both backends
-    integrate its Hermitian part. The backend is "rk45" when the explicit
+    t_final must be positive and finite (ValueError otherwise). record_times
+    defaults to 201 evenly spaced points, 0 and t_final included. Rows and
+    snapshots are kept at exactly the record and snapshot times, which must
+    lie in [0, t_final] (ValueError otherwise). rho0 must be Hermitian to
+    1e-10 (InvalidInputError otherwise); both backends integrate its
+    Hermitian part. Both backends hold every step to the step loop's
+    tolerances ode.RTOL and ode.ATOL. The backend is "rk45" when the explicit
     pair's stability-limited step count, estimated from ||G||_1, is at most
     MAX_EXPLICIT_STEPS, and "etd4" otherwise; the choice is stored in
     meta["method"]. rk45 takes any channel set; etd4 needs the π/2 rotation
@@ -274,7 +265,6 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
     state acquires an eigenvalue below -positivity_tol at a record point.
     Photon loss alone has a closed form; see pure_loss_trajectory.
     """
-    options = options or SolverOptions()
     observables = observables or ObservableSpec()
     rho0 = _check_same_dim(model, rho0).astype(complex, copy=False)
     if not np.isfinite(rho0).all():
@@ -282,8 +272,8 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
     herm = np.abs(rho0 - rho0.conj().T).max()
     if herm > 1e-10:
         raise InvalidInputError(f"initial state Hermiticity defect {herm:.3e} beyond 1e-10")
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
+    if not 0 < t_final < np.inf:
+        raise ValueError(f"t_final must be positive and finite, got {t_final}")
     if record_times is None:
         record_times = np.linspace(0.0, t_final, 201)
     # ode._drive lands on every stop bitwise
@@ -301,22 +291,13 @@ def evolve(model, rho0, t_final, record_times=None, options=None, observables=No
             lambda y: lindblad_rhs(model, y),
             rho0,
             t_final,
-            rtol=options.rtol,
-            atol=options.atol,
             record_times=stops,
             on_record=on_record,
             diagnostics=f"drift norm ||G||_1 = {g_norm:.3e}",
         )
     else:
         prop = SplitPropagator(model.operators, model.rates, adjoint=False)
-        _, stats = prop.run(
-            rho0,
-            t_final,
-            rtol=options.rtol,
-            atol=options.atol,
-            record_times=stops,
-            on_record=on_record,
-        )
+        _, stats = prop.run(rho0, t_final, record_times=stops, on_record=on_record)
     stats["method"] = method
     return finish(stats)
 
@@ -335,14 +316,14 @@ def pure_loss_trajectory(factor, rate, record_times, observables=None):
     O(d²) memory; at t = 0, rho is Y0 Y0†. Rows and snapshots are kept at
     every record and snapshot time through evolve()'s recorder, without its
     positivity monitor: a Gram matrix has no negative eigenvalue. meta is
-    {"method": "closed_form", "rank": r}. Raises ValueError on a negative
-    rate or a negative record or snapshot time.
+    {"method": "closed_form", "rank": r}. Raises ValueError on a negative or
+    non-finite rate or record or snapshot time.
     """
     y = np.asarray(factor)
     if y.ndim != 2:
         raise ShapeMismatchError(f"factor must be d x r, got shape {y.shape}")
-    if not rate >= 0:
-        raise ValueError(f"loss rate must be non-negative, got {rate}")
+    if not 0 <= rate < np.inf:
+        raise ValueError(f"loss rate must be finite and non-negative, got {rate}")
     d, r = y.shape
     spec = replace(observables or ObservableSpec(), positivity_tol=None)
     stops, on_record, finish = _recorder(spec, record_times, d)
@@ -381,29 +362,30 @@ class LogicalOperators:
         return {name: spectrum(getattr(self, name)) for name in ("jx", "jy", "jz")}
 
 
-# logical_operators' default tol, which gkpstab logical-ops reads too
+# logical_operators stops at this step defect, or at STATIONARY_HORIZON / kappa
 STATIONARY_TOL = 1e-10
+STATIONARY_HORIZON = 20.0
 
 
-def logical_operators(model, code, horizon_multiplier=20.0, tol=STATIONARY_TOL):
+def logical_operators(model, code):
     """Evolve S_z, S_x, S_y under the adjoint flow until stationary.
 
     Fixed exponential steps Phi_h, h = 0.4/kappa(eps, eta), until the step
     defect ||Phi_h(X) - X||_F / (h ||Phi_h(X)||_F) of the last iterate or
     of the march's extrapolated point (SplitPropagator.run_to_stationary)
-    is at most tol, or to the horizon horizon_multiplier / kappa. Exact
-    stationary points are fixed points of the step at any h, so the limit
-    does not depend on h, and error control on the (irrelevant) stiff
-    transient would only slow the march down. The step damps the
-    truncation corner, so the defect falls to roundoff (1e-11 at
+    is at most STATIONARY_TOL, or to the horizon STATIONARY_HORIZON / kappa,
+    both read at call time. Exact stationary points are fixed points of the
+    step at any h, so the limit does not depend on h, and error control on
+    the (irrelevant) stiff transient would only slow the march down. The
+    step damps the truncation corner, so the defect falls to roundoff (1e-11 at
     eps = 0.14, dim 143). J_z is marched first; J_x then starts from
     S_x + F(J_z - S_z)F†, which has the limit of S_x, since the flow
     commutes with the pi/2 rotation F, and only the transient of
-    S_x - F S_z F† is left to damp. At the default tol the marches take
+    S_x - F S_z F† is left to damp. At STATIONARY_TOL the marches take
     12/10/11 steps (z/x/y) at eps = 0.14, dim 143, 13/10/12 at eps = 0.1,
     dim 200 and 15/8/14 at eps = 0.05, dim 400. A ConvergenceWarning
-    reports a defect still above tol at the horizon; the operators are
-    returned regardless.
+    reports a defect still above STATIONARY_TOL at the horizon; the
+    operators are returned regardless.
     """
     if code.params.lattice != "qubit":
         raise ValueError("logical operators need the two-codeword lattice")
@@ -412,7 +394,8 @@ def logical_operators(model, code, horizon_multiplier=20.0, tol=STATIONARY_TOL):
     rate = convergence_rate(code.params.epsilon, code.params.eta)
     if rate.value <= 0:
         raise ValueError("decay-rate bound is not positive; no horizon available")
-    t_max = horizon_multiplier / rate.value
+    tol = STATIONARY_TOL
+    t_max = STATIONARY_HORIZON / rate.value
     h = 0.4 / rate.value
 
     prop = SplitPropagator(model.operators, model.rates, adjoint=True)

@@ -2,12 +2,13 @@
 is one of its two users.
 
 `_drive` is the one adaptive loop in the package, and it owns the whole step
-policy: the first step FIRST_STEP, the step budget MAX_STEPS, the record
-policy, the underflow guard, the retreat from non-finite error estimates,
-the error test and the step-size update. A backend supplies
-attempt(y, h) -> (candidate, error_estimate) and the norm its states are
-measured in. With tol = atol + rtol * max(norm(y), norm(candidate)) the
-attempt is accepted iff norm(error_estimate) <= tol, and the next step is
+policy: the first step FIRST_STEP, the step budget MAX_STEPS, the
+tolerances RTOL and ATOL, the record policy, the underflow guard, the
+retreat from non-finite error estimates, the error test and the step-size
+update. A backend supplies attempt(y, h) -> (candidate, error_estimate) and
+the norm its states are measured in. With
+tol = ATOL + RTOL * max(norm(y), norm(candidate)) the attempt is accepted
+iff norm(error_estimate) <= tol, and the next step is
 h * clip(SAFETY * (tol/err)**exponent, 0.2, max_growth). The Dormand-Prince
 pair below is one backend; the step-doubling exponential integrator in
 etd.py is the other.
@@ -51,6 +52,9 @@ _ERR = _B5 - _B4
 
 FIRST_STEP = 1e-3      # the first step both backends try
 MAX_STEPS = 10_000_000  # accepted plus rejected steps of one run
+# the one accuracy every adaptive run is held to, on both backends
+RTOL = 1e-8
+ATOL = 1e-10
 # the controller proposes SAFETY times the step its error model puts at tol
 SAFETY = 0.9
 
@@ -60,16 +64,16 @@ def _min_step(t):
     return 1e4 * np.finfo(float).eps * max(abs(t), 1.0)
 
 
-def _drive(attempt, norm, y, t_final, rtol, atol, record_times, exponent, max_growth,
+def _drive(attempt, norm, y, t_final, record_times, exponent, max_growth,
            on_accept=None, on_record=None, diagnostics=None):
     """Adaptive march from t=0 to t_final, stopping exactly at each record time.
 
-    The first step is FIRST_STEP and the budget of attempts MAX_STEPS, both
-    read at call time. attempt(y, h) returns (candidate, error_estimate)
-    for a step of size h from y; after a rejection it is called again with
-    the same y object.
+    The first step is FIRST_STEP, the budget of attempts MAX_STEPS and the
+    tolerances RTOL and ATOL, all read at call time. attempt(y, h) returns
+    (candidate, error_estimate) for a step of size h from y; after a
+    rejection it is called again with the same y object.
     norm measures a state. The step is accepted iff norm(error_estimate) <=
-    atol + rtol * max(norm(y), norm(candidate)); a non-finite error retreats
+    ATOL + RTOL * max(norm(y), norm(candidate)); a non-finite error retreats
     to h/4 and counts as a rejection. on_accept(y) is called with every
     accepted candidate and may modify it in place; on_record(t, y) fires at
     every record time and at t_final (and at t=0 when 0.0 is among
@@ -124,7 +128,7 @@ def _drive(attempt, norm, y, t_final, rtol, atol, record_times, exponent, max_gr
             h = 0.25 * h_try
             n_reject += 1
             continue
-        tol = atol + rtol * max(norm(y), norm(candidate))
+        tol = ATOL + RTOL * max(norm(y), norm(candidate))
         factor = SAFETY * (tol / err) ** exponent if err > 0 else max_growth
         h_next = h_try * min(max_growth, max(0.2, factor))
         if err <= tol:
@@ -150,8 +154,7 @@ def _drive(attempt, norm, y, t_final, rtol, atol, record_times, exponent, max_gr
                "h_final": h}
 
 
-def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
-              on_record=None, diagnostics=None):
+def integrate(f, y0, t_final, record_times=(), on_record=None, diagnostics=None):
     """Integrate the autonomous y' = f(y) for a Hermitian matrix y from t=0
     to t_final with the Dormand-Prince pair, stopping exactly at each record
     time.
@@ -191,7 +194,7 @@ def integrate(f, y0, t_final, rtol=1e-8, atol=1e-10, record_times=(),
         return candidate, err
 
     _, stats = _drive(
-        attempt, max_abs, y, t_final, rtol, atol, record_times, exponent=0.2,
+        attempt, max_abs, y, t_final, record_times, exponent=0.2,
         max_growth=5.0, on_record=on_record, diagnostics=diagnostics)
     stats["n_rhs"] = n_rhs
     return stats

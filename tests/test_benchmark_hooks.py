@@ -1,0 +1,76 @@
+"""The benchmark in perfbench/ wraps and rebinds package functions by name:
+tracer.TRACED, the capture() hooks of workloads.py and the cli names that
+cli_round times. A name that no longer resolves fails every traced or timed
+run, so each is checked here. perfbench/ is read as source and not imported."""
+
+import ast
+import importlib
+import pathlib
+
+import gkpstab
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def parse(name):
+    return ast.parse((PERFBENCH / name).read_text(), filename=name)
+
+
+def traced():
+    """tracer.TRACED as (module, attribute, span) triples."""
+    for node in parse("tracer.py").body:
+        names = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if isinstance(node, ast.Assign) and names == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TRACED")
+
+
+def package_module(name):
+    # as the harness does: import the submodule, then read it off the package
+    importlib.import_module(f"gkpstab.{name}")
+    return getattr(gkpstab, name)
+
+
+def test_traced_names_resolve():
+    entries = traced()
+    assert entries
+    missing = []
+    for module, attr, _span in entries:
+        owner = package_module(module)
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            found = method in vars(getattr(owner, cls_name, object))
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            missing.append(f"{module}.{attr}")
+    assert not missing, missing
+
+
+def test_captured_names_resolve():
+    targets = [
+        (call.args[0].id, call.args[1].value)
+        for call in ast.walk(parse("workloads.py"))
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id == "capture"
+    ]
+    assert len(targets) >= 2
+    missing = [f"{m}.{a}" for m, a in targets if not callable(getattr(package_module(m), a, None))]
+    assert not missing, missing
+
+
+def test_cli_round_rebinds_names_cli_has():
+    # cli_round loops over a tuple of names and rebinds getattr(cli, name)
+    cli_round = next(node for node in parse("workloads.py").body
+                     if isinstance(node, ast.FunctionDef) and node.name == "cli_round")
+    names = [
+        elt.value
+        for loop in ast.walk(cli_round) if isinstance(loop, ast.For)
+        and any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "getattr"
+                and getattr(call.args[0], "id", None) == "cli" for call in ast.walk(loop))
+        for elt in loop.iter.elts
+    ]
+    assert names
+    cli = package_module("cli")
+    missing = [name for name in names if not callable(getattr(cli, name, None))]
+    assert not missing, missing

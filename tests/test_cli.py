@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gkpstab import GkpParams, build_code, cli
+from gkpstab import GkpParams, build_code, cli, lindblad
 from gkpstab.codes import ETA_SENSOR
 from gkpstab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from gkpstab.io import format_float
@@ -108,21 +108,17 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 
 
 # flags that a subcommand would not read are not registered on it
+# and the tolerances are constants of ode and lindblad, read by no subcommand
 @pytest.mark.parametrize("argv", [
     ["kappa", "--epsilons", "0.1", "--epsilon", "0.1"],
     ["kappa", "--epsilons", "0.1", "--dim", "50"],
-    ["kappa", "--epsilons", "0.1", "--rtol", "1e-6"],
-    ["kappa", "--epsilons", "0.1", "--atol", "1e-6"],
-    ["codewords", "--epsilon", "0.2", "--rtol", "1e-6"],
-    ["codewords", "--epsilon", "0.2", "--atol", "1e-6"],
-    ["check", "--epsilon", "0.2", "--rtol", "1e-6"],
-    ["check", "--epsilon", "0.2", "--atol", "1e-6"],
     ["qec-sim", "--epsilon", "0.2", "--eta", "sensor"],
     ["logical-ops", "--epsilon", "0.2", "--eta", "sensor"],
-    ["logical-ops", "--epsilon", "0.2", "--rtol", "1e-6"],
-    ["logical-ops", "--epsilon", "0.2", "--atol", "1e-6"],
     ["lyapunov", "--epsilon", "0.2", "--method", "rk45"],
-], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+] + [[command, "--epsilons" if command == "kappa" else "--epsilon", "0.2", flag, "1e-6"]
+     for command in cli.COMMANDS
+     for flag in ("--rtol", "--atol", "--tol", "--horizon-multiplier")],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_unread_flag_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -147,10 +143,24 @@ def test_misspelt_config_key_is_usage_error(tmp_path, capsys):
     assert not list(tmp_path.glob("*.json"))
 
 
-def test_config_key_of_another_subcommand_is_accepted(tmp_path):
-    # codewords reads no tolerance, but lyapunov and qec-sim read solver.rtol
+@pytest.mark.parametrize("key", ["solver.rtol", "solver.atol", "run.tol",
+                                 "run.horizon_multiplier"])
+def test_removed_tolerance_config_key_is_usage_error(key, tmp_path, capsys):
+    section, name = key.split(".")
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[run]\nepsilon = 0.25\n\n[solver]\nrtol = 1e-6\n")
+    cfg.write_text(f"[{section}]\n{name} = 1e-6\n")
+    for command in ("lyapunov", "qec-sim", "logical-ops"):
+        assert main([command, "--epsilon", "0.25", "--config", str(cfg),
+                     "--outdir", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+    assert not list(tmp_path.glob("*.json")) and not list(tmp_path.glob("*.csv"))
+
+
+def test_config_key_of_another_subcommand_is_accepted(tmp_path):
+    # codewords reads no seed, but lyapunov reads run.seed
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nepsilon = 0.25\nseed = 3\n")
     assert main(["codewords", "--config", str(cfg), "--outdir", str(tmp_path)]) == EXIT_OK
 
 
@@ -182,8 +192,16 @@ def test_check_failure_exit_code(capsys):
     (None, ["logical-ops", "--epsilon", "0.3"]),
     (None, ["qec-sim", "--epsilon", "0.15", "--dim", "40", "--records", "3", "--kappa1=-0.05"]),
     (None, ["qec-sim", "--epsilon", "0.15", "--dim", "40", "--records", "3", "--kappa1=nan"]),
+    (None, ["codewords", "--epsilon", "nan", "--dim", "30"]),
+    (None, ["codewords", "--epsilon", "nan"]),
+    (None, ["codewords", "--epsilon", "inf"]),
+    (None, ["codewords", "--epsilon", "0.2", "--eta", "nan"]),
+    (None, ["check", "--epsilon", "nan", "--dim", "30"]),
+    (None, ["logical-ops", "--epsilon", "nan", "--dim", "30"]),
 ], ids=["no-section", "bad-value", "negative-eps", "zero-eps", "lyapunov-kappa",
-        "qec-kappa", "logical-ops-kappa", "qec-negative-kappa1", "qec-nan-kappa1"])
+        "qec-kappa", "logical-ops-kappa", "qec-negative-kappa1", "qec-nan-kappa1",
+        "nan-eps", "nan-eps-rule-dim", "inf-eps", "nan-eta", "check-nan-eps",
+        "logical-ops-nan-eps"])
 def test_bad_input_is_usage_error(config, argv, tmp_path, capsys):
     if config is not None:
         cfg = tmp_path / "run.ini"
@@ -295,28 +313,24 @@ ECHO_CASES = {
         "[run]\neta = sensor\ndim = 60\n",
         {"epsilon": format_float(0.2), "eta": format_float(ETA_SENSOR), "dim": 60}),
     "lyapunov": (
-        ["lyapunov", "--epsilon", "0.15", "--dim", "20", "--rtol", "1e-6", "--trials", "1",
+        ["lyapunov", "--epsilon", "0.15", "--dim", "20", "--trials", "1",
          "--long-running", "--prefix", "ly"],
-        "[run]\neta = sensor\nseed = 3\n[solver]\natol = 1e-9\n",
+        "[run]\neta = sensor\nseed = 3\n",
         {"epsilon": format_float(0.15), "eta": format_float(ETA_SENSOR), "dim": 20,
-         "rtol": format_float(1e-6), "atol": format_float(1e-9), "seed": 3, "trials": 1,
-         "long_running": True}),
+         "seed": 3, "trials": 1, "long_running": True}),
     "qec-sim": (
-        ["qec-sim", "--epsilon", "0.15", "--dim", "40", "--atol", "1e-9", "--records", "3",
+        ["qec-sim", "--epsilon", "0.15", "--dim", "40", "--records", "3",
          "--long-running", "--prefix", "q"],
-        "[run]\nkappa1 = 0.02\n[solver]\nrtol = 1e-6\n",
-        {"epsilon": format_float(0.15), "dim": 40, "rtol": format_float(1e-6),
-         "atol": format_float(1e-9), "kappa1": format_float(0.02), "records": 3,
+        "[run]\nkappa1 = 0.02\n",
+        {"epsilon": format_float(0.15), "dim": 40, "kappa1": format_float(0.02), "records": 3,
          "long_running": True}),
     "check": (
         ["check", "--epsilon", "0.15", "--prefix", "c"], "[run]\neta = sensor\ndim = 60\n",
         {"epsilon": format_float(0.15), "eta": format_float(ETA_SENSOR), "dim": 60}),
     "logical-ops": (
-        ["logical-ops", "--epsilon", "0.15", "--dim", "40", "--tol", "1e-5",
-         "--save-operators", "--prefix", "lo"],
-        "[run]\nhorizon_multiplier = 5\n",
-        {"epsilon": format_float(0.15), "dim": 40, "tol": format_float(1e-5),
-         "horizon_multiplier": format_float(5.0), "save_operators": True}),
+        ["logical-ops", "--epsilon", "0.15", "--save-operators", "--prefix", "lo"],
+        "[run]\ndim = 40\n",
+        {"epsilon": format_float(0.15), "dim": 40, "save_operators": True}),
 }
 
 
@@ -355,6 +369,7 @@ def test_logical_ops_builds_through_module_globals(tmp_path, monkeypatch, capsys
 
     for name in ("build_code", "stabilizer_model"):
         monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    monkeypatch.setattr(lindblad, "STATIONARY_HORIZON", 2.0)
     assert main(["logical-ops", "--epsilon", "0.14", "--dim", "60",
-                 "--horizon-multiplier", "2", "--outdir", str(tmp_path)]) == EXIT_OK
+                 "--outdir", str(tmp_path)]) == EXIT_OK
     assert calls == {"build_code": 1, "stabilizer_model": 1}

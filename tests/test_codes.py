@@ -51,6 +51,17 @@ def test_epsilon_zero_needs_explicit_dim():
     assert GkpParams(0.0, dim=30).dim == 30
 
 
+@pytest.mark.parametrize("epsilon, eta, name", [
+    (float("nan"), ETA_QUBIT, "epsilon"), (float("inf"), ETA_QUBIT, "epsilon"),
+    (0.1, float("nan"), "eta"), (0.1, float("inf"), "eta"), (0.1, -float("inf"), "eta"),
+], ids=["nan-eps", "inf-eps", "nan-eta", "inf-eta", "minus-inf-eta"])
+def test_non_finite_parameters_are_rejected(epsilon, eta, name):
+    # a plain ValueError, not a DimensionError: the CLI reports it as exit 2
+    with pytest.raises(ValueError, match=f"{name} must be finite") as exc:
+        GkpParams(epsilon, eta, dim=30)
+    assert type(exc.value) is ValueError
+
+
 # --- kappa ----------------------------------------------------------------------
 
 

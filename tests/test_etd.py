@@ -425,7 +425,9 @@ def test_run_counts_jump_applications(tiny_model, monkeypatch):
     # included, costs 11 jump applications
     calls.clear()
     monkeypatch.setattr(ode, "FIRST_STEP", 1.0)
-    _, stats = prop.run(rho0, 1.0, rtol=1e-9, atol=1e-12)
+    monkeypatch.setattr(ode, "RTOL", 1e-9)
+    monkeypatch.setattr(ode, "ATOL", 1e-12)
+    _, stats = prop.run(rho0, 1.0)
     assert stats["n_reject"] >= 1
     assert stats["n_jumps"] == len(calls)
     assert stats["n_jumps"] == 11 * (stats["n_accept"] + stats["n_reject"])
@@ -446,8 +448,9 @@ def test_attempt_evaluates_three_phi_tables(tiny_model, monkeypatch):
     args = []
     monkeypatch.setattr(etd, "_phi123", lambda z: args.append(z) or _phi123(z))
     monkeypatch.setattr(ode, "FIRST_STEP", 0.01)
-    _, stats = prop.run(random_density_matrix(dim, np.random.default_rng(11)), 0.01,
-                        rtol=1e-3, atol=1e-3)
+    monkeypatch.setattr(ode, "RTOL", 1e-3)
+    monkeypatch.setattr(ode, "ATOL", 1e-3)
+    _, stats = prop.run(random_density_matrix(dim, np.random.default_rng(11)), 0.01)
     assert (stats["n_accept"], stats["n_reject"]) == (1, 0)
     assert len(args) == 3
     for z, s in zip(args, (0.01, 0.005, 0.0025)):
@@ -477,7 +480,7 @@ def test_step_size_far_beyond_explicit_stability(tiny_model):
     assert errs[0] / errs[1] >= 3.0 and errs[1] / errs[2] >= 3.0
 
 
-def test_adaptive_run_hits_tolerance(tiny_model):
+def test_adaptive_run_hits_tolerance(tiny_model, monkeypatch):
     dim, vs = tiny_model
     sup = _dense_superoperator(dim, vs)
     evals, evecs = np.linalg.eig(sup)
@@ -487,13 +490,15 @@ def test_adaptive_run_hits_tolerance(tiny_model):
     exact = (evecs @ (np.exp(evals * t_final) * coeffs)).reshape(dim, dim)
 
     prop = SplitPropagator(vs, [1.0] * len(vs))
-    got, stats = prop.run(rho0, t_final, rtol=1e-9, atol=1e-12)
+    monkeypatch.setattr(ode, "RTOL", 1e-9)
+    monkeypatch.setattr(ode, "ATOL", 1e-12)
+    got, stats = prop.run(rho0, t_final)
     assert np.abs(got - exact).max() <= 1e-7
     assert stats["trace_defect"] <= 1e-8
     assert abs(np.trace(got) - 1.0) <= 1e-12
 
 
-def test_adjoint_run_matches_dense_propagator(tiny_model):
+def test_adjoint_run_matches_dense_propagator(tiny_model, monkeypatch):
     # the adjoint flow does not conserve trace, so run must leave it alone:
     # a rescale to the initial trace would miss the exact propagator by the
     # trace change, which is far above the tolerance here
@@ -509,7 +514,9 @@ def test_adjoint_run_matches_dense_propagator(tiny_model):
     assert abs(np.trace(exact) - np.trace(x0)) >= 1e-3
 
     prop = SplitPropagator(vs, [1.0] * len(vs), adjoint=True)
-    got, stats = prop.run(x0, t_final, rtol=1e-9, atol=1e-12)
+    monkeypatch.setattr(ode, "RTOL", 1e-9)
+    monkeypatch.setattr(ode, "ATOL", 1e-12)
+    got, stats = prop.run(x0, t_final)
     assert np.abs(got - exact).max() <= 1e-7 * np.abs(exact).max()
     assert stats["trace_defect"] == 0.0
 

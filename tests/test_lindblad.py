@@ -12,7 +12,6 @@ from gkpstab import (
     ObservableSpec,
     PositivityWarning,
     ShapeMismatchError,
-    SolverOptions,
     StepSizeUnderflowError,
     adjoint_rhs,
     bloch_coordinates,
@@ -27,7 +26,7 @@ from gkpstab import (
     pure_loss_trajectory,
     stabilizer_model,
 )
-from gkpstab import lindblad
+from gkpstab import lindblad, ode
 from gkpstab.analysis import random_density_matrix
 from gkpstab.etd import SplitPropagator
 from gkpstab.fock import min_eigenvalue
@@ -351,6 +350,18 @@ def test_negative_record_or_snapshot_time_is_rejected():
                observables=ObservableSpec(snapshot_times=(-0.5,)))
 
 
+@pytest.mark.parametrize("t_final, records, snapshots", [
+    (float("nan"), None, ()), (float("inf"), None, ()), (float("inf"), [0.0, 1.0], ()),
+    (1.0, [0.0, float("nan"), 1.0], ()), (1.0, [0.0, 1.0], (float("nan"),)),
+    (1.0, [0.0, float("inf")], ()),
+])
+def test_non_finite_time_is_rejected(t_final, records, snapshots):
+    rho0 = random_density_matrix(6, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="finite"):
+        evolve(loss_model(6), rho0, t_final, record_times=records,
+               observables=ObservableSpec(snapshot_times=snapshots))
+
+
 def test_record_or_snapshot_time_past_t_final_is_rejected():
     rho0 = random_density_matrix(8, np.random.default_rng(3))
     with pytest.raises(ValueError, match="t_final"):
@@ -490,8 +501,11 @@ def test_closed_form_loss_skips_the_positivity_monitor(monkeypatch):
 
 def test_pure_loss_invalid_inputs():
     y0 = _loss_factor(8, 1, 7)
-    with pytest.raises(ValueError, match="loss rate"):
-        pure_loss_trajectory(y0, -0.1, [0.0, 1.0])
+    for rate in (-0.1, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="loss rate"):
+            pure_loss_trajectory(y0, rate, [0.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        pure_loss_trajectory(y0, 0.1, [0.0, float("nan"), 1.0])
     with pytest.raises(ValueError, match="non-negative"):
         pure_loss_trajectory(y0, 0.1, [-1.0, 1.0])
     with pytest.raises(ValueError, match="non-negative"):
@@ -613,10 +627,12 @@ def test_bloch_errors(small_logicals):
         bloch_coordinates(logicals, skew)
 
 
-def test_logical_nonconvergence_warns(small_logicals):
+def test_logical_nonconvergence_warns(small_logicals, monkeypatch):
     code, model, _ = small_logicals
+    monkeypatch.setattr(lindblad, "STATIONARY_TOL", 1e-14)
+    monkeypatch.setattr(lindblad, "STATIONARY_HORIZON", 0.5)
     with pytest.warns(ConvergenceWarning):
-        out = logical_operators(model, code, horizon_multiplier=0.5, tol=1e-14)
+        out = logical_operators(model, code)
     assert out.convergence_residual > 1e-14  # reported, operators still returned
 
 
@@ -697,7 +713,7 @@ def test_decay_slope_twenty_states_production():
     assert report.min_rate >= 0.95 * report.rate_bound
 
 
-def test_tolerance_halving_stability(small_logicals):
+def test_tolerance_halving_stability(small_logicals, monkeypatch):
     # halving the solver tolerance moves final Bloch coordinates by <= 1e-6
     code, model, logicals = small_logicals
     c0, c1 = code.codewords
@@ -706,8 +722,9 @@ def test_tolerance_halving_stability(small_logicals):
     noisy = model.with_photon_loss(0.04)
     vals = []
     for rtol in (1e-8, 5e-9):
+        monkeypatch.setattr(ode, "RTOL", rtol)
+        monkeypatch.setattr(ode, "ATOL", rtol * 1e-2)
         traj = evolve(noisy, rho0, 5.0, record_times=[5.0],
-                      options=SolverOptions(rtol=rtol, atol=rtol * 1e-2),
                       observables=ObservableSpec(logicals=logicals,
                                                  positivity_tol=None))
         vals.append([traj.column(c)[-1] for c in ("jx", "jy", "jz")])

@@ -30,8 +30,9 @@ def drive(attempt, y):
     # one step of h = 1 covers [0, 1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ode, "FIRST_STEP", 1.0)
-        return _drive(attempt, max_abs, y, 1.0, RTOL, ATOL, record_times=(),
-                      exponent=0.2, max_growth=5.0)
+        mp.setattr(ode, "RTOL", RTOL)
+        mp.setattr(ode, "ATOL", ATOL)
+        return _drive(attempt, max_abs, y, 1.0, record_times=(), exponent=0.2, max_growth=5.0)
 
 
 @pytest.mark.parametrize("y, candidate", [([2.0], [-3.0]), ([-3.0], [2.0])])
@@ -87,7 +88,9 @@ def march(record_times, h=PROPOSAL):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ode, "FIRST_STEP", h)
-        _, stats = _drive(attempt, max_abs, np.array([1.0, 0.0]), 1.0, RTOL, ATOL,
+        mp.setattr(ode, "RTOL", RTOL)
+        mp.setattr(ode, "ATOL", ATOL)
+        _, stats = _drive(attempt, max_abs, np.array([1.0, 0.0]), 1.0,
                           record_times, exponent=0.2, max_growth=5.0,
                           on_accept=lambda y: accepted.append(y[1]),
                           on_record=lambda t, y: records.append((t, y[1])))
