@@ -29,9 +29,12 @@ def _lattice_kind(eta):
     return "other"
 
 
-def _in_certified_window(epsilon, eta):
-    """Supported lattice constant and 0 < eps <= 1/(2*eta)."""
-    return _lattice_kind(eta) != "other" and 0 < epsilon <= 1.0 / (2.0 * eta)
+def _check_epsilon_eta(epsilon, eta):
+    """ValueError unless epsilon is finite and non-negative and eta finite."""
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta}")
 
 
 def default_dim(epsilon):
@@ -53,10 +56,7 @@ class GkpParams:
     dim: int = None
 
     def __post_init__(self):
-        if not 0 <= self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon}")
-        if not math.isfinite(self.eta):
-            raise ValueError(f"eta must be finite, got {self.eta}")
+        _check_epsilon_eta(self.epsilon, self.eta)
         if self.dim is None:
             if self.epsilon == 0:
                 raise DimensionError("epsilon=0 has no default truncation; pass dim explicitly")
@@ -67,11 +67,6 @@ class GkpParams:
     @property
     def lattice(self):
         return _lattice_kind(self.eta)
-
-    @property
-    def certified(self):
-        """Hypotheses of the exponential-convergence certificate."""
-        return _in_certified_window(self.epsilon, self.eta)
 
 
 def _reduced_trig(epsilon, eta):
@@ -118,9 +113,11 @@ class RateCertificate:
 
 def convergence_rate(epsilon, eta=ETA_QUBIT):
     """kappa together with the certificate flag (lattice constant supported,
-    eps <= 1/(2*eta), and the value actually positive)."""
+    0 < eps <= 1/(2*eta), and the value actually positive). epsilon and eta
+    are held to GkpParams' checks (ValueError)."""
+    _check_epsilon_eta(epsilon, eta)
     value = kappa(epsilon, eta)
-    certified = _in_certified_window(epsilon, eta) and value > 0
+    certified = _lattice_kind(eta) != "other" and 0 < epsilon <= 1.0 / (2.0 * eta) and value > 0
     return RateCertificate(value, certified, kappa_asymptote(epsilon, eta))
 
 
@@ -165,10 +162,7 @@ def build_dissipators(params):
     exponential of the non-Hermitian generator; the similarity form with the
     inverse envelope is numerically explosive. The exponential is real
     (_exp_i_r), which costs less than a complex one, and every charge part
-    of V_0 comes out exactly real or exactly imaginary. Its roundoff once
-    raised the floor of the stationary march's generator residual; that
-    march now stops on its step defect, which has no such floor, and takes
-    the same number of steps either way.
+    of V_0 comes out exactly real or exactly imaginary.
     """
     v = _exp_i_r(params, params.eta) - np.eye(params.dim)
     return tuple(rotate(v, k) for k in range(4))

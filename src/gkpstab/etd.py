@@ -298,8 +298,6 @@ class SplitPropagator:
     def _inner(self, a, b):
         """Re Tr(X_a† X_b) of the states two carriers hold: <M_a, M_b>, in
         which a block carried without its mirror counts twice."""
-        if not self._sign:
-            return float(a @ b)
         blocks = self._blocks(b)
         return float(sum((1.0 if (j, i) in self._layout else 2.0) * np.vdot(blk, blocks[i, j])
                          for (i, j), blk in self._blocks(a).items()))

@@ -135,7 +135,8 @@ def adjoint_rhs(model, x):
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    """What evolve() records at each output time.
+    """What evolve() records at each output time, besides the "trace" and
+    "nbar" columns that every trajectory records.
 
     lyapunov: operator whose expectation is logged as "lyapunov" (usually W).
     logicals: LogicalOperators for Bloch coordinate columns jx/jy/jz.
@@ -147,7 +148,6 @@ class ObservableSpec:
     lyapunov: np.ndarray = None
     logicals: "LogicalOperators" = None
     snapshot_times: tuple = ()
-    photon_number: bool = True
     positivity_tol: float = 1e-6
 
 
@@ -156,7 +156,8 @@ class Trajectory:
     """Time grid, recorded observables, optional snapshots, solver metadata.
 
     records maps column name -> array aligned with times. Columns always
-    include "trace"; "lyapunov", "nbar", "jx", "jy", "jz" appear per spec.
+    include "trace" and "nbar" (the mean photon number); "lyapunov", "jx",
+    "jy", "jz" appear per spec.
     meta["method"] is "closed_form" from pure_loss_trajectory, with only
     "rank" (the columns of its factor), or evolve()'s backend, "rk45" or
     "etd4", with its stats: "n_accept", "n_reject", the smallest and largest
@@ -192,12 +193,10 @@ def _recorder(observables, record_times, dim):
     if bad:
         raise ValueError(f"record and snapshot times must be finite and non-negative, "
                          f"got {bad[0]}")
-    times, recs, snaps = [], {"trace": []}, {}
+    times, recs, snaps = [], {"trace": [], "nbar": []}, {}
+    n_op_diag = np.arange(dim)
     if observables.lyapunov is not None:
         recs["lyapunov"] = []
-    if observables.photon_number:
-        recs["nbar"] = []
-        n_op_diag = np.arange(dim)
     if observables.logicals is not None:
         recs.update({"jx": [], "jy": [], "jz": []})
     warned = [False]
@@ -209,10 +208,9 @@ def _recorder(observables, record_times, dim):
             return
         times.append(t)
         recs["trace"].append(float(np.real(np.trace(rho))))
+        recs["nbar"].append(float(np.real(np.sum(n_op_diag * np.diag(rho)))))
         if "lyapunov" in recs:
             recs["lyapunov"].append(float(np.real(np.vdot(observables.lyapunov, rho))))
-        if "nbar" in recs:
-            recs["nbar"].append(float(np.real(np.sum(n_op_diag * np.diag(rho)))))
         if "jx" in recs:
             for name, value in zip(("jx", "jy", "jz"),
                                    bloch_coordinates(observables.logicals, rho)):

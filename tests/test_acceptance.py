@@ -208,8 +208,7 @@ def test_loss_only_evolve_matches_pure_loss_channel():
     record = np.linspace(0.0, 1.0 / kappa1, 11)
     traj = evolve(LindbladModel(((make_ladder(dim), kappa1),)), rho0, record[-1],
                   record_times=record,
-                  observables=ObservableSpec(snapshot_times=tuple(record),
-                                             photon_number=False, positivity_tol=None))
+                  observables=ObservableSpec(snapshot_times=tuple(record), positivity_tol=None))
     assert traj.meta["method"] == "rk45"
     assert len(traj.snapshots) == len(record)
     for t, rho in traj.snapshots.items():
@@ -231,7 +230,7 @@ def test_closed_form_loss_matches_pure_loss_channel(dtype):
     record = np.linspace(0.0, 1.0 / kappa1, 11)
     traj = pure_loss_trajectory(
         y0, kappa1, record,
-        ObservableSpec(snapshot_times=tuple(record), photon_number=False, positivity_tol=None))
+        ObservableSpec(snapshot_times=tuple(record), positivity_tol=None))
     assert traj.meta == {"method": "closed_form", "rank": 3}
     assert len(traj.snapshots) == len(record)
     for t, rho in traj.snapshots.items():

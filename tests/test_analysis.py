@@ -261,6 +261,43 @@ def test_decay_experiment_degenerate_skip(small_code, monkeypatch):
     assert report.passed
 
 
+def test_decay_trial_keeps_its_one_draw(small_code, monkeypatch):
+    # a first draw just above the degenerate floor is evolved as drawn, so
+    # the trial's seed reproduces its row
+    c0 = small_code.codewords[0]
+    mixed = (1.0 - 1e-8) * np.outer(c0, c0.conj()) + 1e-8 * random_density_matrix(
+        small_code.dim, np.random.default_rng(5))
+    w0 = float(np.real(np.vdot(small_code.lyapunov, mixed)))
+    assert 1e-8 < w0 <= 1e-4
+    draws = []
+    monkeypatch.setattr(analysis, "random_density_matrix",
+                        lambda dim, rng: draws.append(rng) or mixed)
+    report = lyapunov_decay_experiment(
+        0.14, dim=small_code.dim, n_trials=1, seed=2, code=small_code
+    )
+    assert len(draws) == 1
+    assert report.trials[0].initial_lyapunov == w0
+    assert not report.trials[0].degenerate
+
+
+@pytest.mark.parametrize("epsilon, dim", [(0.12, 143), (0.14, 200)], ids=["epsilon", "dim"])
+@pytest.mark.parametrize("experiment", [
+    lambda eps, dim, code: lyapunov_decay_experiment(eps, dim=dim, n_trials=1, code=code),
+    lambda eps, dim, code: error_rate_experiment(eps, dim=dim, code=code),
+], ids=["decay", "error-rate"])
+def test_experiments_reject_a_foreign_code_bundle(small_code, monkeypatch, epsilon, dim,
+                                                   experiment):
+    def no_run(*args, **kwargs):
+        raise AssertionError("evolved a mismatched bundle")
+
+    for name in ("evolve", "logical_operators"):
+        monkeypatch.setattr(analysis, name, no_run)
+    with pytest.raises(ValueError, match="does not match") as exc:
+        experiment(epsilon, dim, small_code)
+    assert str(small_code.params) in str(exc.value)
+    assert str(GkpParams(epsilon, dim=dim)) in str(exc.value)
+
+
 @pytest.mark.slow
 def test_error_rate_experiment_no_loss(small_code):
     # kappa1=0: the stabilized run keeps Tr(J_z rho) = 1
@@ -321,8 +358,7 @@ def test_twirled_decay_trial_matches_the_full_state(small_code, captured_decay_t
     horizon = analysis.DECAY_HORIZON / report.rate_bound
     full = evolve(stabilizer_model(small_code), rho0, horizon,
                   record_times=np.linspace(0.0, horizon, analysis.DECAY_RECORDS),
-                  observables=ObservableSpec(lyapunov=small_code.lyapunov,
-                                             photon_number=False, positivity_tol=None))
+                  observables=ObservableSpec(lyapunov=small_code.lyapunov, positivity_tol=None))
     assert full.meta["blocks"] == 16
     assert twirled.meta["blocks"] == trial.blocks == 4
     assert (trial.n_accept, trial.n_reject, trial.n_jumps) == (

@@ -1,9 +1,11 @@
 """The benchmark in perfbench/ wraps and rebinds package functions by name:
 tracer.TRACED, the capture() hooks of workloads.py and the cli names that
-cli_round times. A name that no longer resolves fails every traced or timed
+cli_round times. Its rounds then score the fields of the results they get
+back. A name or field that no longer resolves fails every traced or timed
 run, so each is checked here. perfbench/ is read as source and not imported."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 
@@ -73,4 +75,33 @@ def test_cli_round_rebinds_names_cli_has():
     assert names
     cli = package_module("cli")
     missing = [name for name in names if not callable(getattr(cli, name, None))]
+    assert not missing, missing
+
+
+# the variables workloads.py holds results in, and the classes they hold
+RESULTS = {
+    "trial": [("analysis", "DecayTrial")],
+    "report": [("analysis", "DecayReport"), ("analysis", "ErrorRateReport")],
+    "logicals": [("lindblad", "LogicalOperators")],
+    "traj": [("lindblad", "Trajectory")],
+    "on": [("lindblad", "Trajectory")],
+    "off": [("lindblad", "Trajectory")],
+}
+
+
+def test_scored_result_fields_resolve():
+    reads = {
+        (node.value.id, node.attr)
+        for node in ast.walk(parse("workloads.py"))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in RESULTS
+    }
+    assert {name for name, _ in reads} == set(RESULTS)
+
+    def has(module, cls_name, attr):
+        cls = getattr(package_module(module), cls_name)
+        return attr in {f.name for f in dataclasses.fields(cls)} or hasattr(cls, attr)
+
+    missing = [f"{name}.{attr}" for name, attr in sorted(reads)
+               if not any(has(module, cls, attr) for module, cls in RESULTS[name])]
     assert not missing, missing

@@ -198,10 +198,12 @@ def test_check_failure_exit_code(capsys):
     (None, ["codewords", "--epsilon", "0.2", "--eta", "nan"]),
     (None, ["check", "--epsilon", "nan", "--dim", "30"]),
     (None, ["logical-ops", "--epsilon", "nan", "--dim", "30"]),
+    (None, ["kappa", "--epsilons", "0.1", "--eta", "nan"]),
+    (None, ["kappa", "--epsilons", "0.1", "--eta", "inf"]),
 ], ids=["no-section", "bad-value", "negative-eps", "zero-eps", "lyapunov-kappa",
         "qec-kappa", "logical-ops-kappa", "qec-negative-kappa1", "qec-nan-kappa1",
         "nan-eps", "nan-eps-rule-dim", "inf-eps", "nan-eta", "check-nan-eps",
-        "logical-ops-nan-eps"])
+        "logical-ops-nan-eps", "kappa-nan-eta", "kappa-inf-eta"])
 def test_bad_input_is_usage_error(config, argv, tmp_path, capsys):
     if config is not None:
         cfg = tmp_path / "run.ini"
@@ -210,6 +212,8 @@ def test_bad_input_is_usage_error(config, argv, tmp_path, capsys):
     assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    if "--eta" in argv:
+        assert "eta" in err[0]
 
 
 def test_long_running_gate(capsys):
@@ -251,13 +255,9 @@ def test_lyapunov_command_deterministic(tmp_path):
     assert main(args + ["--prefix", "r1"]) == EXIT_OK
     assert main(args + ["--prefix", "r2"]) == EXIT_OK
 
-    def scrub(env):
-        payload = env["payload"]
-        payload.pop("runtime_s", None)
-        return payload
-
-    p1 = scrub(read_json(tmp_path / "r1.json"))
-    p2 = scrub(read_json(tmp_path / "r2.json"))
+    # the payload holds no clock: the envelope's runtime_s is the run's only one
+    p1 = read_json(tmp_path / "r1.json")["payload"]
+    p2 = read_json(tmp_path / "r2.json")["payload"]
     assert p1 == p2
     t1 = (tmp_path / "r1_trials.csv").read_text()
     t2 = (tmp_path / "r2_trials.csv").read_text()

@@ -39,10 +39,11 @@ def test_default_truncation_rule():
 
 def test_certified_regime_boundary():
     edge = 1.0 / (2.0 * ETA_QUBIT)
-    assert GkpParams(edge).certified
-    assert not GkpParams(edge * 1.01).certified
-    assert not GkpParams(0.05, eta=1.7).certified  # unsupported lattice constant
-    assert GkpParams(0.15, eta=ETA_SENSOR).certified  # sensor edge is 1/(2*sqrt(2pi)) ~ 0.199
+    assert convergence_rate(edge).certified
+    assert not convergence_rate(edge * 1.01).certified
+    assert not convergence_rate(0.05, eta=1.7).certified  # unsupported lattice constant
+    # sensor edge is 1/(2*sqrt(2pi)) ~ 0.199
+    assert convergence_rate(0.15, eta=ETA_SENSOR).certified
 
 
 def test_epsilon_zero_needs_explicit_dim():
@@ -56,10 +57,13 @@ def test_epsilon_zero_needs_explicit_dim():
     (0.1, float("nan"), "eta"), (0.1, float("inf"), "eta"), (0.1, -float("inf"), "eta"),
 ], ids=["nan-eps", "inf-eps", "nan-eta", "inf-eta", "minus-inf-eta"])
 def test_non_finite_parameters_are_rejected(epsilon, eta, name):
-    # a plain ValueError, not a DimensionError: the CLI reports it as exit 2
-    with pytest.raises(ValueError, match=f"{name} must be finite") as exc:
-        GkpParams(epsilon, eta, dim=30)
-    assert type(exc.value) is ValueError
+    # a plain ValueError, not a DimensionError: the CLI reports it as exit 2.
+    # convergence_rate, which the kappa command calls without a GkpParams,
+    # raises the same error
+    for build in (lambda: GkpParams(epsilon, eta, dim=30), lambda: convergence_rate(epsilon, eta)):
+        with pytest.raises(ValueError, match=f"{name} must be finite") as exc:
+            build()
+        assert type(exc.value) is ValueError
 
 
 # --- kappa ----------------------------------------------------------------------

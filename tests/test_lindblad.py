@@ -260,7 +260,7 @@ def test_stabilized_codeword_stays_steady(small_code, small_model):
 def test_meta_reports_accepted_step_range(small_stiff_case, small_code, small_model):
     code, model, rho0 = small_stiff_case
     codeword = np.outer(small_code.codewords[0], small_code.codewords[0].conj())
-    quiet = ObservableSpec(photon_number=False, positivity_tol=None)
+    quiet = ObservableSpec(positivity_tol=None)
     t_final = 0.2
     for mdl, rho, method in ((model, rho0, "rk45"), (small_model, codeword, "etd4")):
         meta = evolve(mdl, rho, t_final, record_times=[t_final], observables=quiet).meta
@@ -283,7 +283,7 @@ def test_meta_reports_carried_blocks(small_code, small_model):
     # parity-even but neither real nor imaginary
     complex_even = np.outer(c0 + 1j * c1, (c0 + 1j * c1).conj()) / 2
     mixed = random_density_matrix(small_code.dim, np.random.default_rng(13))
-    quiet = ObservableSpec(photon_number=False, positivity_tol=None)
+    quiet = ObservableSpec(positivity_tol=None)
     for rho, blocks in ((mixed, 16), (codeword, 6), (complex_even, 8)):
         meta = evolve(small_model, rho, 0.2, record_times=[0.2], observables=quiet).meta
         assert meta["method"] == "etd4"

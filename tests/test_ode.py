@@ -149,7 +149,7 @@ def test_records_cost_at_most_one_step_each(small_code, small_model):
     kappa1 = 0.028
     model = small_model.with_photon_loss(kappa1)
     rho0 = np.outer(small_code.codewords[0], small_code.codewords[0].conj())
-    quiet = ObservableSpec(photon_number=False, positivity_tol=None)
+    quiet = ObservableSpec(positivity_tol=None)
     t_final = 1.0 / kappa1
     accepted = {}
     for n in (2, 101):
