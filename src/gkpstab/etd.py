@@ -33,10 +33,14 @@ initial state occupies: 4 blocks for a rotation-invariant state (sector 0,
 such as W, or fock.twirl of a state, which the decay experiment evolves),
 8 for a parity-even state (sectors 0 and 2), all 16 for a generic state. A
 real congruence also keeps symmetry, so a Hermitian X = S + iA (S
-symmetric, A antisymmetric) is carried as the real M = S + A, and every
-jump costs two dgemms per factor and per occupied block of a quarter of the
-size. The phi-weights are real and symmetric in (i, j), so the state stays
-Hermitian by construction. The same symmetry halves the work again for a
+symmetric, A antisymmetric) is carried as the real M = S + A. A jump
+builds each carried block (p, q) as one product: the factors into block p,
+stacked side by side, times the column of their source blocks, each already
+multiplied on the right by its factor's transpose. That is one dgemm per
+factor and per carried block, of a quarter of the size, and one deep dgemm
+per carried block that sums the factors' terms inside BLAS. The phi-weights
+are real and symmetric in (i, j), so the state stays Hermitian by
+construction. The same symmetry halves the work again for a
 state that is real (A = 0, so Mᵀ = M) or purely imaginary (S = 0, Mᵀ = -M),
 as the codeword projectors and S_x, S_y, S_z are: the jump, the phi-weights
 and the drift keep that parity, block (j, i) stays ±(block (i, j))ᵀ, and
@@ -64,24 +68,35 @@ STATIONARY_WINDOW = 4
 def _phi123(z):
     """phi_1, phi_2, phi_3 of exp on a (non-positive) real array, elementwise.
 
-    Direct formulas away from zero; Horner series inside |z| < 0.25 where the
-    subtractions cancel.
+    Away from zero phi_1 = (e^z - 1)/z, phi_2 = (phi_1 - 1)/z and
+    phi_3 = (phi_2 - 1/2)/z. Inside |z| < 0.25, where those subtractions
+    cancel, one Horner series gives phi_3, then phi_2 = z phi_3 + 1/2 and
+    phi_1 = z phi_2 + 1.
     """
     z = np.asarray(z, dtype=float)
     ez = np.exp(z)
     small = np.abs(z) < 0.25
     zs = np.where(small, 1.0, z)
-    p1 = (ez - 1.0) / zs
-    p2 = (ez - 1.0 - z) / (zs * zs)
-    p3 = (ez - 1.0 - z - 0.5 * z * z) / (zs * zs * zs)
+    p1 = ez - 1.0
+    p1 /= zs
+    p2 = p1 - 1.0
+    p2 /= zs
+    p3 = p2 - 0.5
+    p3 /= zs
     if np.any(small):
         w = z[small]
-        for k, out in ((1, p1), (2, p2), (3, p3)):
-            acc = np.zeros_like(w)
-            for j in range(13, -1, -1):
-                # coefficient 1/(j+k)!
-                acc = acc * w + 1.0 / math.factorial(j + k)
-            out[small] = acc
+        # sum_{j <= 13} w^j / (j + 3)!
+        acc = np.full_like(w, 1.0 / math.factorial(16))
+        for j in range(12, -1, -1):
+            acc *= w
+            acc += 1.0 / math.factorial(j + 3)
+        p3[small] = acc
+        acc *= w
+        acc += 0.5
+        p2[small] = acc
+        acc *= w
+        acc += 1.0
+        p1[small] = acc
     return ez, p1, p2, p3
 
 
@@ -146,9 +161,15 @@ class SplitPropagator:
     rotation-symmetry detector (_charge_kraus, ValueError otherwise).
 
     The Fock space splits into the 4 blocks of n mod 4. basis holds the real
-    eigenbasis of each block of G, kraus the real factors in it, one block
-    per source block, and a factor of charge c sends block (i, j) of the
-    state to (i + c, j + c).
+    eigenbasis of each block of G, and a factor K_f of charge c_f sends
+    block (i, j) of the state to (i + c_f, j + c_f). The factors in that
+    basis are stored once, as the left stack of each block p: the blocks of
+    every factor into p, [K_f from p - c_f, for each f], side by side.
+    kraus[f][j], factor f's block from source block j, is a view of its
+    columns in the stack of j + c_f, so kraus holds one entry per factor.
+    apply_jump multiplies the stack of p by a column of source products
+    written into one scratch array of the propagator, sized for the largest
+    block, so a propagator must not be shared between threads.
 
     Between to_basis and from_basis the state is a carrier: a flat real
     array of the occupied blocks, those of the sectors j - i (mod 4) where
@@ -166,8 +187,10 @@ class SplitPropagator:
     and writes the imaginary (sign +1) or real (sign -1) part of its output
     as exact zeros, and _max_modulus, _inner and _frobenius measure the
     whole M. to_basis fixes the layout that step, apply_jump and from_basis
-    use until the next to_basis. adjoint is kept, because run rescales the trace of forward
-    states only. n_jumps counts the jump applications made so far.
+    use until the next to_basis, and a new layout or sign gets a new plan of
+    apply_jump's products. adjoint is kept, because run rescales the trace
+    of forward states only. n_jumps counts the jump applications made so
+    far.
     """
 
     def __init__(self, ops, rates, adjoint=False):
@@ -186,8 +209,21 @@ class SplitPropagator:
         if adjoint:
             factors = [(-c, k.T) for c, k in factors]
         self._charges = [c % 4 for c, _ in factors]
-        self.kraus = [tuple(self.basis[(j + c) % 4].T @ k[sl[(j + c) % 4], sl[j]]
-                            @ self.basis[j] for j in range(4)) for c, k in factors]
+        sizes = [len(e) for e in self._g_eigs]
+        # the left stack of block p: [K_f from block p - c_f, for each f]
+        self._left, self._offsets = [], []
+        kraus = [[None] * 4 for _ in factors]
+        for p in range(4):
+            sources = [(p - c) % 4 for c in self._charges]
+            starts = np.cumsum([0] + [sizes[i] for i in sources])
+            stack = np.empty((sizes[p], starts[-1]))
+            for f, ((_, k), i, a) in enumerate(zip(factors, sources, starts)):
+                kraus[f][i] = stack[:, a:a + sizes[i]]
+                kraus[f][i][...] = self.basis[p].T @ k[sl[p], sl[i]] @ self.basis[i]
+            self._left.append(stack)
+            self._offsets.append(starts)
+        self.kraus = [tuple(ks) for ks in kraus]
+        self._scratch = np.empty(max(s.shape[1] for s in self._left) * max(sizes))
         self.adjoint = adjoint
         self.n_jumps = 0
         self._layout = None
@@ -201,9 +237,9 @@ class SplitPropagator:
         """
         blocks = [(i, (i + s) % 4) for s in sorted(sectors) for i in range(4)
                   if not sign or i <= (i + s) % 4]
-        self._sign = sign
-        if self._layout is not None and list(self._layout) == blocks:
+        if self._layout is not None and list(self._layout) == blocks and self._sign == sign:
             return
+        self._sign = sign
         self._layout, diag, start = {}, [], 0
         for i, j in blocks:
             shape = (len(self._g_eigs[i]), len(self._g_eigs[j]))
@@ -216,6 +252,23 @@ class SplitPropagator:
                                      for i, j in blocks])
         self._phi_last = (None, None)
         self._tables = {}
+        # apply_jump's plan: per carried block (p, q), its place in the
+        # carrier, the left stack of p, the scratch Z it multiplies and the
+        # sources of Z's row slabs, a source being (carried block, mirror,
+        # right factor, slab); mirror 0 reads the block itself, ±1 the
+        # signed transpose of its mirror
+        index = {ij: n for n, ij in enumerate(blocks)}
+        self._plan = []
+        for (p, q), (a, b, shape) in self._layout.items():
+            left = self._left[p]
+            z = self._scratch[:left.shape[1] * shape[1]].reshape(left.shape[1], shape[1])
+            sources = []
+            for f, c in enumerate(self._charges):
+                i, j = (p - c) % 4, (q - c) % 4
+                n, mirror = (index[i, j], 0) if (i, j) in index else (index[j, i], sign)
+                lo, hi = self._offsets[p][f:f + 2]
+                sources.append((n, mirror, self.kraus[f][j].T, z[lo:hi]))
+            self._plan.append((a, b, shape, left, z, sources))
 
     def _blocks(self, m):
         """The blocks of a carrier, as views keyed by (i, j)."""
@@ -262,22 +315,21 @@ class SplitPropagator:
         return out
 
     def apply_jump(self, m):
-        """sum_k A_k X A_k† on a carrier, built destination block by
-        destination block, each from its sources in the order of the factors.
-        A source block carried only as its mirror is read as the transposed
+        """sum_k A_k X A_k† on a carrier: each block (p, q) is one product
+        A_p Z, A_p = [K_f from p - c_f, for each factor f] the left stack of
+        p and Z the column of the source products X_{p-c_f, q-c_f} K_fᵀ,
+        K_f taken from block q - c_f, written into the shared scratch. A
+        source block carried only as its mirror is read as the transposed
         view of the mirror, with the parity's sign."""
         self.n_jumps += 1
-        out = np.zeros_like(m)
-        blocks = self._blocks(m)
-        for (p, q), dest in self._blocks(out).items():
-            for c, k in zip(self._charges, self.kraus):
-                i, j = (p - c) % 4, (q - c) % 4
-                if (i, j) in blocks:
-                    dest += k[i] @ blocks[i, j] @ k[j].T
-                elif self._sign > 0:
-                    dest += k[i] @ blocks[j, i].T @ k[j].T
-                else:
-                    dest -= k[i] @ blocks[j, i].T @ k[j].T
+        blocks = [m[a:b].reshape(shape) for a, b, shape in self._layout.values()]
+        out = np.empty(m.shape)
+        for a, b, shape, left, z, sources in self._plan:
+            for n, mirror, right, slab in sources:
+                np.matmul(blocks[n].T if mirror else blocks[n], right, out=slab)
+                if mirror < 0:
+                    np.negative(slab, out=slab)
+            np.matmul(left, z, out=out[a:b].reshape(shape))
         return out
 
     def _max_modulus(self, m):

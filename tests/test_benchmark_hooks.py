@@ -9,6 +9,8 @@ import dataclasses
 import importlib
 import pathlib
 
+import numpy as np
+
 import gkpstab
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -105,3 +107,27 @@ def test_scored_result_fields_resolve():
     missing = [f"{name}.{attr}" for name, attr in sorted(reads)
                if not any(has(module, cls, attr) for module, cls in RESULTS[name])]
     assert not missing, missing
+
+
+def test_jump_hook_reads_factors_and_dim():
+    # tracer._after_jump charges each jump by the attributes it reads off
+    # the propagator: kraus, one entry per real Kraus factor, each with one
+    # block per source block, and dim, the Fock truncation
+    tracer = next(node for node in parse("tracer.py").body if isinstance(node, ast.ClassDef)
+                  and any(getattr(f, "name", None) == "_after_jump" for f in node.body))
+    hook = next(f for f in tracer.body if getattr(f, "name", None) == "_after_jump")
+    reads = {node.attr for node in ast.walk(hook) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "prop"}
+    assert reads == {"kraus", "dim"}
+
+    etd, fock = package_module("etd"), package_module("fock")
+    dim = 28
+    ops = list(gkpstab.build_dissipators(gkpstab.GkpParams(0.1, dim=dim))) + [fock.make_ladder(dim)]
+    rates = [1.0] * 4 + [0.02]
+    prop = etd.SplitPropagator(ops, rates)
+    assert prop.dim == dim
+    factors = etd._charge_kraus([np.asarray(v, dtype=complex) for v in ops], rates)
+    assert len(prop.kraus) == len(factors) == 5
+    sizes = [len(b) for b in prop.basis]
+    for (c, _), blocks in zip(factors, prop.kraus):
+        assert [k.shape for k in blocks] == [(sizes[(j + c) % 4], sizes[j]) for j in range(4)]

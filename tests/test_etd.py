@@ -21,9 +21,12 @@ from gkpstab.lindblad import LindbladModel, ObservableSpec
 
 
 def test_phi_functions_against_mpmath():
+    # the series branch holds inside |z| < 0.25 and the recurrences outside,
+    # so the points straddle -0.25 closely and span [-1e6, -1e-12] densely
     mpmath.mp.dps = 50
-    zs = np.array([-3e5, -800.0, -30.0, -2.0, -0.5, -0.26, -0.25, -0.249,
-                   -0.1, -1e-3, -1e-8, 0.0])
+    edge = [np.nextafter(-0.25, -1.0), np.nextafter(-0.25, 0.0), -0.25 - 1e-9, -0.25 + 1e-9]
+    zs = np.concatenate([[-3e5, -800.0, -30.0, -2.0, -0.5, -0.26, -0.25, -0.249,
+                          -0.1, -1e-3, -1e-8, 0.0], edge, -np.logspace(6, -12, 400)])
     ez, p1, p2, p3 = _phi123(zs)
     for i, z in enumerate(zs):
         zm = mpmath.mpf(z)
@@ -379,6 +382,77 @@ def test_real_form_jump_matches_complex_operators(tiny_model, small_code, with_l
             assert got.dtype == complex
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             assert np.array_equal(got, got.conj().T)
+
+
+def _jump_by_factors(prop, m):
+    """The jump term by term: for each carried block and each factor, two
+    products and a sum. The reference for the stacked products."""
+    blocks = prop._blocks(m)
+    out = np.zeros_like(m)
+    for (p, q), dest in prop._blocks(out).items():
+        for c, k in zip(prop._charges, prop.kraus):
+            i, j = (p - c) % 4, (q - c) % 4
+            if (i, j) in blocks:
+                dest += k[i] @ blocks[i, j] @ k[j].T
+            else:
+                dest += prop._sign * (k[i] @ blocks[j, i].T @ k[j].T)
+    return out
+
+
+@pytest.mark.parametrize("with_loss", [False, True], ids=["stabilizers", "plus_loss"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_stacked_jump_matches_the_factor_loop(small_code, adjoint, with_loss):
+    # dim 143 has uneven blocks (36, 36, 36, 35); every sector set and
+    # transpose parity of the carrier is covered
+    dim = small_code.dim
+    ops, rates = list(small_code.dissipators), [1.0] * 4
+    if with_loss:
+        ops, rates = ops + [make_ladder(dim)], rates + [0.02]
+    prop = SplitPropagator(ops, rates, adjoint=adjoint)
+    assert [len(b) for b in prop.basis] == [36, 36, 36, 35]
+    # the factors are stored once, as views into the left stacks
+    assert len(prop.kraus) == len(prop._charges) == (5 if with_loss else 4)
+    assert all(any(np.shares_memory(k, s) for s in prop._left) for ks in prop.kraus for k in ks)
+    assert sum(k.size for ks in prop.kraus for k in ks) == sum(s.size for s in prop._left)
+
+    rng = np.random.default_rng(19)
+    y = rng.standard_normal((dim, dim))
+    rho = random_density_matrix(dim, rng)
+    n = np.arange(dim)
+    for period, blocks in ((4, (4, 4, 4)), (2, (8, 6, 6)), (1, (16, 10, 10))):
+        # keep the entries with m ≡ n mod period: sector 0, sectors 0 and 2,
+        # or all four
+        mask = np.subtract.outer(n, n) % period == 0
+        for x, sign, carried in ((rho * mask, 0, blocks[0]), ((y + y.T) * mask, 1, blocks[1]),
+                                 (1j * (y - y.T) * mask, -1, blocks[2])):
+            xb = prop.to_basis(x)
+            assert (prop._sign, len(prop._layout)) == (sign, carried)
+            got, want = prop.apply_jump(xb), _jump_by_factors(prop, xb)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_jump_plan_is_built_once_per_layout(tiny_model):
+    # run keeps the layout of its to_basis, and so its plan, for every jump;
+    # a carrier of another layout gets a plan of its own
+    dim, vs = tiny_model
+    prop = SplitPropagator(vs, [1.0] * len(vs))
+    rng = np.random.default_rng(20)
+    rho = random_density_matrix(dim, rng)
+    prop.to_basis(rho)
+    plan = prop._plan
+    seen = []
+    apply_jump = prop.apply_jump
+    prop.apply_jump = lambda xb: seen.append(prop._plan) or apply_jump(xb)
+    _, stats = prop.run(rho, 0.1, record_times=[0.05, 0.1], on_record=lambda t, x: None)
+    assert len(seen) == stats["n_jumps"] > 0
+    assert all(p is plan for p in seen)
+    prop.to_basis(random_density_matrix(dim, rng))
+    assert prop._plan is plan
+    y = rng.standard_normal((dim, dim))
+    for x in (y + y.T, 1j * (y - y.T), rho):
+        prop.to_basis(x)
+        assert prop._plan is not plan
+        plan = prop._plan
 
 
 def test_one_part_state_of_any_symmetry_gets_its_exact_map(tiny_model):
