@@ -33,14 +33,20 @@ initial state occupies: 4 blocks for a rotation-invariant state (sector 0,
 such as W, or fock.twirl of a state, which the decay experiment evolves),
 8 for a parity-even state (sectors 0 and 2), all 16 for a generic state. A
 real congruence also keeps symmetry, so a Hermitian X = S + iA (S
-symmetric, A antisymmetric) is carried as the real M = S + A. A jump
-builds each carried block (p, q) as one product: the factors into block p,
-stacked side by side, times the column of their source blocks, each already
-multiplied on the right by its factor's transpose. That is one dgemm per
-factor and per carried block, of a quarter of the size, and one deep dgemm
-per carried block that sums the factors' terms inside BLAS. The phi-weights
-are real and symmetric in (i, j), so the state stays Hermitian by
-construction. The same symmetry halves the work again for a
+symmetric, A antisymmetric) is carried as the real M = S + A. The four
+factors of the dissipator orbit have charges 0, 1, 2 and 3, so their
+supports are disjoint and their sum K is one real matrix whose block (p, i)
+is the factor of charge p - i. A jump takes two sweeps per carried sector
+s: Y = X_s Kᵀ, one wide dgemm per source block (i, i + s) into row plane i
+of a product buffer, then one dgemm per carried block (p, q), the rows of
+K into p times the columns of Y of block q, which sums the four factors'
+terms inside BLAS: 8 dgemms on the 4 blocks of the decay carrier, each
+at least d/4 × d/4 × d. A factor outside K, such as the loss channel a
+beside the orbit's own charge-3 factor, adds one product per carried
+block into rows of Y of its own, and its block into p is columns of the
+left matrix of p after K's, so no zero block is multiplied. The
+phi-weights are real and symmetric in (i, j), so the state stays
+Hermitian by construction. The same symmetry halves the work again for a
 state that is real (A = 0, so Mᵀ = M) or purely imaginary (S = 0, Mᵀ = -M),
 as the codeword projectors and S_x, S_y, S_z are: the jump, the phi-weights
 and the drift keep that parity, block (j, i) stays ±(block (i, j))ᵀ, and
@@ -63,6 +69,8 @@ from .ode import _drive, _min_step
 
 # step differences that run_to_stationary's extrapolation combines
 STATIONARY_WINDOW = 4
+# below this exponent e^z is subnormal
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 def _phi123(z):
@@ -71,10 +79,12 @@ def _phi123(z):
     Away from zero phi_1 = (e^z - 1)/z, phi_2 = (phi_1 - 1)/z and
     phi_3 = (phi_2 - 1/2)/z. Inside |z| < 0.25, where those subtractions
     cancel, one Horner series gives phi_3, then phi_2 = z phi_3 + 1/2 and
-    phi_1 = z phi_2 + 1.
+    phi_1 = z phi_2 + 1. e^z is an exact zero where z <= log(tiny), in
+    place of the subnormals that numpy's exp computes there on a slow path;
+    e^z - 1 rounds to -1 there either way, so phi_1..phi_3 are the same.
     """
     z = np.asarray(z, dtype=float)
-    ez = np.exp(z)
+    ez = np.exp(z, out=np.zeros_like(z), where=z > _LOG_TINY)
     small = np.abs(z) < 0.25
     zs = np.where(small, 1.0, z)
     p1 = ez - 1.0
@@ -163,13 +173,16 @@ class SplitPropagator:
     The Fock space splits into the 4 blocks of n mod 4. basis holds the real
     eigenbasis of each block of G, and a factor K_f of charge c_f sends
     block (i, j) of the state to (i + c_f, j + c_f). The factors in that
-    basis are stored once, as the left stack of each block p: the blocks of
-    every factor into p, [K_f from p - c_f, for each f], side by side.
-    kraus[f][j], factor f's block from source block j, is a view of its
-    columns in the stack of j + c_f, so kraus holds one entry per factor.
-    apply_jump multiplies the stack of p by a column of source products
-    written into one scratch array of the propagator, sized for the largest
-    block, so a propagator must not be shared between threads.
+    basis are stored once, transposed: Kᵀ, K being the sum of the first
+    factor of each charge when all four charges occur, and below it the
+    transposed block into p of every other factor, in the columns of p.
+    The products X Kᵀ read its rows, and the transpose of the columns of p
+    is the left matrix of p: the rows of K into p, then the other factors'
+    blocks into p side by side. kraus[f][j], factor f's block from source
+    block j, is a view into the left matrix of j + c_f, so kraus holds one
+    entry per factor. apply_jump writes its products into one buffer Y of
+    the propagator, sized for the largest sector, so a propagator must not
+    be shared between threads.
 
     Between to_basis and from_basis the state is a carrier: a flat real
     array of the occupied blocks, those of the sectors j - i (mod 4) where
@@ -208,22 +221,36 @@ class SplitPropagator:
             self.basis.append(vecs)
         if adjoint:
             factors = [(-c, k.T) for c, k in factors]
-        self._charges = [c % 4 for c, _ in factors]
+        self._charges = charges = [c % 4 for c, _ in factors]
         sizes = [len(e) for e in self._g_eigs]
-        # the left stack of block p: [K_f from block p - c_f, for each f]
-        self._left, self._offsets = [], []
-        kraus = [[None] * 4 for _ in factors]
+        self._starts = st = np.cumsum([0] + sizes)
+        # the factors are stored transposed: the rows of source block j hold
+        # Kᵀ's, K being the sum of the first factor of each charge when all
+        # four occur, and the columns of block p hold the factors into p;
+        # every other factor's block into p takes rows of its own below Kᵀ
+        first = [charges.index(c) for c in range(4)] if set(charges) == {0, 1, 2, 3} else []
+        self._width = width = dim if first else 0
+        self._extras = [f for f in range(len(factors)) if f not in first]
+        rows = {(f, j): st[j] for f in first for j in range(4)}
+        heights = []
         for p in range(4):
-            sources = [(p - c) % 4 for c in self._charges]
-            starts = np.cumsum([0] + [sizes[i] for i in sources])
-            stack = np.empty((sizes[p], starts[-1]))
-            for f, ((_, k), i, a) in enumerate(zip(factors, sources, starts)):
-                kraus[f][i] = stack[:, a:a + sizes[i]]
-                kraus[f][i][...] = self.basis[p].T @ k[sl[p], sl[i]] @ self.basis[i]
-            self._left.append(stack)
-            self._offsets.append(starts)
+            heights.append(width)
+            for f in self._extras:
+                rows[f, (p - charges[f]) % 4] = heights[p]
+                heights[p] += sizes[(p - charges[f]) % 4]
+        # blocks of unequal size leave rows below a shorter column block unused
+        self._factors = np.zeros((max(heights), dim))
+        left = [self._factors[:h, st[p]:st[p + 1]].T for p, h in enumerate(heights)]
+        kraus = [[None] * 4 for _ in factors]
+        for f, (_, k) in enumerate(factors):
+            for j in range(4):
+                p = (j + charges[f]) % 4
+                kraus[f][j] = left[p][:, rows[f, j]:rows[f, j] + sizes[j]]
+                kraus[f][j][...] = self.basis[p].T @ k[sl[p], sl[j]] @ self.basis[j]
         self.kraus = [tuple(ks) for ks in kraus]
-        self._scratch = np.empty(max(s.shape[1] for s in self._left) * max(sizes))
+        self._y = np.empty(max(heights) * dim)
+        # a source block read as the negated transpose of its mirror
+        self._neg = np.empty(max(sizes) ** 2)
         self.adjoint = adjoint
         self.n_jumps = 0
         self._layout = None
@@ -252,23 +279,43 @@ class SplitPropagator:
                                      for i, j in blocks])
         self._phi_last = (None, None)
         self._tables = {}
-        # apply_jump's plan: per carried block (p, q), its place in the
-        # carrier, the left stack of p, the scratch Z it multiplies and the
-        # sources of Z's row slabs, a source being (carried block, mirror,
-        # right factor, slab); mirror 0 reads the block itself, ±1 the
-        # signed transpose of its mirror
+        # apply_jump's plan, per sector: the products that fill the buffer
+        # Y, each (carried block, mirror, right factor, rows of Y), mirror 0
+        # reading the block itself and ±1 the signed transpose of its
+        # mirror; then per carried block (p, q) its place in the carrier,
+        # the left matrix of p and the columns of Y it multiplies
         index = {ij: n for n, ij in enumerate(blocks)}
+
+        def source(i, j):
+            return (index[i, j], 0) if (i, j) in index else (index[j, i], sign)
+
+        st, width = self._starts, self._width
         self._plan = []
-        for (p, q), (a, b, shape) in self._layout.items():
-            left = self._left[p]
-            z = self._scratch[:left.shape[1] * shape[1]].reshape(left.shape[1], shape[1])
+        for s in sorted(sectors):
+            dests = [(pq, place) for pq, place in self._layout.items() if (pq[1] - pq[0]) % 4 == s]
+            # the carried blocks (p, q) of a sector take every q from the
+            # least to 3, so Y holds the columns [lo, dim)
+            lo = st[min(q for (_, q), _ in dests)]
+            y = self._y[:self._y.size // self.dim * (self.dim - lo)].reshape(-1, self.dim - lo)
+            # Y = X_s Kᵀ: one row plane per source block (i, i + s)
             sources = []
-            for f, c in enumerate(self._charges):
-                i, j = (p - c) % 4, (q - c) % 4
-                n, mirror = (index[i, j], 0) if (i, j) in index else (index[j, i], sign)
-                lo, hi = self._offsets[p][f:f + 2]
-                sources.append((n, mirror, self.kraus[f][j].T, z[lo:hi]))
-            self._plan.append((a, b, shape, left, z, sources))
+            for i in range(4 if width else 0):
+                j = (i + s) % 4
+                sources.append(source(i, j) + (self._factors[st[j]:st[j + 1], lo:],
+                                               y[st[i]:st[i + 1]]))
+            products = []
+            for (p, q), (a, b, shape) in dests:
+                cols = slice(st[q] - lo, st[q + 1] - lo)
+                # a factor outside K fills its own rows of Y, below K's
+                row = width
+                for f in self._extras:
+                    i, j = (p - self._charges[f]) % 4, (q - self._charges[f]) % 4
+                    rows = slice(row, row + st[i + 1] - st[i])
+                    sources.append(source(i, j) + (self.kraus[f][j].T, y[rows, cols]))
+                    row = rows.stop
+                left = self._factors[:row, st[p]:st[p + 1]].T
+                products.append((a, b, shape, left, y[:row, cols]))
+            self._plan.append((sources, products))
 
     def _blocks(self, m):
         """The blocks of a carrier, as views keyed by (i, j)."""
@@ -315,21 +362,25 @@ class SplitPropagator:
         return out
 
     def apply_jump(self, m):
-        """sum_k A_k X A_k† on a carrier: each block (p, q) is one product
-        A_p Z, A_p = [K_f from p - c_f, for each factor f] the left stack of
-        p and Z the column of the source products X_{p-c_f, q-c_f} K_fᵀ,
-        K_f taken from block q - c_f, written into the shared scratch. A
-        source block carried only as its mirror is read as the transposed
-        view of the mirror, with the parity's sign."""
+        """sum_k A_k X A_k† on a carrier, one sector s at a time. First
+        the products into Y: X_s Kᵀ, one per source block (i, i + s) into
+        row plane i, and for each factor K_f outside K and each carried
+        block (p, q), X_{p-c_f, q-c_f} K_fᵀ into rows of its own below K's.
+        Then each carried block (p, q) is one product, the rows of p (the
+        left matrix) times the columns of Y of block q. A source block carried only as
+        its mirror is read as the transposed view of the mirror, negated
+        first for the parity -1."""
         self.n_jumps += 1
         blocks = [m[a:b].reshape(shape) for a, b, shape in self._layout.values()]
         out = np.empty(m.shape)
-        for a, b, shape, left, z, sources in self._plan:
-            for n, mirror, right, slab in sources:
-                np.matmul(blocks[n].T if mirror else blocks[n], right, out=slab)
+        for sources, products in self._plan:
+            for n, mirror, right, y in sources:
+                x = blocks[n]
                 if mirror < 0:
-                    np.negative(slab, out=slab)
-            np.matmul(left, z, out=out[a:b].reshape(shape))
+                    x = np.negative(x, out=self._neg[:x.size].reshape(x.shape))
+                np.matmul(x.T if mirror else x, right, out=y)
+            for a, b, shape, left, y in products:
+                np.matmul(left, y, out=out[a:b].reshape(shape))
         return out
 
     def _max_modulus(self, m):
@@ -372,15 +423,23 @@ class SplitPropagator:
         return self._phi_last[1]
 
     def _phi_tables(self, h):
-        """The weight arrays of a step of size h; the last two h are kept."""
+        """The weight arrays of a step of size h, the factors h/2 and h of
+        the stage inputs and of the result folded in; the last two h are
+        kept."""
         tbl = self._tables.get(h)
         if tbl is None:
             e_h, p1_h, p2_h, p3_h = self._phi(h)
             e_2, p1_2, p2_2, _ = self._phi(0.5 * h)
-            tbl = (e_h, e_2,
-                   (0.5 * h) * p1_2, p1_2 - 2.0 * p2_2, 2.0 * p2_2,
-                   p1_h - 2.0 * p2_h, 2.0 * p2_h,
-                   p1_h - 3.0 * p2_h + 4.0 * p3_h, 2.0 * p2_h - 4.0 * p3_h, -p2_h + 4.0 * p3_h)
+            a21 = (0.5 * h) * p1_2
+            a32 = h * p2_2
+            # h (phi_1 - 2 phi_2), 2h phi_2, h (4 phi_3 - phi_2),
+            # h (2 phi_2 - 4 phi_3) and h (phi_1 - 3 phi_2 + 4 phi_3)
+            hp2, hp3 = h * p2_h, (4.0 * h) * p3_h
+            a43 = hp2 + hp2
+            a41 = h * p1_h
+            a41 -= a43
+            b4 = hp3 - hp2
+            tbl = (e_h, e_2, a21, a21 - a32, a32, a41, a43, a41 + b4, a43 - hp3, b4)
             if len(self._tables) >= 2:
                 self._tables.clear()
             self._tables[h] = tbl
@@ -389,9 +448,10 @@ class SplitPropagator:
     def step(self, xb, h, n1=None):
         """One Krogstad step of size h in the G-eigenbasis.
 
-        n1 is apply_jump(xb) when the caller already has it. The stage inputs
-        e_2 X + a21 N1, e_2 X + (h/2)(a31 N1 + a32 N2), e_h X + h(a41 N1 +
-        a43 N3) and the result e_h X + h(b1 N1 + b23(N2 + N3) + b4 N4) are
+        n1 is apply_jump(xb) when the caller already has it. With the weights
+        of _phi_tables, which carry the factors h/2 and h, the stage inputs
+        e_2 X + a21 N1, e_2 X + (a31 N1 + a32 N2), e_h X + (a41 N1 + a43 N3)
+        and the result e_h X + (b1 N1 + b23 (N2 + N3) + b4 N4) are
         accumulated in place, every product and sum in the order of those
         expressions, so the step is bitwise that of the expressions; e_2 X
         and e_h X are formed once each, and at most five carriers are alive
@@ -408,7 +468,6 @@ class SplitPropagator:
         term = a32 * n2
         stage += term
         del term
-        stage *= 0.5 * h
         stage += ex
         n3 = self.apply_jump(stage)
         # stage takes b1 N1 + b23 (N2 + N3), ex takes e_h X and n2's buffer
@@ -422,13 +481,11 @@ class SplitPropagator:
         n3 *= a43
         last += n3
         del n2, n3
-        last *= h
         last += ex
         n4 = self.apply_jump(last)
         del last
         n4 *= b4
         stage += n4
-        stage *= h
         ex += stage
         return ex
 

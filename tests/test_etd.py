@@ -7,6 +7,8 @@ against high-precision arithmetic, the real Kraus form against the complex
 channel operators, and the jump counts against the stage structure.
 """
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -41,6 +43,12 @@ def test_phi_functions_against_mpmath():
             ]
         for got, want in zip((p1[i], p2[i], p3[i]), exact):
             assert got == pytest.approx(float(want), rel=1e-13), f"z={z}"
+    # below log(tiny) e^z is an exact zero, not a subnormal; above it is exp's
+    log_tiny = np.log(np.finfo(float).tiny)
+    low = np.array([np.nextafter(log_tiny, -np.inf), -709.0, -745.0, -746.0, -800.0, -3e5])
+    assert np.all(np.exp(low[:3]) > 0.0)
+    assert np.all(_phi123(low)[0] == 0.0) and np.all(ez[zs < log_tiny] == 0.0)
+    assert np.array_equal(ez[zs > log_tiny], np.exp(zs[zs > log_tiny]))
 
 
 @pytest.fixture(scope="module")
@@ -250,9 +258,9 @@ def _step_by_expressions(prop, xb, h, n1):
     # operation: the reference the in-place stages must match bit for bit
     e_h, e_2, a21, a31, a32, a41, a43, b1, b23, b4 = prop._phi_tables(h)
     n2 = prop.apply_jump(e_2 * xb + a21 * n1)
-    n3 = prop.apply_jump(e_2 * xb + (0.5 * h) * (a31 * n1 + a32 * n2))
-    n4 = prop.apply_jump(e_h * xb + h * (a41 * n1 + a43 * n3))
-    return e_h * xb + h * (b1 * n1 + b23 * (n2 + n3) + b4 * n4)
+    n3 = prop.apply_jump(e_2 * xb + (a31 * n1 + a32 * n2))
+    n4 = prop.apply_jump(e_h * xb + (a41 * n1 + a43 * n3))
+    return e_h * xb + (b1 * n1 + b23 * (n2 + n3) + b4 * n4)
 
 
 @pytest.mark.parametrize("dim", [28, 143])
@@ -410,12 +418,17 @@ def test_stacked_jump_matches_the_factor_loop(small_code, adjoint, with_loss):
         ops, rates = ops + [make_ladder(dim)], rates + [0.02]
     prop = SplitPropagator(ops, rates, adjoint=adjoint)
     assert [len(b) for b in prop.basis] == [36, 36, 36, 35]
-    # the factors are stored once, as views into the left stacks
     assert len(prop.kraus) == len(prop._charges) == (5 if with_loss else 4)
-    assert all(any(np.shares_memory(k, s) for s in prop._left) for ks in prop.kraus for k in ks)
-    assert sum(k.size for ks in prop.kraus for k in ks) == sum(s.size for s in prop._left)
+    for x, sign, carried in _every_layout(dim, np.random.default_rng(19)):
+        xb = prop.to_basis(x)
+        assert (prop._sign, len(prop._layout)) == (sign, carried)
+        got, want = prop.apply_jump(xb), _jump_by_factors(prop, xb)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    rng = np.random.default_rng(19)
+
+def _every_layout(dim, rng):
+    """(state, transpose parity, carried blocks) of every layout kind: sign
+    0, +1 and -1 on sector 0, sectors 0 and 2, and all four."""
     y = rng.standard_normal((dim, dim))
     rho = random_density_matrix(dim, rng)
     n = np.arange(dim)
@@ -423,12 +436,73 @@ def test_stacked_jump_matches_the_factor_loop(small_code, adjoint, with_loss):
         # keep the entries with m ≡ n mod period: sector 0, sectors 0 and 2,
         # or all four
         mask = np.subtract.outer(n, n) % period == 0
-        for x, sign, carried in ((rho * mask, 0, blocks[0]), ((y + y.T) * mask, 1, blocks[1]),
-                                 (1j * (y - y.T) * mask, -1, blocks[2])):
-            xb = prop.to_basis(x)
-            assert (prop._sign, len(prop._layout)) == (sign, carried)
-            got, want = prop.apply_jump(xb), _jump_by_factors(prop, xb)
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        yield from ((rho * mask, 0, blocks[0]), ((y + y.T) * mask, 1, blocks[1]),
+                    (1j * (y - y.T) * mask, -1, blocks[2]))
+
+
+@pytest.mark.parametrize("channels", ["stabilizers_loss_number", "loss_twophoton_number", "loss"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_jump_of_channel_sets_without_one_factor_per_charge(small_code, adjoint, channels):
+    # the stabilizer orbit gives one factor per charge, summed into K; a, n
+    # and a² each have one charge, so a and n beside the orbit are two
+    # factors outside K, a + a² + n leaves charge 1 empty and has no K, and
+    # so has loss alone; each factor outside K takes rows of Y of its own
+    dim = small_code.dim
+    a = make_ladder(dim)
+    ops, rates, width, extras = {
+        "stabilizers_loss_number": (list(small_code.dissipators) + [a, a.T @ a],
+                                    [1.0] * 4 + [0.02, 0.1], dim, 2),
+        "loss_twophoton_number": ([a, a @ a, a.T @ a], [1.0, 0.5, 0.2], 0, 3),
+        "loss": ([a], [1.0], 0, 1),
+    }[channels]
+    prop = SplitPropagator(ops, rates, adjoint=adjoint)
+    assert (prop._width, len(prop._extras)) == (width, extras)
+    for x, sign, carried in _every_layout(dim, np.random.default_rng(21)):
+        xb = prop.to_basis(x)
+        assert (prop._sign, len(prop._layout)) == (sign, carried)
+        got = prop.apply_jump(xb)
+        want = _jump_by_factors(prop, xb)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        want = sum(r * (v.conj().T @ x @ v if adjoint else v @ x @ v.conj().T)
+                   for v, r in zip(ops, rates))
+        assert np.abs(prop.from_basis(got) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim", [200, 400])
+def test_factors_are_stored_once_and_the_jump_allocates_its_result(dim):
+    # every Kraus block is a view of the one factor storage and, the four
+    # blocks being of equal size here, together they tile it; Y is
+    # allocated once and every layout's plan reads it;
+    # a jump allocates its result and nothing of the carrier's size besides
+    vs = build_dissipators(GkpParams(0.1, dim=dim))
+    ops, rates = [np.asarray(v) for v in vs] + [make_ladder(dim)], [1.0] * 4 + [0.02]
+    prop = SplitPropagator(ops, rates)
+    assert len(prop.kraus) == 5 and all(len(ks) == 4 for ks in prop.kraus)
+    kept = prop._factors.copy()
+    prop._factors[...] = 0.0
+    for ks in prop.kraus:
+        for k in ks:
+            k += 1.0
+    assert np.all(prop._factors == 1.0)
+    assert sum(k.size for ks in prop.kraus for k in ks) == prop._factors.size
+    prop._factors[...] = kept
+
+    y = prop._y
+    for x, _sign, _carried in _every_layout(dim, np.random.default_rng(22)):
+        xb = prop.to_basis(x)
+        assert prop._y is y
+        assert all(np.shares_memory(out, y) for sources, products in prop._plan
+                   for *_, out in sources)
+        assert all(np.shares_memory(right, y) for sources, products in prop._plan
+                   for *_, right in products)
+        prop.apply_jump(xb)
+        tracemalloc.start()
+        try:
+            got = prop.apply_jump(xb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < got.nbytes + 64 * 1024
 
 
 def test_jump_plan_is_built_once_per_layout(tiny_model):
