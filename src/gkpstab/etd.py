@@ -224,15 +224,17 @@ class SplitPropagator:
         self._charges = charges = [c % 4 for c, _ in factors]
         sizes = [len(e) for e in self._g_eigs]
         self._starts = st = np.cumsum([0] + sizes)
-        # the factors are stored transposed: the rows of source block j hold
-        # Kᵀ's, K being the sum of the first factor of each charge when all
-        # four occur, and the columns of block p hold the factors into p;
-        # every other factor's block into p takes rows of its own below Kᵀ
+        # the factors are stored transposed: the rows of source block j and
+        # the columns of block p hold the transposed block (p, j) of K, the
+        # sum of the first factor of each charge when all four occur; every
+        # other factor's block into p takes rows of its own below, in the
+        # columns of p
         first = [charges.index(c) for c in range(4)] if set(charges) == {0, 1, 2, 3} else []
         self._width = width = dim if first else 0
         self._extras = [f for f in range(len(factors)) if f not in first]
-        rows = {(f, j): st[j] for f in first for j in range(4)}
-        heights = []
+        # _rows[f, j] is the first row of factor f's block from source block j
+        self._rows = rows = {(f, j): st[j] for f in first for j in range(4)}
+        self._heights = heights = []
         for p in range(4):
             heights.append(width)
             for f in self._extras:
@@ -240,12 +242,11 @@ class SplitPropagator:
                 heights[p] += sizes[(p - charges[f]) % 4]
         # blocks of unequal size leave rows below a shorter column block unused
         self._factors = np.zeros((max(heights), dim))
-        left = [self._factors[:h, st[p]:st[p + 1]].T for p, h in enumerate(heights)]
         kraus = [[None] * 4 for _ in factors]
         for f, (_, k) in enumerate(factors):
             for j in range(4):
                 p = (j + charges[f]) % 4
-                kraus[f][j] = left[p][:, rows[f, j]:rows[f, j] + sizes[j]]
+                kraus[f][j] = self._factors[rows[f, j]:rows[f, j] + sizes[j], st[p]:st[p + 1]].T
                 kraus[f][j][...] = self.basis[p].T @ k[sl[p], sl[j]] @ self.basis[j]
         self.kraus = [tuple(ks) for ks in kraus]
         self._y = np.empty(max(heights) * dim)
@@ -289,7 +290,7 @@ class SplitPropagator:
         def source(i, j):
             return (index[i, j], 0) if (i, j) in index else (index[j, i], sign)
 
-        st, width = self._starts, self._width
+        st = self._starts
         self._plan = []
         for s in sorted(sectors):
             dests = [(pq, place) for pq, place in self._layout.items() if (pq[1] - pq[0]) % 4 == s]
@@ -299,22 +300,22 @@ class SplitPropagator:
             y = self._y[:self._y.size // self.dim * (self.dim - lo)].reshape(-1, self.dim - lo)
             # Y = X_s Kᵀ: one row plane per source block (i, i + s)
             sources = []
-            for i in range(4 if width else 0):
+            for i in range(4 if self._width else 0):
                 j = (i + s) % 4
                 sources.append(source(i, j) + (self._factors[st[j]:st[j + 1], lo:],
                                                y[st[i]:st[i + 1]]))
             products = []
             for (p, q), (a, b, shape) in dests:
                 cols = slice(st[q] - lo, st[q + 1] - lo)
-                # a factor outside K fills its own rows of Y, below K's
-                row = width
+                # a factor outside K fills the rows of Y that its block into
+                # p takes in the column block p of the storage
                 for f in self._extras:
                     i, j = (p - self._charges[f]) % 4, (q - self._charges[f]) % 4
-                    rows = slice(row, row + st[i + 1] - st[i])
-                    sources.append(source(i, j) + (self.kraus[f][j].T, y[rows, cols]))
-                    row = rows.stop
-                left = self._factors[:row, st[p]:st[p + 1]].T
-                products.append((a, b, shape, left, y[:row, cols]))
+                    r = self._rows[f, i]
+                    sources.append(source(i, j) + (self.kraus[f][j].T,
+                                                   y[r:r + st[i + 1] - st[i], cols]))
+                h = self._heights[p]
+                products.append((a, b, shape, self._factors[:h, st[p]:st[p + 1]].T, y[:h, cols]))
             self._plan.append((sources, products))
 
     def _blocks(self, m):
@@ -366,10 +367,10 @@ class SplitPropagator:
         the products into Y: X_s Kᵀ, one per source block (i, i + s) into
         row plane i, and for each factor K_f outside K and each carried
         block (p, q), X_{p-c_f, q-c_f} K_fᵀ into rows of its own below K's.
-        Then each carried block (p, q) is one product, the rows of p (the
-        left matrix) times the columns of Y of block q. A source block carried only as
-        its mirror is read as the transposed view of the mirror, negated
-        first for the parity -1."""
+        Then each carried block (p, q) is one product, the left matrix of p
+        times the columns of Y of block q. A source block carried only as its
+        mirror is read as the transposed view of the mirror, negated first
+        for the parity -1."""
         self.n_jumps += 1
         blocks = [m[a:b].reshape(shape) for a, b, shape in self._layout.values()]
         out = np.empty(m.shape)
