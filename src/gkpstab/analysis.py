@@ -466,17 +466,8 @@ class ErrorRateReport:
     traj_off: object = None
 
     def scalar_payload(self):
-        return {
-            "epsilon": self.epsilon,
-            "dim": self.dim,
-            "kappa1": self.kappa1,
-            "on_rate": self.on_rate,
-            "off_rate": self.off_rate,
-            "suppression_ratio": self.suppression_ratio,
-            "fitted_on_rate": self.fitted_on_rate,
-            "fitted_off_rate": self.fitted_off_rate,
-            "logical_residual": self.logical_residual,
-        }
+        """Every field whose value is a scalar, by name: the qec-sim payload."""
+        return {name: v for name, v in vars(self).items() if np.isscalar(v)}
 
 
 def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0, code=None):

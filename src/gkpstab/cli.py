@@ -95,18 +95,20 @@ def _parse_epsilons(p):
 
 
 class Resolver:
-    """flag > config > default for every parameter, with the raw config text
-    kept for the echo. A config key no PARAMS entry defines is a usage error."""
+    """flag > config > default for every parameter of one command, with the
+    raw config text kept for the echo and the run's start time for its
+    clock. A config key no PARAMS entry defines is a usage error."""
 
-    def __init__(self, config_path):
+    def __init__(self, command, config_path):
+        self.command, self.t0 = command, time.time()
         self.flat, self.raw = ({}, "") if not config_path else io.parse_config(config_path)
         unread = sorted(set(self.flat) - {key for _, _, key, _ in PARAMS.values()})
         if unread:
             raise UsageError(f"no subcommand reads config key {', '.join(unread)}")
 
     def resolve(self, args):
-        """The value of every parameter args.command reads, by name."""
-        _, _, names, own_defaults = COMMANDS[args.command]
+        """The value of every parameter the command reads, by name."""
+        _, _, names, own_defaults = COMMANDS[self.command]
         resolved = {}
         for name in ("outdir", "prefix") + names:
             kind, _, key, default = PARAMS[name]
@@ -116,7 +118,7 @@ class Resolver:
             if value is None:
                 value = own_defaults.get(name, default)
             if value is REQUIRED:
-                raise UsageError(f"{args.command} needs --{name}")
+                raise UsageError(f"{self.command} needs --{name}")
             if isinstance(value, str):  # config text, eta flag text or default
                 try:
                     value = kind(value)
@@ -147,8 +149,9 @@ def _guard_long_running(p):
         )
 
 
-def _finish(stem, command, resolver, p, payload, t0):
-    env = io.envelope(command, resolver.echo(p), payload, time.time() - t0, __version__)
+def _finish(stem, resolver, p, payload):
+    env = io.envelope(resolver.command, resolver.echo(p), payload,
+                      time.time() - resolver.t0, __version__)
     io.write_envelope(f"{stem}.json", env)
     return f"{stem}.json"
 
@@ -159,7 +162,7 @@ def _finish(stem, command, resolver, p, payload, t0):
 
 
 def cmd_kappa(p, resolver):
-    t0 = time.time()
+    columns = ("epsilon", "kappa", "certified", "asymptote")
     eps_list = _parse_epsilons(p)
     rows = []
     for e in eps_list:
@@ -170,18 +173,13 @@ def cmd_kappa(p, resolver):
         print(f"{e:>12.6g} {k:>24.17g} {str(c):>10} {a:>24.17g}")
     if p["prefix"] or p["outdir"] or resolver.flat:
         stem = _stem(p, "kappa")
-        csv_text = io.table_csv_text(("epsilon", "kappa", "certified", "asymptote"), rows)
-        io.atomic_write_text(f"{stem}.csv", csv_text)
-        payload = {"rows": [
-            {"epsilon": e, "kappa": k, "certified": c, "asymptote": a}
-            for e, k, c, a in rows
-        ], "eta": p["eta"]}
-        _finish(stem, "kappa", resolver, p, payload, t0)
+        io.atomic_write_text(f"{stem}.csv", io.table_csv_text(columns, rows))
+        payload = {"rows": [dict(zip(columns, row)) for row in rows], "eta": p["eta"]}
+        _finish(stem, resolver, p, payload)
     return EXIT_OK
 
 
 def cmd_codewords(p, resolver):
-    t0 = time.time()
     params = GkpParams(p["epsilon"], p["eta"], p["dim"])
     code = build_code(params)
     stem = _stem(p, "codewords")
@@ -197,13 +195,13 @@ def cmd_codewords(p, resolver):
     p_quad = span @ np.linalg.inv(span.conj().T @ span) @ span.conj().T
     p_eig = eig_span @ eig_span.conj().T
     residuals = code.codeword_residuals()
-    overlap = complex(np.vdot(words[0], words[1])) if len(words) == 2 else 0.0
+    overlap = complex(np.vdot(words[0], words[1])) if len(words) == 2 else 0j
     payload = {
         "epsilon": p["epsilon"],
         "eta": p["eta"],
         "dim": params.dim,
         "norms": [float(np.linalg.norm(w)) for w in words],
-        "overlap_01": {"re": overlap.real, "im": overlap.imag},
+        "overlap_01": overlap,
         "mean_photon": [mean_photon_number(w) for w in words],
         "odd_fock_weight": [float(np.sum(np.abs(w[1::2]) ** 2)) for w in words],
         "dissipator_residuals": residuals,
@@ -212,14 +210,13 @@ def cmd_codewords(p, resolver):
             float(np.real(np.vdot(w, code.lyapunov @ w))) for w in words
         ],
     }
-    path = _finish(stem, "codewords", resolver, p, payload, t0)
+    path = _finish(stem, resolver, p, payload)
     print(f"codewords: {len(words)} vector(s), dim {params.dim}; "
           f"mean photon {payload['mean_photon']}; wrote {path}")
     return EXIT_OK
 
 
 def cmd_lyapunov(p, resolver):
-    t0 = time.time()
     _guard_long_running(p)
     report = lyapunov_decay_experiment(
         p["epsilon"], p["eta"], p["dim"], n_trials=p["trials"], seed=p["seed"])
@@ -234,7 +231,7 @@ def cmd_lyapunov(p, resolver):
         io.table_csv_text(("seed", "initial_TrW", "fitted_rate", "n_fit_points", "degenerate",
                            "n_accept", "n_reject", "n_jumps", "blocks"), rows),
     )
-    path = _finish(stem, "lyapunov", resolver, p, report, t0)
+    path = _finish(stem, resolver, p, report)
     n_deg = sum(1 for t in report.trials if t.degenerate)
     for t in report.trials:
         if t.degenerate:
@@ -246,7 +243,6 @@ def cmd_lyapunov(p, resolver):
 
 
 def cmd_qec_sim(p, resolver):
-    t0 = time.time()
     _guard_long_running(p)
     report = error_rate_experiment(p["epsilon"], dim=p["dim"], kappa1=p["kappa1"],
                                    n_records=p["records"])
@@ -254,14 +250,13 @@ def cmd_qec_sim(p, resolver):
     io.write_trajectory_csv(f"{stem}_on.csv", report.traj_on)
     if report.traj_off is not None:
         io.write_trajectory_csv(f"{stem}_off.csv", report.traj_off)
-    path = _finish(stem, "qec-sim", resolver, p, report.scalar_payload(), t0)
+    path = _finish(stem, resolver, p, report.scalar_payload())
     print(f"on_rate {report.on_rate:.6g}  off_rate {report.off_rate:.6g}  "
           f"suppression {report.suppression_ratio:.3f}; wrote {path}")
     return EXIT_OK
 
 
 def cmd_check(p, resolver):
-    t0 = time.time()
     code = build_code(GkpParams(p["epsilon"], p["eta"], p["dim"]))
     results = run_identity_suite(code)
     all_pass = True
@@ -270,13 +265,12 @@ def cmd_check(p, resolver):
         print(f"{flag} {r.name}: measured {r.measured:.3e} (tol {r.tol:g})")
         all_pass &= r.passed
     if p["prefix"] or p["outdir"] or resolver.flat:
-        _finish(_stem(p, "check"), "check", resolver, p,
-                {"dim": code.dim, "results": results, "all_pass": all_pass}, t0)
+        _finish(_stem(p, "check"), resolver, p,
+                {"dim": code.dim, "results": results, "all_pass": all_pass})
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
 def cmd_logical_ops(p, resolver):
-    t0 = time.time()
     params = GkpParams(p["epsilon"], ETA_QUBIT, p["dim"])
     code = build_code(params)
     model = stabilizer_model(code)
@@ -291,7 +285,7 @@ def cmd_logical_ops(p, resolver):
     stem = _stem(p, "logical_ops")
     if p["save_operators"]:
         np.savez(f"{stem}.npz", jx=logicals.jx, jy=logicals.jy, jz=logicals.jz)
-    path = _finish(stem, "logical-ops", resolver, p, payload, t0)
+    path = _finish(stem, resolver, p, payload)
     for name, v in spectra.items():
         print(f"{name}: spectrum [{v[0]:.9f}, {v[-1]:.9f}]")
     print(f"residual {logicals.convergence_residual:.3e}; wrote {path}")
@@ -364,7 +358,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        resolver = Resolver(args.config)
+        resolver = Resolver(args.command, args.config)
         return COMMANDS[args.command][0](resolver.resolve(args), resolver)
     except GkpStabError as exc:  # ahead of ValueError, which several subclass
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

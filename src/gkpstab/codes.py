@@ -90,8 +90,10 @@ def kappa(epsilon, eta=ETA_QUBIT):
           - (cosh(e2*s) - cos(e2*c))(1 + exp(-3*e2*s/2))
     with s = sinh(2*eps), c = cosh(2*eps), e2 = eta^2. Behaves as
     2*eta^4*eps^2 for small eps. May be negative outside the certified
-    regime; see convergence_rate for the certificate flag.
+    regime; see convergence_rate for the certificate flag. epsilon and eta
+    are held to GkpParams' checks (ValueError).
     """
+    _check_epsilon_eta(epsilon, eta)
     s = math.sinh(2.0 * epsilon)
     e2 = eta * eta
     sin_c, cos_c = _reduced_trig(epsilon, eta)
@@ -113,9 +115,8 @@ class RateCertificate:
 
 def convergence_rate(epsilon, eta=ETA_QUBIT):
     """kappa together with the certificate flag (lattice constant supported,
-    0 < eps <= 1/(2*eta), and the value actually positive). epsilon and eta
-    are held to GkpParams' checks (ValueError)."""
-    _check_epsilon_eta(epsilon, eta)
+    0 < eps <= 1/(2*eta), and the value actually positive); kappa's input
+    checks apply."""
     value = kappa(epsilon, eta)
     certified = _lattice_kind(eta) != "other" and 0 < epsilon <= 1.0 / (2.0 * eta) and value > 0
     return RateCertificate(value, certified, kappa_asymptote(epsilon, eta))
@@ -281,19 +282,14 @@ def kernel_codewords(lyapunov, n_kernel):
 
 
 def logical_basis(codewords):
-    """(S_0, S_x, S_y, S_z) built from the two codeword projectors."""
+    """(S_x, S_y, S_z) built from the two codeword projectors."""
     if len(codewords) != 2:
         raise ValueError("logical basis needs exactly two codewords")
     zero, one = (np.asarray(c, dtype=complex) for c in codewords)
     p00 = np.outer(zero, zero.conj())
     p11 = np.outer(one, one.conj())
     p10 = np.outer(one, zero.conj())
-    return (
-        p00 + p11,
-        p10 + p10.conj().T,
-        1j * p10 - 1j * p10.conj().T,
-        p00 - p11,
-    )
+    return p10 + p10.conj().T, 1j * p10 - 1j * p10.conj().T, p00 - p11
 
 
 def mean_photon_number(vec):
@@ -334,7 +330,7 @@ def build_code(params):
     lyap = build_lyapunov(dissipators)
     codewords = tuple(build_codewords(params))
     if params.lattice == "qubit":
-        _, sx, sy, sz = logical_basis(list(codewords))
+        sx, sy, sz = logical_basis(list(codewords))
     else:
         sx = sy = sz = None
     return GkpCode(

@@ -64,7 +64,7 @@ import math
 
 import numpy as np
 
-from .fock import rotate
+from .fock import hermitian_part, rotate
 from .ode import _drive, _min_step
 
 # step differences that run_to_stationary's extrapolation combines
@@ -170,19 +170,13 @@ class SplitPropagator:
     evolution), which shares the same drift. The channels must pass the
     rotation-symmetry detector (_charge_kraus, ValueError otherwise).
 
-    The Fock space splits into the 4 blocks of n mod 4. basis holds the real
-    eigenbasis of each block of G, and a factor K_f of charge c_f sends
-    block (i, j) of the state to (i + c_f, j + c_f). The factors in that
-    basis are stored once, transposed: Kᵀ, K being the sum of the first
-    factor of each charge when all four charges occur, and below it the
-    transposed block into p of every other factor, in the columns of p.
-    The products X Kᵀ read its rows, and the transpose of the columns of p
-    is the left matrix of p: the rows of K into p, then the other factors'
-    blocks into p side by side. kraus[f][j], factor f's block from source
-    block j, is a view into the left matrix of j + c_f, so kraus holds one
-    entry per factor. apply_jump writes its products into one buffer Y of
-    the propagator, sized for the largest sector, so a propagator must not
-    be shared between threads.
+    The Fock space splits into the 4 blocks of n mod 4; basis[j] is the
+    real eigenbasis of block j of G. kraus[f][j] is factor f's block from
+    source block j in that basis, a view into the one stored copy of K and
+    the factors outside it (the jump is described in the module docstring).
+    apply_jump writes its products into one buffer Y of the propagator,
+    sized for the largest sector, so a propagator must not be shared
+    between threads.
 
     Between to_basis and from_basis the state is a carrier: a flat real
     array of the occupied blocks, those of the sectors j - i (mod 4) where
@@ -216,7 +210,7 @@ class SplitPropagator:
         for j in range(4):
             g = sum(k[sl[(j + c) % 4], sl[j]].T @ k[sl[(j + c) % 4], sl[j]]
                     for c, k in factors) / 2.0
-            ew, vecs = np.linalg.eigh(0.5 * (g + g.T))
+            ew, vecs = np.linalg.eigh(hermitian_part(g))
             self._g_eigs.append(ew)
             self.basis.append(vecs)
         if adjoint:
@@ -363,14 +357,7 @@ class SplitPropagator:
         return out
 
     def apply_jump(self, m):
-        """sum_k A_k X A_k† on a carrier, one sector s at a time. First
-        the products into Y: X_s Kᵀ, one per source block (i, i + s) into
-        row plane i, and for each factor K_f outside K and each carried
-        block (p, q), X_{p-c_f, q-c_f} K_fᵀ into rows of its own below K's.
-        Then each carried block (p, q) is one product, the left matrix of p
-        times the columns of Y of block q. A source block carried only as its
-        mirror is read as the transposed view of the mirror, negated first
-        for the parity -1."""
+        """sum_k A_k X A_k† on a carrier, by the two sweeps of the module docstring."""
         self.n_jumps += 1
         blocks = [m[a:b].reshape(shape) for a, b, shape in self._layout.values()]
         out = np.empty(m.shape)

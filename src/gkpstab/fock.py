@@ -226,8 +226,3 @@ def spectrum(a):
     if a[0::2, 1::2].any() or a[1::2, 0::2].any():
         return np.linalg.eigvalsh(a)
     return np.sort(np.concatenate([np.linalg.eigvalsh(a[b::2, b::2]) for b in (0, 1)]))
-
-
-def min_eigenvalue(a):
-    """Smallest eigenvalue of a Hermitian Fock-space matrix: spectrum(a)[0]."""
-    return float(spectrum(a)[0])

@@ -33,7 +33,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .etd import SplitPropagator
-from .fock import make_ladder, min_eigenvalue, rotate, spectrum
+from .fock import make_ladder, rotate, spectrum
 
 __all__ = [
     "LindbladModel",
@@ -216,7 +216,7 @@ def _recorder(observables, record_times, dim):
                                    bloch_coordinates(observables.logicals, rho)):
                 recs[name].append(value)
         if observables.positivity_tol is not None and not warned[0]:
-            min_eig = min_eigenvalue(rho)
+            min_eig = float(spectrum(rho)[0])
             if min_eig < -observables.positivity_tol:
                 warned[0] = True
                 warnings.warn(

@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import StepSizeUnderflowError
-from .fock import max_abs
+from .fock import hermitian_part, max_abs
 
 # Dormand-Prince 5(4) tableau
 _A = [
@@ -170,8 +170,7 @@ def integrate(f, y0, t_final, record_times=(), on_record=None, diagnostics=None)
     evaluations of f: six per attempt, one more per retry, and one for the
     initial state.
     """
-    y = np.asarray(y0)
-    y = 0.5 * (y + y.conj().T)
+    y = hermitian_part(np.asarray(y0))
     n_rhs = 0
     last = (None, None)  # the last attempt's candidate and f at it
 
@@ -188,9 +187,9 @@ def integrate(f, y0, t_final, record_times=(), on_record=None, diagnostics=None)
             k.append(counted(y + h * sum(aij * k[j] for j, aij in enumerate(_A[i]))))
         y5 = y + h * sum(b * k[i] for i, b in enumerate(_B5) if b != 0.0)
         err = h * sum(e * k[i] for i, e in enumerate(_ERR) if e != 0.0)
-        candidate = 0.5 * (y5 + y5.conj().T)
+        candidate = hermitian_part(y5)
         del y5  # free before the next first stage is formed
-        last = (candidate, 0.5 * (k[6] + k[6].conj().T))
+        last = (candidate, hermitian_part(k[6]))
         return candidate, err
 
     _, stats = _drive(

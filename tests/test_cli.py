@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from gkpstab import GkpParams, build_code, cli, lindblad
+from gkpstab.analysis import ErrorRateReport
 from gkpstab.codes import ETA_SENSOR
 from gkpstab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from gkpstab.io import format_float
@@ -344,8 +346,13 @@ def test_envelope_echoes_every_resolved_parameter(case, tmp_path, capsys):
     assert main(argv + ["--config", str(cfg)]) in (EXIT_OK, EXIT_VERIFY)
     prefix = argv[argv.index("--prefix") + 1]
     env = read_json(tmp_path / f"{prefix}.json")
+    assert env["command"] == argv[0]
     assert env["config_echo"]["resolved"] == {**expected, "outdir": str(tmp_path),
                                               "prefix": prefix}
+    if argv[0] == "qec-sim":
+        # the report's fields declared as numbers, no array or trajectory
+        scalars = {f.name for f in dataclasses.fields(ErrorRateReport) if f.type in (int, float)}
+        assert set(env["payload"]) == scalars
 
 
 def test_echo_leaves_rule_derived_dim_to_the_payload(tmp_path):

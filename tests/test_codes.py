@@ -54,13 +54,15 @@ def test_epsilon_zero_needs_explicit_dim():
 
 @pytest.mark.parametrize("epsilon, eta, name", [
     (float("nan"), ETA_QUBIT, "epsilon"), (float("inf"), ETA_QUBIT, "epsilon"),
+    (-0.1, ETA_QUBIT, "epsilon"),
     (0.1, float("nan"), "eta"), (0.1, float("inf"), "eta"), (0.1, -float("inf"), "eta"),
-], ids=["nan-eps", "inf-eps", "nan-eta", "inf-eta", "minus-inf-eta"])
+], ids=["nan-eps", "inf-eps", "negative-eps", "nan-eta", "inf-eta", "minus-inf-eta"])
 def test_non_finite_parameters_are_rejected(epsilon, eta, name):
     # a plain ValueError, not a DimensionError: the CLI reports it as exit 2.
-    # convergence_rate, which the kappa command calls without a GkpParams,
-    # raises the same error
-    for build in (lambda: GkpParams(epsilon, eta, dim=30), lambda: convergence_rate(epsilon, eta)):
+    # kappa and convergence_rate, which the kappa command calls without a
+    # GkpParams, raise the same error
+    for build in (lambda: GkpParams(epsilon, eta, dim=30), lambda: kappa(epsilon, eta),
+                  lambda: convergence_rate(epsilon, eta)):
         with pytest.raises(ValueError, match=f"{name} must be finite") as exc:
             build()
         assert type(exc.value) is ValueError
@@ -385,13 +387,16 @@ def test_kernel_codewords_deterministic_phase(small_code):
 
 
 def test_logical_basis_algebra(small_code):
-    s0, sx, sy, sz = logical_basis(list(small_code.codewords))
-    assert np.real(np.trace(s0)) == pytest.approx(2.0, abs=1e-10)
+    sx, sy, sz = logical_basis(list(small_code.codewords))
+    c0, c1 = small_code.codewords
+    proj = np.outer(c0, c0.conj()) + np.outer(c1, c1.conj())
+    assert np.real(np.trace(proj)) == pytest.approx(2.0, abs=1e-10)
     for s in (sx, sy, sz):
+        # each lives on the codespace: P S P = S
+        assert np.abs(proj @ s @ proj - s).max() <= 1e-12
         assert np.abs(s - s.conj().T).max() <= 1e-12
         ew = np.linalg.eigvalsh(s)
         np.testing.assert_allclose([ew[0], ew[-1]], [-1.0, 1.0], atol=1e-10)
     # Pauli algebra inside the codespace: sx @ sy = i sz on the span
-    c0, c1 = small_code.codewords
     for vec in (c0, c1):
         np.testing.assert_allclose((sx @ sy) @ vec, 1j * (sz @ vec), atol=1e-10)

@@ -18,7 +18,7 @@ from gkpstab import (
     matrix_exponential,
 )
 from gkpstab.codes import ETA_QUBIT, GkpParams, build_conjugated_quadratures
-from gkpstab.fock import hermitian_part, min_eigenvalue, rotate, spectrum, twirl
+from gkpstab.fock import hermitian_part, rotate, spectrum, twirl
 
 
 def test_ladder_dim2():
@@ -278,4 +278,3 @@ def test_min_eigenvalue_by_parity_blocks_matches_the_full_spectrum(dim, seed, ki
         got = spectrum(x)
         assert got.shape == want.shape and np.all(np.diff(got) >= 0)
         assert np.abs(got - want).max() <= 1e-12
-        assert min_eigenvalue(x) == got[0]

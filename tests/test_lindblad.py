@@ -29,7 +29,7 @@ from gkpstab import (
 from gkpstab import lindblad, ode
 from gkpstab.analysis import random_density_matrix
 from gkpstab.etd import SplitPropagator
-from gkpstab.fock import min_eigenvalue
+from gkpstab.fock import spectrum
 from gkpstab.lindblad import STATIONARY_TOL
 
 
@@ -488,9 +488,9 @@ def test_closed_form_loss_skips_the_positivity_monitor(monkeypatch):
 
     def counting(a):
         calls.append(a.shape)
-        return min_eigenvalue(a)
+        return spectrum(a)
 
-    monkeypatch.setattr(lindblad, "min_eigenvalue", counting)
+    monkeypatch.setattr(lindblad, "spectrum", counting)
     y0 = _loss_factor(10, 2, 9)
     record = [0.0, 0.5, 1.0]
     pure_loss_trajectory(y0, 0.5, record, ObservableSpec(positivity_tol=1e-6))
