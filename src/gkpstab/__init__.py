@@ -38,6 +38,7 @@ from .errors import (
     ResourceLimitError,
     ShapeMismatchError,
     StepSizeUnderflowError,
+    SymmetryError,
 )
 from .fock import (
     interior_block,

@@ -315,8 +315,7 @@ def random_density_matrix(dim, rng, support_dim=None):
 class DecayTrial:
     """One decay trial. n_accept, n_reject, n_jumps and blocks are copied
     from the trajectory's meta (steps taken, jump applications, blocks the
-    exponential backend carried); they stay 0 for a degenerate trial, and
-    n_jumps and blocks for a run on the explicit backend."""
+    exponential backend carried); they stay 0 for a degenerate trial."""
 
     seed: int
     initial_lyapunov: float
@@ -422,8 +421,7 @@ def lyapunov_decay_experiment(epsilon, eta=ETA_QUBIT, dim=None, n_trials=10, see
         fitted, n_pts = fit_decay_rate(traj.times, traj.column("lyapunov"))
         meta = traj.meta
         trials.append(DecayTrial(trial_seed, w0, fitted, n_pts, False, meta["n_accept"],
-                                 meta["n_reject"], meta.get("n_jumps", 0),
-                                 meta.get("blocks", 0)))
+                                 meta["n_reject"], meta["n_jumps"], meta["blocks"]))
 
     rates = [t.fitted_rate for t in trials if not t.degenerate and np.isfinite(t.fitted_rate)]
     min_rate = float(min(rates)) if rates else float("nan")

@@ -17,6 +17,10 @@ class InvalidInputError(GkpStabError, ValueError):
     """Non-finite or otherwise malformed numerical input."""
 
 
+class SymmetryError(GkpStabError, ValueError):
+    """Channel set lacks the π/2 rotation symmetry of the exponential integrator."""
+
+
 class OperatorOverflowError(GkpStabError, ArithmeticError):
     """Matrix exponential (or a derived operator) overflowed double precision."""
 

@@ -55,15 +55,16 @@ only the blocks with i <= j are carried: 6 of the 8 of a parity-even state,
 
 This real blocked form is the only one. A channel set without the π/2
 rotation symmetry (one with q or p, for instance) is rejected with a
-ValueError; lindblad.evolve integrates such sets with its explicit pair
-where that is affordable. The propagator evolves the Hermitian part of its
-input and returns an exactly Hermitian matrix.
+SymmetryError; lindblad.evolve integrates such sets, and only those, with
+its explicit pair where that is affordable. The propagator evolves the
+Hermitian part of its input and returns an exactly Hermitian matrix.
 """
 
 import math
 
 import numpy as np
 
+from .errors import SymmetryError
 from .fock import hermitian_part, rotate
 from .ode import _drive, _min_step
 
@@ -123,7 +124,8 @@ def _charge_kraus(ops, rates):
     This is a unitary mixing of the Kraus operators, so the map is the same.
     A global phase of a channel is divided out; every factor must then be
     real or imaginary, to within the roundoff of that division. Raises
-    ValueError naming the first channel that fails either condition.
+    SymmetryError (a ValueError) naming the first channel that fails either
+    condition.
     """
     n = np.arange(ops[0].shape[0])
     charge = np.subtract.outer(n, n) % 4
@@ -139,7 +141,7 @@ def _charge_kraus(ops, rates):
                 j = next((j for j in range(i + 1, len(ops)) if j not in paired
                           and rates[j] == r and np.array_equal(ops[j], w)), None)
                 if j is None:
-                    raise ValueError(
+                    raise SymmetryError(
                         f"channel {i} lacks the pi/2 rotation symmetry: it mixes charges "
                         f"{charges} and its rotation by {k} is not a channel at rate {r}")
                 paired.add(j)
@@ -155,7 +157,7 @@ def _charge_kraus(ops, rates):
             elif np.all(np.abs(k.real) <= slack):
                 k = k.imag
             else:
-                raise ValueError(f"channel {i} has no real Kraus form: its charge-{c} "
+                raise SymmetryError(f"channel {i} has no real Kraus form: its charge-{c} "
                                  "part is neither real nor imaginary up to a phase of the channel")
             out.append((c, weight * k))
     return out
@@ -168,7 +170,7 @@ class SplitPropagator:
     adjoint=False the Kraus factors are A_k = sqrt(r_k) V_k (forward master
     equation); with adjoint=True they are A_k = sqrt(r_k) V_k† (observable
     evolution), which shares the same drift. The channels must pass the
-    rotation-symmetry detector (_charge_kraus, ValueError otherwise).
+    rotation-symmetry detector (_charge_kraus, SymmetryError otherwise).
 
     The Fock space splits into the 4 blocks of n mod 4; basis[j] is the
     real eigenbasis of block j of G. kraus[f][j] is factor f's block from
@@ -376,12 +378,13 @@ class SplitPropagator:
 
         |X_ij| = sqrt((M_ij² + M_ji²)/2); block (j, i) holds the transposes
         of block (i, j), or ± block (i, j) itself when only (i, j) is
-        carried. A NaN anywhere gives NaN.
+        carried. A NaN anywhere gives NaN. Below dim 4 some blocks are
+        empty and are skipped.
         """
         blocks = self._blocks(m)
         tops = []
         for (i, j), blk in blocks.items():
-            if i <= j:
+            if i <= j and blk.size:
                 mirror = blocks[j, i].T if (j, i) in blocks else blk
                 tops.append(np.max(blk * blk + mirror * mirror))
         return np.sqrt(0.5 * np.max(tops))

@@ -4,14 +4,16 @@ coordinates.
 
 The Hamiltonian is identically zero throughout; dynamics is a sum of
 dissipation channels (operator, rate). Two integration backends sit behind
-evolve(), both driven by the one adaptive step loop in ode.py: the explicit
-Dormand-Prince 5(4) pair, which evaluates lindblad_rhs in dense products,
-and an exponential integrator that treats the stiff drift exactly (see
-etd.py). evolve() picks the backend from the model and the horizon alone:
-the stabilizer channels make the truncated generator stiff (spectral radius
-~ ||W||, which grows exponentially with eps*dim), so production-size runs
-take the exponential backend, while a small or short run takes the explicit
-pair.
+evolve(), both driven by the one adaptive step loop in ode.py: an
+exponential integrator that treats the stiff drift exactly (see etd.py),
+and the explicit Dormand-Prince 5(4) pair, which evaluates lindblad_rhs in
+dense products. evolve() picks the backend from what the channel set is,
+not from its size or horizon: every set with the π/2 rotation symmetry,
+the paper's four dissipators with or without photon loss among them, runs
+on the exponential integrator, at any dim and any horizon. The explicit
+pair runs only the sets that lack the symmetry (one with q or p, say),
+where its stability-limited step count is affordable, and the tests' direct
+reference runs.
 
 Photon loss alone needs no integrator: pure_loss_trajectory records the
 amplitude-damping channel in closed form, from a factor of the initial
@@ -31,6 +33,7 @@ from .errors import (
     InvalidInputError,
     PositivityWarning,
     ShapeMismatchError,
+    SymmetryError,
 )
 from .etd import SplitPropagator
 from .fock import make_ladder, rotate, spectrum
@@ -159,8 +162,9 @@ class Trajectory:
     include "trace" and "nbar" (the mean photon number); "lyapunov", "jx",
     "jy", "jz" appear per spec.
     meta["method"] is "closed_form" from pure_loss_trajectory, with only
-    "rank" (the columns of its factor), or evolve()'s backend, "rk45" or
-    "etd4", with its stats: "n_accept", "n_reject", the smallest and largest
+    "rank" (the columns of its factor), or evolve()'s backend, "etd4", or
+    "rk45" for a channel set without the π/2 rotation symmetry, with its
+    stats: "n_accept", "n_reject", the smallest and largest
     accepted step "h_min" and "h_max", and "h_final", plus "n_rhs"
     (right-hand side evaluations, 6 per attempt + 1 per rejection + 1) from
     rk45 and "n_jumps" (11 per attempt), "trace_defect" and "blocks" from etd4
@@ -236,8 +240,8 @@ def _recorder(observables, record_times, dim):
     return stops, on_record, finish
 
 
-# evolve integrates with the explicit pair while its stability-limited step
-# count stays at or below this, and with the exponential integrator beyond
+# evolve refuses a channel set the exponential integrator cannot carry when
+# the explicit pair's stability-limited step count for it exceeds this
 MAX_EXPLICIT_STEPS = 50_000
 
 
@@ -250,14 +254,15 @@ def evolve(model, rho0, t_final, record_times=None, observables=None):
     lie in [0, t_final] (ValueError otherwise). rho0 must be Hermitian to
     1e-10 (InvalidInputError otherwise); both backends integrate its
     Hermitian part. Both backends hold every step to the step loop's
-    tolerances ode.RTOL and ode.ATOL. The backend is "rk45" when the explicit
-    pair's stability-limited step count, estimated from ||G||_1, is at most
-    MAX_EXPLICIT_STEPS, and "etd4" otherwise; the choice is stored in
-    meta["method"]. rk45 takes any channel set; etd4 needs the π/2 rotation
-    symmetry of the paper's channels (see etd.py), so a set that lacks it,
-    one with q or p for instance, raises ValueError where the rule picks
-    etd4. Accepted states are exactly Hermitian on both backends: the
-    explicit pair keeps the Hermitian part of each step, and the
+    tolerances ode.RTOL and ode.ATOL. The backend, stored in
+    meta["method"], follows from the channel set alone: "etd4" whenever the
+    rotation-symmetry detector of etd.py accepts it, as it does the paper's
+    channels with or without loss, at any dim and t_final; "rk45" for a set
+    it rejects (one with q or p, for instance) when the explicit pair's
+    stability-limited step count, estimated from ||G||_1, is at most
+    MAX_EXPLICIT_STEPS, and the detector's SymmetryError (a ValueError)
+    beyond that. Accepted states are exactly Hermitian on both backends:
+    the explicit pair keeps the Hermitian part of each step, and the
     exponential backend carries Hermitian states by construction and
     rescales the trace to its initial value. Emits PositivityWarning if the
     state acquires an eigenvalue below -positivity_tol at a record point.
@@ -279,12 +284,15 @@ def evolve(model, rho0, t_final, record_times=None, observables=None):
     if stops and stops[-1] > t_final:
         raise ValueError(f"record and snapshot times must not exceed t_final, got {stops[-1]}")
 
-    # ||G||_1 bounds the spectral radius of the Hermitian drift G; the
-    # spectrum of L reaches ~ -2||G|| and the explicit 5(4) pair is stable
-    # for steps up to ~3.3/|lambda|
-    g_norm = np.linalg.norm(model.drift, 1)
-    method = "rk45" if 2.0 * g_norm * t_final / 3.3 <= MAX_EXPLICIT_STEPS else "etd4"
-    if method == "rk45":
+    try:
+        prop = SplitPropagator(model.operators, model.rates, adjoint=False)
+    except SymmetryError:
+        # ||G||_1 bounds the spectral radius of the Hermitian drift G; the
+        # spectrum of L reaches ~ -2||G|| and the explicit 5(4) pair is stable
+        # for steps up to ~3.3/|lambda|
+        g_norm = np.linalg.norm(model.drift, 1)
+        if 2.0 * g_norm * t_final / 3.3 > MAX_EXPLICIT_STEPS:
+            raise
         stats = ode.integrate(
             lambda y: lindblad_rhs(model, y),
             rho0,
@@ -293,10 +301,10 @@ def evolve(model, rho0, t_final, record_times=None, observables=None):
             on_record=on_record,
             diagnostics=f"drift norm ||G||_1 = {g_norm:.3e}",
         )
+        stats["method"] = "rk45"
     else:
-        prop = SplitPropagator(model.operators, model.rates, adjoint=False)
         _, stats = prop.run(rho0, t_final, record_times=stops, on_record=on_record)
-    stats["method"] = method
+        stats["method"] = "etd4"
     return finish(stats)
 
 

@@ -327,7 +327,8 @@ def test_channel_set_without_rotation_symmetry_is_rejected(tiny_model, small_mod
     q = make_quadratures(dim)[0]
     with pytest.raises(ValueError, match="channel 4 lacks the pi/2 rotation symmetry"):
         SplitPropagator(vs + [q], [1.0] * len(vs) + [0.02])
-    # evolve picks etd4 at dim 143 and raises there
+    # evolve sends it to the explicit pair, whose step estimate at dim 143
+    # is over its cap, so the detector's error is raised
     with_q = small_model.with_channel(make_quadratures(small_model.dim)[0], 0.02)
     rho = np.eye(small_model.dim) / small_model.dim
     with pytest.raises(ValueError, match="rotation symmetry"):

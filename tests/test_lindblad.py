@@ -13,9 +13,11 @@ from gkpstab import (
     PositivityWarning,
     ShapeMismatchError,
     StepSizeUnderflowError,
+    SymmetryError,
     adjoint_rhs,
     bloch_coordinates,
     build_code,
+    build_dissipators,
     evolve,
     kappa,
     kernel_codewords,
@@ -26,7 +28,7 @@ from gkpstab import (
     pure_loss_trajectory,
     stabilizer_model,
 )
-from gkpstab import lindblad, ode
+from gkpstab import cli, lindblad, ode
 from gkpstab.analysis import random_density_matrix
 from gkpstab.etd import SplitPropagator
 from gkpstab.fock import spectrum
@@ -175,40 +177,51 @@ def small_stiff_case():
     return code, model, rho0
 
 
-def _etd_run(model, rho0, t_final, record_times, lyapunov=None):
-    # the exponential backend, called directly: evolve picks rk45 here
-    prop = SplitPropagator(model.operators, model.rates)
-    traces, lyap = [], []
+def _recording(lyapunov):
+    traces, lyap, states = [], [], []
 
     def on_record(_t, rho):
         traces.append(np.trace(rho).real)
+        states.append(rho)
         if lyapunov is not None:
             lyap.append(np.vdot(lyapunov, rho).real)
 
+    return on_record, traces, lyap, states
+
+
+def _etd_run(model, rho0, t_final, record_times, lyapunov=None):
+    # the exponential backend, called directly for its final state and stats
+    on_record, traces, lyap, _ = _recording(lyapunov)
+    prop = SplitPropagator(model.operators, model.rates)
     rho, stats = prop.run(rho0, t_final, record_times=record_times, on_record=on_record)
     return rho, np.array(traces), np.array(lyap), stats
+
+
+def _rk45_run(model, rho0, t_final, record_times, lyapunov=None):
+    # the explicit pair, called directly as the reference: evolve runs every
+    # rotation-symmetric channel set on etd4
+    on_record, traces, lyap, states = _recording(lyapunov)
+    stats = ode.integrate(lambda y: lindblad_rhs(model, y), rho0, t_final,
+                          record_times=record_times, on_record=on_record)
+    return states, np.array(traces), np.array(lyap), stats
 
 
 def test_backends_agree(small_stiff_case):
     code, model, rho0 = small_stiff_case
     t_final = 1.5
     grid = [0.0, 0.7, t_final]
-    rk = evolve(model, rho0, t_final, record_times=grid,
-                observables=ObservableSpec(lyapunov=code.lyapunov,
-                                           snapshot_times=(t_final,), positivity_tol=None))
-    assert rk.meta["method"] == "rk45"
+    rk_states, _, rk_lyap, _ = _rk45_run(model, rho0, t_final, grid, code.lyapunov)
     rho, _, lyap, _ = _etd_run(model, rho0, t_final, grid, code.lyapunov)
-    assert np.abs(rk.snapshots[t_final] - rho).max() <= 5e-7
-    np.testing.assert_allclose(rk.column("lyapunov"), lyap, rtol=1e-5, atol=1e-8)
+    assert np.abs(rk_states[-1] - rho).max() <= 5e-7
+    np.testing.assert_allclose(rk_lyap, lyap, rtol=1e-5, atol=1e-8)
 
 
 def test_trace_preserved_both_backends(small_stiff_case):
     code, model, rho0 = small_stiff_case
     grid = np.linspace(0, 2, 9)
-    traj = evolve(model, rho0, 2.0, record_times=grid,
-                  observables=ObservableSpec(positivity_tol=None))
-    assert traj.meta["method"] == "rk45"
-    assert np.abs(traj.column("trace") - 1.0).max() <= 1e-8
+    _, traces, _, _ = _rk45_run(model, rho0, 2.0, grid)
+    assert len(traces) == len(grid)
+    assert np.abs(traces - 1.0).max() <= 1e-8
     _, traces, _, stats = _etd_run(model, rho0, 2.0, grid)
     assert len(traces) == len(grid)
     assert np.abs(traces - 1.0).max() <= 1e-8
@@ -221,28 +234,39 @@ def test_hermitian_at_record_points(small_stiff_case, small_code, small_model, s
     codeword = np.outer(small_code.codewords[0], small_code.codewords[0].conj())
     mixed = random_density_matrix(small_code.dim, np.random.default_rng(13))
     spec = ObservableSpec(snapshot_times=(0.25, 0.5), positivity_tol=None)
-    for mdl, rho, method in ((model, rho0, "rk45"), (small_model, codeword, "etd4"),
-                             (small_model, mixed, "etd4")):
+    for mdl, rho in ((model, rho0), (small_model, codeword), (small_model, mixed)):
         traj = evolve(mdl, rho, 0.5, record_times=[0.25, 0.5], observables=spec)
-        assert traj.meta["method"] == method
+        assert traj.meta["method"] == "etd4"
         assert len(traj.snapshots) == 2
         for snap in traj.snapshots.values():
             assert np.abs(snap - snap.conj().T).max() == 0.0
+    # the explicit pair keeps the Hermitian part of every accepted state
+    states, _, _, _ = _rk45_run(model, rho0, 0.5, [0.25, 0.5])
+    assert len(states) == 2
+    for snap in states:
+        assert np.abs(snap - snap.conj().T).max() == 0.0
     logicals = small_logicals[2]
     for j in (logicals.jx, logicals.jy, logicals.jz):
         assert np.abs(j - j.conj().T).max() == 0.0
 
 
 def test_auto_method_selection(small_stiff_case):
+    # the backend follows from the channel set, not from its size or horizon
     code, model, rho0 = small_stiff_case
+    quiet = ObservableSpec(positivity_tol=None)
     short = evolve(model, rho0, 0.05, record_times=[0.05])
-    assert short.meta["method"] == "rk45"
-    # production-size stabilizer dynamics must switch to the exponential path
+    assert short.meta["method"] == "etd4"
     big = build_code(GkpParams(0.2))
     rho = np.outer(big.codewords[0], big.codewords[0].conj())
-    traj = evolve(stabilizer_model(big), rho, 0.5, record_times=[0.5],
-                  observables=ObservableSpec(positivity_tol=None))
+    traj = evolve(stabilizer_model(big), rho, 0.5, record_times=[0.5], observables=quiet)
     assert traj.meta["method"] == "etd4"
+    # a set without the rotation symmetry takes the explicit pair where its
+    # step estimate allows, and the detector's error beyond
+    with_q = model.with_channel(make_quadratures(model.dim)[0], 0.01)
+    short = evolve(with_q, rho0, 0.05, record_times=[0.05], observables=quiet)
+    assert short.meta["method"] == "rk45"
+    with pytest.raises(SymmetryError, match="lacks the pi/2 rotation symmetry"):
+        evolve(with_q, rho0, 1e6, record_times=[1e6], observables=quiet)
 
 
 def test_stabilized_codeword_stays_steady(small_code, small_model):
@@ -262,14 +286,15 @@ def test_meta_reports_accepted_step_range(small_stiff_case, small_code, small_mo
     codeword = np.outer(small_code.codewords[0], small_code.codewords[0].conj())
     quiet = ObservableSpec(positivity_tol=None)
     t_final = 0.2
-    for mdl, rho, method in ((model, rho0, "rk45"), (small_model, codeword, "etd4")):
-        meta = evolve(mdl, rho, t_final, record_times=[t_final], observables=quiet).meta
-        assert meta["method"] == method
-        if method == "rk45":
-            # six new stages an attempt, the seventh is the next first stage;
-            # a retry evaluates its first stage again
-            attempts = meta["n_accept"] + meta["n_reject"]
-            assert meta["n_rhs"] == 6 * attempts + meta["n_reject"] + 1
+    _, _, _, rk_stats = _rk45_run(model, rho0, t_final, [t_final])
+    # six new stages an attempt, the seventh is the next first stage; a
+    # retry evaluates its first stage again
+    attempts = rk_stats["n_accept"] + rk_stats["n_reject"]
+    assert rk_stats["n_rhs"] == 6 * attempts + rk_stats["n_reject"] + 1
+    etd_metas = [evolve(mdl, rho, t_final, record_times=[t_final], observables=quiet).meta
+                 for mdl, rho in ((model, rho0), (small_model, codeword))]
+    assert [m["method"] for m in etd_metas] == ["etd4", "etd4"]
+    for meta in [rk_stats] + etd_metas:
         # the accepted steps tile [0, t_final]
         n = meta["n_accept"]
         assert 0.0 < meta["h_min"] <= meta["h_max"] <= t_final
@@ -330,7 +355,7 @@ def test_stops_one_ulp_apart_are_rejected_before_any_step(small_code, small_mode
         with pytest.raises(ValueError, match=f"stops {pair} are closer"):
             evolve(loss_model(8), rho0, 2.0, record_times=records,
                    observables=ObservableSpec(snapshot_times=snapshots))
-    # etd4, which the rule picks at this size: snapshots on linspace(0, tf, 6)
+    # on etd4: snapshots on linspace(0, tf, 6)
     # and records on linspace(0, tf, 51) fall 1 ulp apart at 7.14 and later
     kappa1 = small_code.params.epsilon / 5.0
     tf = 1.0 / kappa1
@@ -399,6 +424,68 @@ def test_positivity_warning_from_every_rotation_block(block):
         evolve(loss_model(8, 1.0), rho0, 0.1, record_times=[0.0, 0.1])
 
 
+def _dissipator_model(dim, epsilon=0.1):
+    return LindbladModel(tuple((v, 1.0) for v in build_dissipators(GkpParams(epsilon, dim=dim))))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_etd4_below_dim_four(dim):
+    # some n mod 4 blocks are empty here: loss alone empties the state into
+    # the vacuum, and the stabilizer flow keeps the trace
+    rho0 = np.eye(dim) / dim
+    loss = evolve(loss_model(dim), rho0, 1e5, record_times=[1e5],
+                  observables=ObservableSpec(snapshot_times=(1e5,)))
+    vacuum = np.zeros((dim, dim))
+    vacuum[0, 0] = 1.0
+    assert loss.meta["method"] == "etd4"
+    assert np.abs(loss.snapshots[1e5] - vacuum).max() <= 1e-8
+    for model in (_dissipator_model(dim), _dissipator_model(dim).with_photon_loss(0.02)):
+        traj = evolve(model, rho0, 2.0, record_times=[1.0, 2.0],
+                      observables=ObservableSpec(positivity_tol=None))
+        assert traj.meta["method"] == "etd4"
+        assert np.abs(traj.column("trace") - 1.0).max() <= 1e-12
+
+
+class _ExplicitPairReached(Exception):
+    pass
+
+
+# the short qec-sim run stops before the adjoint march converges
+@pytest.mark.filterwarnings("ignore::gkpstab.ConvergenceWarning")
+def test_explicit_pair_runs_only_rotation_breaking_sets(monkeypatch, tmp_path):
+    # the traffic of the explicit pair: no stabilizer or loss-only run, and
+    # no CLI run, reaches it; a set with q does, and a failing eigh in the
+    # propagator's set-up is raised, not routed to it
+    def reached(*_args, **_kwargs):
+        raise _ExplicitPairReached
+
+    monkeypatch.setattr(ode, "integrate", reached)
+    quiet = ObservableSpec(positivity_tol=None)
+    for dim in (2, 3, 5, 40):
+        rho = np.eye(dim) / dim
+        for model in (_dissipator_model(dim), _dissipator_model(dim).with_photon_loss(0.02)):
+            assert evolve(model, rho, 0.5, record_times=[0.5],
+                          observables=quiet).meta["method"] == "etd4"
+    rho60 = random_density_matrix(60, np.random.default_rng(13), support_dim=60)
+    assert evolve(loss_model(60, 0.02), rho60, 50.0, record_times=[50.0],
+                  observables=quiet).meta["method"] == "etd4"
+    # far below the 20/eps truncation the runs complete, passing or not
+    for argv in (["lyapunov", "--epsilon", "0.1", "--dim", "40", "--trials", "1"],
+                 ["qec-sim", "--epsilon", "0.15", "--dim", "40", "--records", "3"]):
+        assert cli.main(argv + ["--outdir", str(tmp_path)]) in (cli.EXIT_OK, cli.EXIT_VERIFY)
+    model40, rho40 = _dissipator_model(40), np.eye(40) / 40
+    with pytest.raises(_ExplicitPairReached):
+        evolve(model40.with_channel(make_quadratures(40)[0], 0.01), rho40, 0.05,
+               record_times=[0.05], observables=quiet)
+
+    def failing_eigh(_a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        evolve(model40, rho40, 0.05, record_times=[0.05], observables=quiet)
+
+
 def test_step_budget_guard(small_stiff_case, monkeypatch):
     code, model, rho0 = small_stiff_case
     monkeypatch.setattr(lindblad.ode, "MAX_STEPS", 5)
@@ -464,7 +551,7 @@ def test_pure_loss_records_like_evolve():
     closed = pure_loss_trajectory(y0, 1.0, record, spec)
     integrated = evolve(loss_model(dim), y0 @ y0.T, 1.0, record_times=record,
                         observables=spec)
-    assert integrated.meta["method"] == "rk45"
+    assert integrated.meta["method"] == "etd4"
     assert closed.times.tolist() == integrated.times.tolist() == record
     assert list(closed.records) == list(integrated.records)
     for name in closed.records:
@@ -689,8 +776,8 @@ def test_lyapunov_envelope_bound(small_code, small_model):
 def test_alternative_noise_channels_run(small_stiff_case, small_code, small_model):
     # position/momentum/creation channels are plain extra channels; no new
     # machinery. a† has a definite charge and runs on etd4 at dim 143; q and
-    # p break the rotation symmetry, which etd4 needs, so they run where
-    # evolve picks rk45 (dim 40)
+    # p break the rotation symmetry, which etd4 needs, so they run on rk45,
+    # which is affordable at dim 40
     code40, model40, _ = small_stiff_case
     q, p = make_quadratures(code40.dim)
     a_dag = np.conj(np.diag(np.sqrt(np.arange(1.0, small_code.dim)), 1)).T
