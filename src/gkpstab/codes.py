@@ -69,36 +69,40 @@ class GkpParams:
         return _lattice_kind(self.eta)
 
 
-def _reduced_trig(epsilon, eta):
-    """sin/cos of eta^2*cosh(2*eps) without large-argument cancellation.
+def _reduced_angle(epsilon, eta):
+    """eta^2*cosh(2*eps), reduced without large-argument cancellation.
 
     For the two lattice constants eta^2 is an exact multiple of 2*pi, so the
     angle reduces to eta^2*(cosh(2*eps)-1) = eta^2*2*sinh(eps)^2 exactly.
     """
-    c = math.cosh(2.0 * epsilon)
     if _lattice_kind(eta) != "other":
-        angle = eta * eta * 2.0 * math.sinh(epsilon) ** 2
-    else:
-        angle = eta * eta * c
-    return math.sin(angle), math.cos(angle)
+        return eta * eta * 2.0 * math.sinh(epsilon) ** 2
+    return eta * eta * math.cosh(2.0 * epsilon)
 
 
 def kappa(epsilon, eta=ETA_QUBIT):
     """Closed-form lower bound on the exponential decay rate of Tr(W rho).
 
-    kappa = (sinh(e2*s) - sin(e2*c))(1 - exp(-3*e2*s/2))
-          - (cosh(e2*s) - cos(e2*c))(1 + exp(-3*e2*s/2))
-    with s = sinh(2*eps), c = cosh(2*eps), e2 = eta^2. Behaves as
-    2*eta^4*eps^2 for small eps. May be negative outside the certified
-    regime; see convergence_rate for the certificate flag. epsilon and eta
-    are held to GkpParams' checks (ValueError).
+    kappa = (sinh(x) - sin(a))(1 - d) - (cosh(x) - cos(a))(1 + d)
+    with x = eta^2*sinh(2*eps), a = eta^2*cosh(2*eps) and d = exp(-3x/2).
+    Since sinh(x)(1 - d) - cosh(x)(1 + d) = -e^{-x} - e^{-x/2}, this is
+    exactly cos(a)(1 + d) - sin(a)(1 - d) - e^{-x} - e^{-x/2}, in which no
+    term exceeds 2, evaluated as
+    [(1 + d) - e^{-x} - e^{-x/2}] - (1 - cos a)(1 + d) - sin(a)(1 - d)
+    with expm1 for the bracket and 1 - d, and 2 sin^2(a/2) for 1 - cos a,
+    so it keeps its digits at small eps, where kappa behaves as
+    2*eta^4*eps^2, and at large eps, where the first form cancels
+    exponentially large terms and overflows. May be negative outside the
+    certified regime; see convergence_rate for the certificate flag.
+    epsilon and eta are held to GkpParams' checks (ValueError).
     """
     _check_epsilon_eta(epsilon, eta)
-    s = math.sinh(2.0 * epsilon)
-    e2 = eta * eta
-    sin_c, cos_c = _reduced_trig(epsilon, eta)
-    damp = math.exp(-1.5 * e2 * s)
-    return (math.sinh(e2 * s) - sin_c) * (1.0 - damp) - (math.cosh(e2 * s) - cos_c) * (1.0 + damp)
+    x = eta * eta * math.sinh(2.0 * epsilon)
+    angle = _reduced_angle(epsilon, eta)
+    d_minus_1 = math.expm1(-1.5 * x)
+    bracket = d_minus_1 - math.expm1(-x) - math.expm1(-0.5 * x)
+    one_minus_cos = 2.0 * math.sin(0.5 * angle) ** 2
+    return bracket - one_minus_cos * (2.0 + d_minus_1) + math.sin(angle) * d_minus_1
 
 
 def kappa_asymptote(epsilon, eta=ETA_QUBIT):

@@ -112,6 +112,24 @@ def test_kappa_reference_value():
     assert kappa(0.1) == pytest.approx(0.3843662565730155, rel=1e-12)
 
 
+@pytest.mark.parametrize("eta, eta_squared", [(ETA_QUBIT, lambda: 4 * mpmath.pi),
+                                              (ETA_SENSOR, lambda: 2 * mpmath.pi)],
+                         ids=["qubit", "sensor"])
+def test_kappa_against_mpmath(eta, eta_squared):
+    # the defining form, (sinh x - sin a)(1 - d) - (cosh x - cos a)(1 + d),
+    # in enough digits to cancel its terms of size e^x, x = eta^2 sinh(2 eps)
+    for eps in np.concatenate([np.geomspace(1e-3, 3.0, 41), [0.5, 0.7, 1.0]]):
+        with mpmath.workdps(30):
+            digits = 40 + int(eta_squared() * mpmath.sinh(2 * mpmath.mpf(eps)) / 2.3)
+        with mpmath.workdps(digits):
+            e = mpmath.mpf(eps)
+            x, a = eta_squared() * mpmath.sinh(2 * e), eta_squared() * mpmath.cosh(2 * e)
+            d = mpmath.exp(-1.5 * x)
+            expected = float((mpmath.sinh(x) - mpmath.sin(a)) * (1 - d)
+                             - (mpmath.cosh(x) - mpmath.cos(a)) * (1 + d))
+        assert kappa(eps, eta) == pytest.approx(expected, rel=1e-12, abs=0.0), f"eps={eps}"
+
+
 # --- conjugated quadratures ------------------------------------------------------
 
 
