@@ -7,7 +7,9 @@ subcommand reads as CLI flag > config-file value > default into one dict,
 reads them from it, and echoes the config text and that same dict into a
 JSON envelope next to the CSV outputs. It exits with 0 (success), 2
 (usage/config: bad flags, config files or parameter values, each reported
-as one `error:` line), 3 (numeric failure), or 4 (verification failure).
+as one `error:` line), 3 (numeric failure, a package error or an
+arithmetic overflow, reported as one JSON line), or 4 (verification
+failure).
 The default output directory comes from $GKPSTAB_OUTDIR.
 """
 
@@ -360,7 +362,9 @@ def main(argv=None):
     try:
         resolver = Resolver(args.command, args.config)
         return COMMANDS[args.command][0](resolver.resolve(args), resolver)
-    except GkpStabError as exc:  # ahead of ValueError, which several subclass
+    # ahead of ValueError, which several GkpStabErrors subclass; an
+    # ArithmeticError is a double-precision overflow of the numerics
+    except (GkpStabError, ArithmeticError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return EXIT_NUMERIC

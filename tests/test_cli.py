@@ -238,6 +238,21 @@ def test_numeric_failure_exit_code(capsys):
     assert payload["error"] == "ResourceLimitError"
 
 
+# build_t_matrix's np.exp overflows to inf first, with numpy's warning
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_large_epsilon_ends_without_a_traceback(tmp_path, capsys):
+    # at eps = 3 the closed-form T spectrum overflows double precision: a
+    # numeric failure with its JSON line; kappa(3) is finite and negative,
+    # so the decay run is refused as a usage error
+    assert main(["check", "--epsilon", "3", "--outdir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "OverflowError"
+    assert main(["lyapunov", "--epsilon", "3", "--outdir", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: rate bound not positive; pick a certified parameter set"]
+
+
 @pytest.mark.slow
 def test_check_at_dim_300(tmp_path):
     assert main(["check", "--epsilon", "0.05", "--dim", "300",
