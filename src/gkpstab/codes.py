@@ -86,15 +86,14 @@ def kappa(epsilon, eta=ETA_QUBIT):
     kappa = (sinh(x) - sin(a))(1 - d) - (cosh(x) - cos(a))(1 + d)
     with x = eta^2*sinh(2*eps), a = eta^2*cosh(2*eps) and d = exp(-3x/2).
     Since sinh(x)(1 - d) - cosh(x)(1 + d) = -e^{-x} - e^{-x/2}, this is
-    exactly cos(a)(1 + d) - sin(a)(1 - d) - e^{-x} - e^{-x/2}, in which no
-    term exceeds 2, evaluated as
-    [(1 + d) - e^{-x} - e^{-x/2}] - (1 - cos a)(1 + d) - sin(a)(1 - d)
-    with expm1 for the bracket and 1 - d, and 2 sin^2(a/2) for 1 - cos a,
-    so it keeps its digits at small eps, where kappa behaves as
-    2*eta^4*eps^2, and at large eps, where the first form cancels
-    exponentially large terms and overflows. May be negative outside the
-    certified regime; see convergence_rate for the certificate flag.
-    epsilon and eta are held to GkpParams' checks (ValueError).
+    [(1 + d) - e^{-x} - e^{-x/2}] - (1 - cos a)(1 + d) - sin(a)(1 - d),
+    in which no term exceeds 2; expm1 forms the bracket and 1 - d, and
+    2 sin^2(a/2) forms 1 - cos a, so no digit is lost to cancellation at
+    small eps, where kappa behaves as 2*eta^4*eps^2, nor to the
+    exponentially large terms of the first form at large eps. May be
+    negative outside the certified regime; see convergence_rate for the
+    certificate flag. epsilon and eta are held to GkpParams' checks
+    (ValueError).
     """
     _check_epsilon_eta(epsilon, eta)
     x = eta * eta * math.sinh(2.0 * epsilon)

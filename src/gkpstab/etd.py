@@ -158,7 +158,7 @@ def _charge_kraus(ops, rates):
                 k = k.imag
             else:
                 raise SymmetryError(f"channel {i} has no real Kraus form: its charge-{c} "
-                                 "part is neither real nor imaginary up to a phase of the channel")
+                                    "part is neither real nor imaginary up to a phase of the channel")
             out.append((c, weight * k))
     return out
 
