@@ -297,13 +297,11 @@ def envelope_conjugation_check(epsilon, dim):
 # ---------------------------------------------------------------------------
 
 
-def random_density_matrix(dim, rng, support_dim=None):
-    """Full-rank random state on the leading block (photon number ~ support/2).
-
-    The default support dim//2 keeps the mean photon number near dim/4,
-    safely inside the truncation.
+def random_density_matrix(dim, rng):
+    """Random state of full rank on the leading dim//2 Fock states, which
+    keeps the mean photon number near dim/4, safely inside the truncation.
     """
-    k = dim // 2 if support_dim is None else int(support_dim)
+    k = dim // 2
     g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     rho = np.zeros((dim, dim), dtype=complex)
     rho[:k, :k] = g @ g.conj().T

@@ -53,11 +53,11 @@ and the drift keep that parity, block (j, i) stays ±(block (i, j))ᵀ, and
 only the blocks with i <= j are carried: 6 of the 8 of a parity-even state,
 10 of the 16 of a generic one, all 4 of a rotation-invariant one.
 
-This real blocked form is the only one. A channel set without the π/2
-rotation symmetry (one with q or p, for instance) is rejected with a
-SymmetryError; lindblad.evolve integrates such sets, and only those, with
-its explicit pair where that is affordable. The propagator evolves the
-Hermitian part of its input and returns an exactly Hermitian matrix.
+This real blocked form is the only one, and this propagator is
+lindblad.evolve's only backend. A channel set without the π/2 rotation
+symmetry (one with q or p, for instance) is rejected with a SymmetryError,
+which evolve raises. The propagator evolves the Hermitian part of its input
+and returns an exactly Hermitian matrix.
 """
 
 import math

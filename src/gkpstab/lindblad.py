@@ -3,17 +3,15 @@ closed-form photon-loss channel, stationary logical observables, and Bloch
 coordinates.
 
 The Hamiltonian is identically zero throughout; dynamics is a sum of
-dissipation channels (operator, rate). Two integration backends sit behind
-evolve(), both driven by the one adaptive step loop in ode.py: an
-exponential integrator that treats the stiff drift exactly (see etd.py),
-and the explicit Dormand-Prince 5(4) pair, which evaluates lindblad_rhs in
-dense products. evolve() picks the backend from what the channel set is,
-not from its size or horizon: every set with the π/2 rotation symmetry,
-the paper's four dissipators with or without photon loss among them, runs
-on the exponential integrator, at any dim and any horizon. The explicit
-pair runs only the sets that lack the symmetry (one with q or p, say),
-where its stability-limited step count is affordable, and the tests' direct
-reference runs.
+dissipation channels (operator, rate). evolve() has one backend, the
+exponential integrator of etd.py driven by the adaptive step loop in ode.py,
+which treats the stiff drift exactly. It carries every channel set with the
+π/2 rotation symmetry, the paper's four dissipators with or without photon
+loss among them, at any dim and any horizon; a set without the symmetry
+(one with q or p, say) is refused with etd.py's SymmetryError. lindblad_rhs
+evaluates the generator in dense products; with ode.integrate it is the
+tests' explicit reference, not a backend. A run keeps no states, only the
+rows of observables its recorder takes at each record time.
 
 Photon loss alone needs no integrator: pure_loss_trajectory records the
 amplitude-damping channel in closed form, from a factor of the initial
@@ -26,14 +24,12 @@ from functools import cached_property
 
 import numpy as np
 
-from . import ode
 from .codes import convergence_rate
 from .errors import (
     ConvergenceWarning,
     InvalidInputError,
     PositivityWarning,
     ShapeMismatchError,
-    SymmetryError,
 )
 from .etd import SplitPropagator
 from .fock import make_ladder, rotate, spectrum
@@ -138,46 +134,41 @@ def adjoint_rhs(model, x):
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    """What evolve() records at each output time, besides the "trace" and
-    "nbar" columns that every trajectory records.
+    """What evolve() records at each record time, besides the "trace" and
+    "nbar" columns that every trajectory records. No state is kept, only
+    these rows.
 
     lyapunov: operator whose expectation is logged as "lyapunov" (usually W).
     logicals: LogicalOperators for Bloch coordinate columns jx/jy/jz.
-    snapshot_times: times at which full density matrices are kept.
     positivity_tol: minimum-eigenvalue monitor threshold (warning only);
     None disables the eigenvalue check.
     """
 
     lyapunov: np.ndarray = None
     logicals: "LogicalOperators" = None
-    snapshot_times: tuple = ()
     positivity_tol: float = 1e-6
 
 
 @dataclass
 class Trajectory:
-    """Time grid, recorded observables, optional snapshots, solver metadata.
+    """Time grid, recorded observables, solver metadata; no states.
 
     records maps column name -> array aligned with times. Columns always
     include "trace" and "nbar" (the mean photon number); "lyapunov", "jx",
     "jy", "jz" appear per spec.
     meta["method"] is "closed_form" from pure_loss_trajectory, with only
-    "rank" (the columns of its factor), or evolve()'s backend, "etd4", or
-    "rk45" for a channel set without the π/2 rotation symmetry, with its
-    stats: "n_accept", "n_reject", the smallest and largest
-    accepted step "h_min" and "h_max", and "h_final", plus "n_rhs"
-    (right-hand side evaluations, 6 per attempt + 1 per rejection + 1) from
-    rk45 and "n_jumps" (11 per attempt), "trace_defect" and "blocks" from etd4
-    ("blocks" counts the n mod 4 blocks of the state the run carried: 16
-    for a generic complex state and 10 for a generic real one, 8 for a
-    complex parity-even one and 6 for a real one such as a codeword
-    projector, 4 for a rotation-invariant one such as fock.twirl of a
-    state).
+    "rank" (the columns of its factor), or "etd4" from evolve(), with its
+    stats: "n_accept", "n_reject", the smallest and largest accepted step
+    "h_min" and "h_max", "h_final", "n_jumps" (11 per attempt),
+    "trace_defect" and "blocks" ("blocks" counts the n mod 4 blocks of the
+    state the run carried: 16 for a generic complex state and 10 for a
+    generic real one, 8 for a complex parity-even one and 6 for a real one
+    such as a codeword projector, 4 for a rotation-invariant one such as
+    fock.twirl of a state).
     """
 
     times: np.ndarray
     records: dict
-    snapshots: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     def column(self, name):
@@ -185,19 +176,17 @@ class Trajectory:
 
 
 def _recorder(observables, record_times, dim):
-    """(stops, on_record, finish): the sorted record and snapshot times;
-    on_record(t, rho), which keeps a complex snapshot and a row of
-    observables when t is exactly a snapshot and a record time, and warns
-    once from the positivity monitor; finish(meta) -> Trajectory. Raises
-    ValueError on a negative or non-finite record or snapshot time."""
+    """(stops, on_record, finish): the sorted record times; on_record(t, rho),
+    which appends a row of observables when t is exactly a record time and
+    warns once from the positivity monitor, and keeps no state;
+    finish(meta) -> Trajectory. Raises ValueError on a negative or
+    non-finite record time."""
     record_set = set(float(t) for t in record_times)
-    snapshot_times = set(float(t) for t in observables.snapshot_times)
-    stops = sorted(record_set | snapshot_times)
+    stops = sorted(record_set)
     bad = [t for t in stops if not 0 <= t < np.inf]
     if bad:
-        raise ValueError(f"record and snapshot times must be finite and non-negative, "
-                         f"got {bad[0]}")
-    times, recs, snaps = [], {"trace": [], "nbar": []}, {}
+        raise ValueError(f"record times must be finite and non-negative, got {bad[0]}")
+    times, recs = [], {"trace": [], "nbar": []}
     n_op_diag = np.arange(dim)
     if observables.lyapunov is not None:
         recs["lyapunov"] = []
@@ -206,8 +195,6 @@ def _recorder(observables, record_times, dim):
     warned = [False]
 
     def on_record(t, rho):
-        if t in snapshot_times:
-            snaps[t] = rho.astype(complex)
         if t not in record_set:
             return
         times.append(t)
@@ -233,40 +220,30 @@ def _recorder(observables, record_times, dim):
         return Trajectory(
             times=np.asarray(times),
             records={k: np.asarray(v) for k, v in recs.items()},
-            snapshots=snaps,
             meta=meta,
         )
 
     return stops, on_record, finish
 
 
-# evolve refuses a channel set the exponential integrator cannot carry when
-# the explicit pair's stability-limited step count for it exceeds this
-MAX_EXPLICIT_STEPS = 50_000
-
-
 def evolve(model, rho0, t_final, record_times=None, observables=None):
-    """Integrate the master equation and record observables.
+    """Integrate the master equation on the exponential integrator of etd.py
+    and record observables.
 
     t_final must be positive and finite (ValueError otherwise). record_times
-    defaults to 201 evenly spaced points, 0 and t_final included. Rows and
-    snapshots are kept at exactly the record and snapshot times, which must
-    lie in [0, t_final] (ValueError otherwise). rho0 must be Hermitian to
-    1e-10 (InvalidInputError otherwise); both backends integrate its
-    Hermitian part. Both backends hold every step to the step loop's
-    tolerances ode.RTOL and ode.ATOL. The backend, stored in
-    meta["method"], follows from the channel set alone: "etd4" whenever the
-    rotation-symmetry detector of etd.py accepts it, as it does the paper's
-    channels with or without loss, at any dim and t_final; "rk45" for a set
-    it rejects (one with q or p, for instance) when the explicit pair's
-    stability-limited step count, estimated from ||G||_1, is at most
-    MAX_EXPLICIT_STEPS, and the detector's SymmetryError (a ValueError)
-    beyond that. Accepted states are exactly Hermitian on both backends:
-    the explicit pair keeps the Hermitian part of each step, and the
-    exponential backend carries Hermitian states by construction and
-    rescales the trace to its initial value. Emits PositivityWarning if the
-    state acquires an eigenvalue below -positivity_tol at a record point.
-    Photon loss alone has a closed form; see pure_loss_trajectory.
+    defaults to 201 evenly spaced points, 0 and t_final included. Rows are
+    kept at exactly the record times, which must lie in [0, t_final]
+    (ValueError otherwise); no state is kept. rho0 must be Hermitian to
+    1e-10 (InvalidInputError otherwise); its Hermitian part is integrated.
+    Every step is held to the step loop's tolerances ode.RTOL and ode.ATOL.
+    The channel set must have the π/2 rotation symmetry, as the paper's
+    channels have with or without loss, at any dim and t_final; a set
+    without it (one with q or p, for instance) raises the detector's
+    SymmetryError (a ValueError). meta["method"] is "etd4". Accepted states
+    are exactly Hermitian, and each is rescaled to the initial trace. Emits
+    PositivityWarning if the state acquires an eigenvalue below
+    -positivity_tol at a record point. Photon loss alone has a closed form;
+    see pure_loss_trajectory.
     """
     observables = observables or ObservableSpec()
     rho0 = _check_same_dim(model, rho0).astype(complex, copy=False)
@@ -282,29 +259,10 @@ def evolve(model, rho0, t_final, record_times=None, observables=None):
     # ode._drive lands on every stop bitwise
     stops, on_record, finish = _recorder(observables, record_times, model.dim)
     if stops and stops[-1] > t_final:
-        raise ValueError(f"record and snapshot times must not exceed t_final, got {stops[-1]}")
-
-    try:
-        prop = SplitPropagator(model.operators, model.rates, adjoint=False)
-    except SymmetryError:
-        # ||G||_1 bounds the spectral radius of the Hermitian drift G; the
-        # spectrum of L reaches ~ -2||G|| and the explicit 5(4) pair is stable
-        # for steps up to ~3.3/|lambda|
-        g_norm = np.linalg.norm(model.drift, 1)
-        if 2.0 * g_norm * t_final / 3.3 > MAX_EXPLICIT_STEPS:
-            raise
-        stats = ode.integrate(
-            lambda y: lindblad_rhs(model, y),
-            rho0,
-            t_final,
-            record_times=stops,
-            on_record=on_record,
-            diagnostics=f"drift norm ||G||_1 = {g_norm:.3e}",
-        )
-        stats["method"] = "rk45"
-    else:
-        _, stats = prop.run(rho0, t_final, record_times=stops, on_record=on_record)
-        stats["method"] = "etd4"
+        raise ValueError(f"record times must not exceed t_final, got {stops[-1]}")
+    prop = SplitPropagator(model.operators, model.rates, adjoint=False)
+    _, stats = prop.run(rho0, t_final, record_times=stops, on_record=on_record)
+    stats["method"] = "etd4"
     return finish(stats)
 
 
@@ -319,11 +277,11 @@ def pure_loss_trajectory(factor, rate, record_times, observables=None):
     lowers photon numbers, so it is exact in the truncated space. Column
     y_j of Y0 gives Phi_j[m, k] = c_k(m) y_j[m+k] and rho(t) = sum_j Phi_j
     Phi_j†: one d x d product per column and record, real when Y0 is, in
-    O(d²) memory; at t = 0, rho is Y0 Y0†. Rows and snapshots are kept at
-    every record and snapshot time through evolve()'s recorder, without its
-    positivity monitor: a Gram matrix has no negative eigenvalue. meta is
+    O(d²) memory; at t = 0, rho is Y0 Y0†. Rows are kept at every record
+    time through evolve()'s recorder, without its positivity monitor: a Gram
+    matrix has no negative eigenvalue. No state is kept. meta is
     {"method": "closed_form", "rank": r}. Raises ValueError on a negative or
-    non-finite rate or record or snapshot time.
+    non-finite rate or record time.
     """
     y = np.asarray(factor)
     if y.ndim != 2:

@@ -1,5 +1,5 @@
 """Adaptive step-size control, and the embedded Runge-Kutta 5(4) pair that
-is one of its two users.
+the tests hold the exponential integrator against.
 
 `_drive` is the one adaptive loop in the package, and it owns the whole step
 policy: the first step FIRST_STEP, the step budget MAX_STEPS, the
@@ -9,9 +9,9 @@ update. A backend supplies attempt(y, h) -> (candidate, error_estimate) and
 the norm its states are measured in. With
 tol = ATOL + RTOL * max(norm(y), norm(candidate)) the attempt is accepted
 iff norm(error_estimate) <= tol, and the next step is
-h * clip(SAFETY * (tol/err)**exponent, 0.2, max_growth). The Dormand-Prince
-pair below is one backend; the step-doubling exponential integrator in
-etd.py is the other.
+h * clip(SAFETY * (tol/err)**exponent, 0.2, max_growth). The step-doubling
+exponential integrator in etd.py is the package's one backend, and the one
+production user of this loop.
 
 Record times do not drive the step size. The distance to the next record
 time is split into ceil(SAFETY * distance / h) equal steps, so no step is
@@ -21,10 +21,12 @@ a record time shorter than the proposal h does not reset the controller:
 the next proposal is at least h (Hairer, Norsett & Wanner, Solving ODEs I,
 sec. II.4, keep the step proposal across an output point).
 
-Dormand-Prince: the 5th-order solution propagates, the embedded 4th-order
-difference is the error estimate. The state is a dense matrix, and the
-autonomous right-hand side is evaluated in matrix form; no superoperator is
-ever materialized.
+Dormand-Prince (integrate): the 5th-order solution propagates, the embedded
+4th-order difference is the error estimate. The state is a dense matrix, and
+the autonomous right-hand side is evaluated in matrix form; no superoperator
+is ever materialized. No package code calls it: it is kept as the tests'
+explicit reference, with lindblad.lindblad_rhs, and as a name the benchmark
+harness wraps.
 """
 
 import math
@@ -50,9 +52,9 @@ _B4 = np.array(
 )
 _ERR = _B5 - _B4
 
-FIRST_STEP = 1e-3      # the first step both backends try
+FIRST_STEP = 1e-3      # the first step every adaptive run tries
 MAX_STEPS = 10_000_000  # accepted plus rejected steps of one run
-# the one accuracy every adaptive run is held to, on both backends
+# the one accuracy every adaptive run is held to
 RTOL = 1e-8
 ATOL = 1e-10
 # the controller proposes SAFETY times the step its error model puts at tol
@@ -65,7 +67,7 @@ def _min_step(t):
 
 
 def _drive(attempt, norm, y, t_final, record_times, exponent, max_growth,
-           on_accept=None, on_record=None, diagnostics=None):
+           on_accept=None, on_record=None):
     """Adaptive march from t=0 to t_final, stopping exactly at each record time.
 
     The first step is FIRST_STEP, the budget of attempts MAX_STEPS and the
@@ -91,11 +93,10 @@ def _drive(attempt, norm, y, t_final, record_times, exponent, max_growth,
     Raises ValueError, before any step, when two neighbours of the grid
     0, the record times in (0, t_final], t_final lie closer than
     _min_step of the earlier one, and StepSizeUnderflowError when the step
-    budget is spent or the controller is driven below _min_step, appending
-    `diagnostics` (a string) to the message. Returns (y, stats): the
-    accepted and rejected steps "n_accept" and "n_reject", the smallest and
-    largest accepted step "h_min" and "h_max" (None when no step was taken)
-    and the next step size "h_final".
+    budget is spent or the controller is driven below _min_step. Returns
+    (y, stats): the accepted and rejected steps "n_accept" and "n_reject",
+    the smallest and largest accepted step "h_min" and "h_max" (None when no
+    step was taken) and the next step size "h_final".
     """
     t, h = 0.0, FIRST_STEP
     record = sorted(set(float(tr) for tr in record_times if 0.0 < tr <= t_final))
@@ -107,20 +108,19 @@ def _drive(attempt, norm, y, t_final, record_times, exponent, max_growth,
                              f"{_min_step(a):.3e}")
     if on_record is not None and 0.0 in record_times:
         on_record(0.0, y)
-    suffix = f"; {diagnostics}" if diagnostics else ""
     n_accept = n_reject = 0
     h_min, h_max = np.inf, 0.0
     ri = 0
     while t < t_final - 1e-14 * max(1.0, t_final):
         if n_accept + n_reject > MAX_STEPS:
             raise StepSizeUnderflowError(
-                f"step budget {MAX_STEPS} exhausted at t={t:.6g}{suffix}")
+                f"step budget {MAX_STEPS} exhausted at t={t:.6g}")
         t_stop = record[ri]
         n_left = max(1, math.ceil(SAFETY * (t_stop - t) / h))
         h_try = (t_stop - t) / n_left
         if h_try < _min_step(t):
             raise StepSizeUnderflowError(
-                f"step size underflow at t={t:.6g} (h={h_try:.3e}){suffix}")
+                f"step size underflow at t={t:.6g} (h={h_try:.3e})")
         candidate, estimate = attempt(y, h_try)
         err = norm(estimate)
         del estimate  # free before the next attempt allocates its own
@@ -154,7 +154,7 @@ def _drive(attempt, norm, y, t_final, record_times, exponent, max_growth,
                "h_final": h}
 
 
-def integrate(f, y0, t_final, record_times=(), on_record=None, diagnostics=None):
+def integrate(f, y0, t_final, record_times, on_record):
     """Integrate the autonomous y' = f(y) for a Hermitian matrix y from t=0
     to t_final with the Dormand-Prince pair, stopping exactly at each record
     time.
@@ -194,6 +194,6 @@ def integrate(f, y0, t_final, record_times=(), on_record=None, diagnostics=None)
 
     _, stats = _drive(
         attempt, max_abs, y, t_final, record_times, exponent=0.2,
-        max_growth=5.0, on_record=on_record, diagnostics=diagnostics)
+        max_growth=5.0, on_record=on_record)
     stats["n_rhs"] = n_rhs
     return stats

@@ -7,6 +7,7 @@ from gkpstab import (
     logical_operators,
     stabilizer_model,
 )
+from gkpstab import lindblad
 from gkpstab.codes import ETA_SENSOR
 
 
@@ -50,3 +51,41 @@ def sensor_code200():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+# --- test-owned readers of what the package does not keep -------------------
+
+@pytest.fixture()
+def recorded_states(monkeypatch):
+    """The states that evolve and pure_loss_trajectory pass to their
+    recorder, which keeps none: one dict {time: state} per run, in call
+    order."""
+    runs = []
+    recorder = lindblad._recorder
+
+    def keeping(*args):
+        stops, on_record, finish = recorder(*args)
+        states = {}
+        runs.append(states)
+
+        def on_record_keeping(t, rho):
+            states[t] = np.array(rho)
+            on_record(t, rho)
+
+        return stops, on_record_keeping, finish
+
+    monkeypatch.setattr(lindblad, "_recorder", keeping)
+    return runs
+
+
+@pytest.fixture(scope="session")
+def full_rank_state():
+    """draw(dim, rng): a random density matrix of full rank dim, drawn from
+    the same rng calls as analysis.random_density_matrix, whose support is
+    only the leading dim//2 Fock states."""
+    def draw(dim, rng):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = g @ g.conj().T
+        return rho / np.real(np.trace(rho))
+
+    return draw

@@ -177,9 +177,9 @@ def pure_loss_channel(rho, transmissivity):
     return out
 
 
-def test_pure_loss_channel_preserves_trace_and_composes():
+def test_pure_loss_channel_preserves_trace_and_composes(full_rank_state):
     rng = np.random.default_rng(11)
-    rho = random_density_matrix(40, rng, support_dim=40)
+    rho = full_rank_state(40, rng)
     trace_dev = abs(np.trace(pure_loss_channel(rho, 0.3)) - 1.0)
     composed = pure_loss_channel(pure_loss_channel(rho, 0.7), 0.4)
     semigroup_dev = float(np.abs(composed - pure_loss_channel(rho, 0.7 * 0.4)).max())
@@ -187,12 +187,12 @@ def test_pure_loss_channel_preserves_trace_and_composes():
     assert semigroup_dev <= 1e-12
 
 
-def test_pure_loss_channel_generator_is_the_loss_dissipator():
+def test_pure_loss_channel_generator_is_the_loss_dissipator(full_rank_state):
     # Forward difference in t at T = exp(-h): its error is (h/2) L^2 rho to
     # leading order, so it must sit within h * max|L^2 rho| of L rho.
     rng = np.random.default_rng(12)
     dim = 40
-    rho = random_density_matrix(dim, rng, support_dim=dim)
+    rho = full_rank_state(dim, rng)
     loss = LindbladModel(((make_ladder(dim), 1.0),))
     l_rho = lindblad_rhs(loss, rho)
     l2_rho = lindblad_rhs(loss, l_rho)
@@ -201,29 +201,29 @@ def test_pure_loss_channel_generator_is_the_loss_dissipator():
     assert float(np.abs(fd - l_rho).max()) <= h * float(np.abs(l2_rho).max())
 
 
-def test_loss_only_evolve_matches_pure_loss_channel():
+def test_loss_only_evolve_matches_pure_loss_channel(full_rank_state, recorded_states):
     # criterion 7's off check at a small dim, on a full-rank state: the
     # integrated loss-only run against the closed form at every record, on
     # the explicit pair called directly and on evolve's exponential backend
     dim, kappa1 = 60, 0.02
-    rho0 = random_density_matrix(dim, np.random.default_rng(13), support_dim=dim)
+    rho0 = full_rank_state(dim, np.random.default_rng(13))
     record = np.linspace(0.0, 1.0 / kappa1, 11)
     model = LindbladModel(((make_ladder(dim), kappa1),))
     explicit = {}
     ode.integrate(lambda y: lindblad_rhs(model, y), rho0, record[-1], record_times=record,
                   on_record=lambda t, rho: explicit.__setitem__(t, rho))
     traj = evolve(model, rho0, record[-1], record_times=record,
-                  observables=ObservableSpec(snapshot_times=tuple(record), positivity_tol=None))
+                  observables=ObservableSpec(positivity_tol=None))
     assert traj.meta["method"] == "etd4"
-    for snapshots in (explicit, traj.snapshots):
-        assert len(snapshots) == len(record)
-        for t, rho in snapshots.items():
+    for states in (explicit, recorded_states[0]):
+        assert len(states) == len(record)
+        for t, rho in states.items():
             expected = pure_loss_channel(rho0, math.exp(-kappa1 * t))
             assert np.abs(rho - expected).max() <= 1e-8, f"t={t}"
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_closed_form_loss_matches_pure_loss_channel(dtype):
+def test_closed_form_loss_matches_pure_loss_channel(dtype, recorded_states):
     # the unprotected arm's closed form, on a rank-3 factor at dim 60,
     # against the diagonal-shift form above at every record
     dim, kappa1 = 60, 0.02
@@ -234,12 +234,10 @@ def test_closed_form_loss_matches_pure_loss_channel(dtype):
     y0 /= np.linalg.norm(y0)
     rho0 = y0 @ y0.conj().T
     record = np.linspace(0.0, 1.0 / kappa1, 11)
-    traj = pure_loss_trajectory(
-        y0, kappa1, record,
-        ObservableSpec(snapshot_times=tuple(record), positivity_tol=None))
+    traj = pure_loss_trajectory(y0, kappa1, record, ObservableSpec(positivity_tol=None))
     assert traj.meta == {"method": "closed_form", "rank": 3}
-    assert len(traj.snapshots) == len(record)
-    for t, rho in traj.snapshots.items():
+    assert len(recorded_states[0]) == len(record)
+    for t, rho in recorded_states[0].items():
         expected = pure_loss_channel(rho0, math.exp(-kappa1 * t))
         assert np.abs(rho - expected).max() <= 1e-12, f"t={t}"
 
@@ -317,7 +315,7 @@ def test_criterion_8_logical_operator_properties(code200, logicals200):
 # --- 9: engine correctness properties -------------------------------------------
 
 
-def test_criterion_9_engine_properties():
+def test_criterion_9_engine_properties(full_rank_state):
     # duality at dim=40
     rng = np.random.default_rng(7)
     dim = 40
@@ -327,7 +325,7 @@ def test_criterion_9_engine_properties():
     duality_dev = 0.0
     for _ in range(5):
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        rho = random_density_matrix(dim, rng, support_dim=dim)
+        rho = full_rank_state(dim, rng)
         lhs = np.trace(x @ lindblad_rhs(model, rho))
         rhs = np.trace(adjoint_rhs(model, x) @ rho)
         duality_dev = max(duality_dev, abs(lhs - rhs) / max(1.0, abs(lhs)))

@@ -19,7 +19,8 @@ from gkpstab.etd import SplitPropagator, _phi123
 from gkpstab.analysis import random_density_matrix
 from gkpstab.codes import ETA_SENSOR
 from gkpstab.fock import make_ladder, make_quadratures, rotate
-from gkpstab.lindblad import LindbladModel, ObservableSpec
+from gkpstab.errors import SymmetryError
+from gkpstab.lindblad import LindbladModel, ObservableSpec, lindblad_rhs
 
 
 def test_phi_functions_against_mpmath():
@@ -91,9 +92,9 @@ def test_krogstad_matches_dense_propagator(tiny_model):
     _assert_matches_dense(prop, dim, _dense_superoperator(dim, vs))
 
 
-def _assert_evolve_matches_dense(dim, ops, rates):
-    # evolve's explicit pair on the whole complex matrix against the exact
-    # propagator, at the times of the fixed-step marches
+def _assert_explicit_pair_matches_dense(dim, ops, rates):
+    # the explicit pair, called directly, on the whole complex matrix against
+    # the exact propagator, at the times of the fixed-step marches
     model = LindbladModel(tuple(zip(ops, rates)))
     evals, evecs = np.linalg.eig(
         _dense_superoperator(dim, [np.sqrt(r) * v for v, r in zip(ops, rates)]))
@@ -101,23 +102,36 @@ def _assert_evolve_matches_dense(dim, ops, rates):
     coeffs = np.linalg.solve(evecs, rho0.flatten())
     for t_final in (0.4, 1.2):
         exact = (evecs @ (np.exp(evals * t_final) * coeffs)).reshape(dim, dim)
-        traj = evolve(model, rho0, t_final, record_times=[t_final],
-                      observables=ObservableSpec(snapshot_times=(t_final,), positivity_tol=None))
-        assert traj.meta["method"] == "rk45"
-        assert np.abs(traj.snapshots[t_final] - exact).max() <= 5e-9, f"t={t_final}"
+        states = {}
+        ode.integrate(lambda y: lindblad_rhs(model, y), rho0, t_final, record_times=[t_final],
+                      on_record=states.__setitem__)
+        assert np.abs(states[t_final] - exact).max() <= 5e-9, f"t={t_final}"
+
+
+def _assert_evolve_refuses(extra, rate):
+    # the dim-40 dissipators with one more channel, extra(40), at rate: the
+    # detector's error, which evolve raises at every dim and horizon
+    vs = list(build_dissipators(GkpParams(0.1, dim=40)))
+    model = LindbladModel(tuple((v, 1.0) for v in vs) + ((extra(40), rate),))
+    with pytest.raises(SymmetryError, match="channel 4 lacks the pi/2 rotation symmetry"):
+        evolve(model, np.eye(40) / 40, 0.05, record_times=[0.05])
+
+
+def _generic_complex(dim):
+    rng = np.random.default_rng(5)
+    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(dim)
 
 
 def test_unclosed_channel_set_takes_complex_path(tiny_model):
     # one generic complex channel breaks the rotation symmetry: the
-    # exponential integrator refuses it, and evolve runs it on the complex
-    # explicit pair, which must still be exact
+    # exponential integrator, and so evolve, refuses it; the explicit pair
+    # carries it on the complex matrix and must still be exact
     dim, vs = tiny_model
-    rng = np.random.default_rng(5)
-    extra = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(dim)
-    ops, rates = vs + [extra], [1.0] * len(vs) + [0.05]
+    ops, rates = vs + [_generic_complex(dim)], [1.0] * len(vs) + [0.05]
     with pytest.raises(ValueError, match="channel 4 lacks the pi/2 rotation symmetry"):
         SplitPropagator(ops, rates)
-    _assert_evolve_matches_dense(dim, ops, rates)
+    _assert_explicit_pair_matches_dense(dim, ops, rates)
+    _assert_evolve_refuses(_generic_complex, 0.05)
 
 
 @pytest.mark.parametrize("with_loss", [False, True], ids=["stabilizers", "plus_loss"])
@@ -327,8 +341,7 @@ def test_channel_set_without_rotation_symmetry_is_rejected(tiny_model, small_mod
     q = make_quadratures(dim)[0]
     with pytest.raises(ValueError, match="channel 4 lacks the pi/2 rotation symmetry"):
         SplitPropagator(vs + [q], [1.0] * len(vs) + [0.02])
-    # evolve sends it to the explicit pair, whose step estimate at dim 143
-    # is over its cap, so the detector's error is raised
+    # evolve raises the detector's error
     with_q = small_model.with_channel(make_quadratures(small_model.dim)[0], 0.02)
     rho = np.eye(small_model.dim) / small_model.dim
     with pytest.raises(ValueError, match="rotation symmetry"):
@@ -357,10 +370,13 @@ def test_global_phase_of_a_channel_is_divided_out(tiny_model):
 
 
 def test_rotation_asymmetric_channel_set_takes_one_block(tiny_model):
-    # F q F† = p is not a channel: no blocked form, so evolve runs the set
-    # on the whole matrix, one block, which must still be exact
+    # F q F† = p is not a channel: no blocked form, so evolve refuses the
+    # set; the explicit pair runs it on the whole matrix, one block, which
+    # must still be exact
     dim, vs = tiny_model
-    _assert_evolve_matches_dense(dim, vs + [make_quadratures(dim)[0]], [1.0] * len(vs) + [0.02])
+    _assert_explicit_pair_matches_dense(dim, vs + [make_quadratures(dim)[0]],
+                                        [1.0] * len(vs) + [0.02])
+    _assert_evolve_refuses(lambda dim: make_quadratures(dim)[0], 0.02)
 
 
 def test_sensor_lattice_passes_the_symmetry_detector():

@@ -125,13 +125,13 @@ def test_adjoint_unital():
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 40))
 @settings(max_examples=15, deadline=None)
-def test_generator_duality(seed, dim):
+def test_generator_duality(full_rank_state, seed, dim):
     rng = np.random.default_rng(seed)
     ops = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
            for _ in range(2)]
     model = LindbladModel(((ops[0], 0.8), (ops[1], 1.3)))
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = random_density_matrix(dim, rng, support_dim=dim)
+    rho = full_rank_state(dim, rng)
     lhs = np.trace(x @ lindblad_rhs(model, rho))
     rhs = np.trace(adjoint_rhs(model, x) @ rho)
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -229,16 +229,17 @@ def test_trace_preserved_both_backends(small_stiff_case):
     assert stats["n_jumps"] == 11 * (stats["n_accept"] + stats["n_reject"])
 
 
-def test_hermitian_at_record_points(small_stiff_case, small_code, small_model, small_logicals):
+def test_hermitian_at_record_points(small_stiff_case, small_code, small_model, small_logicals,
+                                    recorded_states):
     code, model, rho0 = small_stiff_case
     codeword = np.outer(small_code.codewords[0], small_code.codewords[0].conj())
     mixed = random_density_matrix(small_code.dim, np.random.default_rng(13))
-    spec = ObservableSpec(snapshot_times=(0.25, 0.5), positivity_tol=None)
+    spec = ObservableSpec(positivity_tol=None)
     for mdl, rho in ((model, rho0), (small_model, codeword), (small_model, mixed)):
         traj = evolve(mdl, rho, 0.5, record_times=[0.25, 0.5], observables=spec)
         assert traj.meta["method"] == "etd4"
-        assert len(traj.snapshots) == 2
-        for snap in traj.snapshots.values():
+        assert len(recorded_states[-1]) == 2
+        for snap in recorded_states[-1].values():
             assert np.abs(snap - snap.conj().T).max() == 0.0
     # the explicit pair keeps the Hermitian part of every accepted state
     states, _, _, _ = _rk45_run(model, rho0, 0.5, [0.25, 0.5])
@@ -260,13 +261,11 @@ def test_auto_method_selection(small_stiff_case):
     rho = np.outer(big.codewords[0], big.codewords[0].conj())
     traj = evolve(stabilizer_model(big), rho, 0.5, record_times=[0.5], observables=quiet)
     assert traj.meta["method"] == "etd4"
-    # a set without the rotation symmetry takes the explicit pair where its
-    # step estimate allows, and the detector's error beyond
+    # a set without the rotation symmetry is refused at every horizon
     with_q = model.with_channel(make_quadratures(model.dim)[0], 0.01)
-    short = evolve(with_q, rho0, 0.05, record_times=[0.05], observables=quiet)
-    assert short.meta["method"] == "rk45"
-    with pytest.raises(SymmetryError, match="lacks the pi/2 rotation symmetry"):
-        evolve(with_q, rho0, 1e6, record_times=[1e6], observables=quiet)
+    for t_final in (0.05, 1e6):
+        with pytest.raises(SymmetryError, match="lacks the pi/2 rotation symmetry"):
+            evolve(with_q, rho0, t_final, record_times=[t_final], observables=quiet)
 
 
 def test_stabilized_codeword_stays_steady(small_code, small_model):
@@ -335,65 +334,37 @@ def test_record_near_zero_adds_no_row_at_zero():
     assert len(traj.column("trace")) == 2
 
 
-def test_snapshot_near_a_record_time_is_its_own_stop():
-    rho0 = random_density_matrix(8, np.random.default_rng(3))
-    snap = 0.5 + 1e-9
-    traj = evolve(loss_model(8), rho0, 1.0, record_times=[0.5, 1.0],
-                  observables=ObservableSpec(snapshot_times=(snap,)))
-    assert traj.times.tolist() == [0.5, 1.0]
-    assert list(traj.snapshots) == [snap]
-
-
-def test_stops_one_ulp_apart_are_rejected_before_any_step(small_code, small_model):
+def test_stops_one_ulp_apart_are_rejected_before_any_step():
     # the march cannot step between two stops closer than its shortest step,
     # so such a grid is refused up front, naming both times
     after, below = np.nextafter(1.0, 2.0), np.nextafter(2.0, 0.0)
     rho0 = random_density_matrix(8, np.random.default_rng(3))
-    for records, snapshots, pair in (([1.0, 2.0], (after,), "1.0 and 1.0000000000000002"),
-                                     ([1.0, after, 2.0], (), "1.0 and 1.0000000000000002"),
-                                     ([1.0, below], (), "1.9999999999999998 and 2.0")):
+    for records, pair in (([1.0, after, 2.0], "1.0 and 1.0000000000000002"),
+                          ([1.0, below], "1.9999999999999998 and 2.0")):
         with pytest.raises(ValueError, match=f"stops {pair} are closer"):
-            evolve(loss_model(8), rho0, 2.0, record_times=records,
-                   observables=ObservableSpec(snapshot_times=snapshots))
-    # on etd4: snapshots on linspace(0, tf, 6)
-    # and records on linspace(0, tf, 51) fall 1 ulp apart at 7.14 and later
-    kappa1 = small_code.params.epsilon / 5.0
-    tf = 1.0 / kappa1
-    c0 = small_code.codewords[0]
-    with pytest.raises(ValueError, match="7.1428571428571415 and 7.142857142857142 are closer"):
-        evolve(small_model.with_photon_loss(kappa1), np.outer(c0, c0), tf,
-               record_times=np.linspace(0.0, tf, 51),
-               observables=ObservableSpec(snapshot_times=tuple(np.linspace(0.0, tf, 6))))
+            evolve(loss_model(8), rho0, 2.0, record_times=records)
 
 
 def test_negative_record_or_snapshot_time_is_rejected():
     rho0 = random_density_matrix(8, np.random.default_rng(3))
     with pytest.raises(ValueError, match="non-negative"):
         evolve(loss_model(8), rho0, 1.0, record_times=[-0.5, 0.5, 1.0])
-    with pytest.raises(ValueError, match="non-negative"):
-        evolve(loss_model(8), rho0, 1.0, record_times=[0.5, 1.0],
-               observables=ObservableSpec(snapshot_times=(-0.5,)))
 
 
-@pytest.mark.parametrize("t_final, records, snapshots", [
-    (float("nan"), None, ()), (float("inf"), None, ()), (float("inf"), [0.0, 1.0], ()),
-    (1.0, [0.0, float("nan"), 1.0], ()), (1.0, [0.0, 1.0], (float("nan"),)),
-    (1.0, [0.0, float("inf")], ()),
+@pytest.mark.parametrize("t_final, records", [
+    (float("nan"), None), (float("inf"), None), (float("inf"), [0.0, 1.0]),
+    (1.0, [0.0, float("nan"), 1.0]), (1.0, [0.0, float("inf")]),
 ])
-def test_non_finite_time_is_rejected(t_final, records, snapshots):
+def test_non_finite_time_is_rejected(t_final, records):
     rho0 = random_density_matrix(6, np.random.default_rng(3))
     with pytest.raises(ValueError, match="finite"):
-        evolve(loss_model(6), rho0, t_final, record_times=records,
-               observables=ObservableSpec(snapshot_times=snapshots))
+        evolve(loss_model(6), rho0, t_final, record_times=records)
 
 
 def test_record_or_snapshot_time_past_t_final_is_rejected():
     rho0 = random_density_matrix(8, np.random.default_rng(3))
     with pytest.raises(ValueError, match="t_final"):
         evolve(loss_model(8), rho0, 1.0, record_times=[0.5, 1.0, 2.0])
-    with pytest.raises(ValueError, match="t_final"):
-        evolve(loss_model(8), rho0, 1.0, record_times=[0.5, 1.0],
-               observables=ObservableSpec(snapshot_times=(1.5,)))
 
 
 def test_positivity_warning():
@@ -429,16 +400,15 @@ def _dissipator_model(dim, epsilon=0.1):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_etd4_below_dim_four(dim):
+def test_etd4_below_dim_four(dim, recorded_states):
     # some n mod 4 blocks are empty here: loss alone empties the state into
     # the vacuum, and the stabilizer flow keeps the trace
     rho0 = np.eye(dim) / dim
-    loss = evolve(loss_model(dim), rho0, 1e5, record_times=[1e5],
-                  observables=ObservableSpec(snapshot_times=(1e5,)))
+    loss = evolve(loss_model(dim), rho0, 1e5, record_times=[1e5])
     vacuum = np.zeros((dim, dim))
     vacuum[0, 0] = 1.0
     assert loss.meta["method"] == "etd4"
-    assert np.abs(loss.snapshots[1e5] - vacuum).max() <= 1e-8
+    assert np.abs(recorded_states[0][1e5] - vacuum).max() <= 1e-8
     for model in (_dissipator_model(dim), _dissipator_model(dim).with_photon_loss(0.02)):
         traj = evolve(model, rho0, 2.0, record_times=[1.0, 2.0],
                       observables=ObservableSpec(positivity_tol=None))
@@ -452,10 +422,10 @@ class _ExplicitPairReached(Exception):
 
 # the short qec-sim run stops before the adjoint march converges
 @pytest.mark.filterwarnings("ignore::gkpstab.ConvergenceWarning")
-def test_explicit_pair_runs_only_rotation_breaking_sets(monkeypatch, tmp_path):
-    # the traffic of the explicit pair: no stabilizer or loss-only run, and
-    # no CLI run, reaches it; a set with q does, and a failing eigh in the
-    # propagator's set-up is raised, not routed to it
+def test_explicit_pair_runs_only_rotation_breaking_sets(monkeypatch, tmp_path, full_rank_state):
+    # evolve never reaches the explicit pair: no stabilizer or loss-only run,
+    # and no CLI run, calls it; a set with q is refused by the symmetry
+    # detector, and a failing eigh in the propagator's set-up is raised
     def reached(*_args, **_kwargs):
         raise _ExplicitPairReached
 
@@ -466,7 +436,7 @@ def test_explicit_pair_runs_only_rotation_breaking_sets(monkeypatch, tmp_path):
         for model in (_dissipator_model(dim), _dissipator_model(dim).with_photon_loss(0.02)):
             assert evolve(model, rho, 0.5, record_times=[0.5],
                           observables=quiet).meta["method"] == "etd4"
-    rho60 = random_density_matrix(60, np.random.default_rng(13), support_dim=60)
+    rho60 = full_rank_state(60, np.random.default_rng(13))
     assert evolve(loss_model(60, 0.02), rho60, 50.0, record_times=[50.0],
                   observables=quiet).meta["method"] == "etd4"
     # far below the 20/eps truncation the runs complete, passing or not
@@ -474,7 +444,7 @@ def test_explicit_pair_runs_only_rotation_breaking_sets(monkeypatch, tmp_path):
                  ["qec-sim", "--epsilon", "0.15", "--dim", "40", "--records", "3"]):
         assert cli.main(argv + ["--outdir", str(tmp_path)]) in (cli.EXIT_OK, cli.EXIT_VERIFY)
     model40, rho40 = _dissipator_model(40), np.eye(40) / 40
-    with pytest.raises(_ExplicitPairReached):
+    with pytest.raises(SymmetryError, match="lacks the pi/2 rotation symmetry"):
         evolve(model40.with_channel(make_quadratures(40)[0], 0.01), rho40, 0.05,
                record_times=[0.05], observables=quiet)
 
@@ -488,7 +458,7 @@ def test_explicit_pair_runs_only_rotation_breaking_sets(monkeypatch, tmp_path):
 
 def test_step_budget_guard(small_stiff_case, monkeypatch):
     code, model, rho0 = small_stiff_case
-    monkeypatch.setattr(lindblad.ode, "MAX_STEPS", 5)
+    monkeypatch.setattr(ode, "MAX_STEPS", 5)
     with pytest.raises(StepSizeUnderflowError, match="step budget 5 exhausted"):
         evolve(model, rho0, 5.0)
 
@@ -539,13 +509,12 @@ def test_pure_loss_row_at_zero_is_the_initial_states():
     assert row == expected
 
 
-def test_pure_loss_records_like_evolve():
-    # the same columns, times and snapshots as the integrated loss-only run
+def test_pure_loss_records_like_evolve(recorded_states):
+    # the same columns, times and states as the integrated loss-only run
     dim = 20
     rng = np.random.default_rng(6)
     logicals = LogicalOperators(*(_symmetric(dim, rng) for _ in range(3)), 0.0)
-    spec = ObservableSpec(lyapunov=_symmetric(dim, rng), logicals=logicals,
-                          snapshot_times=(0.25, 0.5 + 1e-9))
+    spec = ObservableSpec(lyapunov=_symmetric(dim, rng), logicals=logicals)
     y0 = _loss_factor(dim, 2, 6)
     record = [0.0, 0.5, 1.0]
     closed = pure_loss_trajectory(y0, 1.0, record, spec)
@@ -556,17 +525,16 @@ def test_pure_loss_records_like_evolve():
     assert list(closed.records) == list(integrated.records)
     for name in closed.records:
         np.testing.assert_allclose(closed.column(name), integrated.column(name), atol=1e-8)
-    assert list(closed.snapshots) == list(integrated.snapshots) == [0.25, 0.5 + 1e-9]
-    for t, rho in closed.snapshots.items():
-        assert rho.dtype == complex
-        assert np.abs(rho - integrated.snapshots[t]).max() <= 1e-8
+    closed_states, integrated_states = recorded_states
+    assert list(closed_states) == list(integrated_states) == record
+    for t, rho in closed_states.items():
+        assert np.abs(rho - integrated_states[t]).max() <= 1e-8
 
 
-def test_pure_loss_without_loss_keeps_the_state():
+def test_pure_loss_without_loss_keeps_the_state(recorded_states):
     y0 = _loss_factor(10, 2, 8)
-    traj = pure_loss_trajectory(y0, 0.0, [0.0, 5.0],
-                                ObservableSpec(snapshot_times=(5.0,)))
-    assert np.array_equal(traj.snapshots[5.0], (y0 @ y0.T).astype(complex))
+    pure_loss_trajectory(y0, 0.0, [0.0, 5.0])
+    assert np.array_equal(recorded_states[0][5.0], y0 @ y0.T)
 
 
 def test_closed_form_loss_skips_the_positivity_monitor(monkeypatch):
@@ -595,9 +563,6 @@ def test_pure_loss_invalid_inputs():
         pure_loss_trajectory(y0, 0.1, [0.0, float("nan"), 1.0])
     with pytest.raises(ValueError, match="non-negative"):
         pure_loss_trajectory(y0, 0.1, [-1.0, 1.0])
-    with pytest.raises(ValueError, match="non-negative"):
-        pure_loss_trajectory(y0, 0.1, [0.0, 1.0],
-                             ObservableSpec(snapshot_times=(-0.5,)))
     with pytest.raises(ShapeMismatchError):
         pure_loss_trajectory(y0[:, 0], 0.1, [1.0])
 
@@ -654,7 +619,7 @@ def test_bloch_of_reference_states(small_logicals):
     assert x == pytest.approx(1.0, abs=1e-6)
 
 
-def test_bloch_records_are_bloch_coordinates(small_logicals):
+def test_bloch_records_are_bloch_coordinates(small_logicals, recorded_states):
     # evolve records bloch_coordinates of each recorded state, bit for bit
     # the np.vdot(J, rho) pairing
     code, model, logicals = small_logicals
@@ -663,11 +628,10 @@ def test_bloch_records_are_bloch_coordinates(small_logicals):
     grid = (0.25, 0.5)
     traj = evolve(model.with_photon_loss(0.04), np.outer(plus, plus.conj()), 0.5,
                   record_times=grid,
-                  observables=ObservableSpec(logicals=logicals, snapshot_times=grid,
-                                             positivity_tol=None))
+                  observables=ObservableSpec(logicals=logicals, positivity_tol=None))
     assert len(traj.times) == len(grid)
     for i, t in enumerate(traj.times):
-        rho = traj.snapshots[t]
+        rho = recorded_states[0][t]
         recorded = [traj.column(name)[i] for name in ("jx", "jy", "jz")]
         assert recorded == list(bloch_coordinates(logicals, rho))
         assert recorded == [float(np.real(np.vdot(j, rho)))
@@ -776,18 +740,21 @@ def test_lyapunov_envelope_bound(small_code, small_model):
 def test_alternative_noise_channels_run(small_stiff_case, small_code, small_model):
     # position/momentum/creation channels are plain extra channels; no new
     # machinery. a† has a definite charge and runs on etd4 at dim 143; q and
-    # p break the rotation symmetry, which etd4 needs, so they run on rk45,
-    # which is affordable at dim 40
+    # p break the rotation symmetry, which etd4 needs, so evolve refuses them
     code40, model40, _ = small_stiff_case
     q, p = make_quadratures(code40.dim)
+    quiet = ObservableSpec(positivity_tol=None)
+    rho40 = np.outer(code40.codewords[0], code40.codewords[0].conj())
+    for op in (q, p):
+        with pytest.raises(SymmetryError, match="lacks the pi/2 rotation symmetry"):
+            evolve(model40.with_channel(op, 0.01), rho40, 0.05, record_times=[0.05],
+                   observables=quiet)
     a_dag = np.conj(np.diag(np.sqrt(np.arange(1.0, small_code.dim)), 1)).T
-    for code, model, op, method in ((code40, model40, q, "rk45"), (code40, model40, p, "rk45"),
-                                    (small_code, small_model, a_dag, "etd4")):
-        rho0 = np.outer(code.codewords[0], code.codewords[0].conj())
-        traj = evolve(model.with_channel(op, 0.01), rho0, 0.5, record_times=[0.5],
-                      observables=ObservableSpec(positivity_tol=None))
-        assert traj.meta["method"] == method
-        assert abs(traj.column("trace")[-1] - 1.0) <= 1e-8
+    rho0 = np.outer(small_code.codewords[0], small_code.codewords[0].conj())
+    traj = evolve(small_model.with_channel(a_dag, 0.01), rho0, 0.5, record_times=[0.5],
+                  observables=quiet)
+    assert traj.meta["method"] == "etd4"
+    assert abs(traj.column("trace")[-1] - 1.0) <= 1e-8
 
 
 @pytest.mark.slow
