@@ -20,7 +20,8 @@ print(f"eps = {eps}, dim = {report.dim}, kappa1 = {report.kappa1:.4f}, "
       f"horizon = 1/kappa1 = {1 / report.kappa1:.1f}")
 
 print(f"\n{'t':>8} {'Tr(Jz) on':>12} {'Tr(Jz) off':>12}")
-for t, z_on, z_off in zip(report.times, report.jz_on, report.jz_off):
+for t, z_on, z_off in zip(report.times, report.traj_on.column("jz"),
+                          report.traj_off.column("jz")):
     print(f"{t:>8.1f} {z_on:>12.6f} {z_off:>12.6f}")
 
 print(f"\nsingle-point error rates at t = 1/kappa1:")

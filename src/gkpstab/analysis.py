@@ -435,8 +435,9 @@ class ErrorRateReport:
 
     on/off follow kappa1 * (1 - Tr(J_z rho(1/kappa1))); fitted_* are
     log-linear rates of the Tr(J_z rho(t)) records over the full grid.
-    traj_on/traj_off hold the full Trajectory objects for CSV export;
-    traj_off is closed-form (meta["method"] "closed_form"), None at kappa1 = 0.
+    traj_on/traj_off hold the Trajectory objects, whose "jz" columns the
+    rates read; traj_off is closed-form (meta["method"] "closed_form"),
+    None at kappa1 = 0.
 
     off_rate is a one-point estimator on a non-exponential decay and is not
     expected to equal kappa1. The "off" run is the pure-loss channel with
@@ -455,8 +456,6 @@ class ErrorRateReport:
     fitted_on_rate: float
     fitted_off_rate: float
     times: np.ndarray
-    jz_on: np.ndarray
-    jz_off: np.ndarray
     logical_residual: float
     traj_on: object = None
     traj_off: object = None
@@ -529,7 +528,7 @@ def error_rate_experiment(epsilon, dim=None, kappa1=None, n_records=51, seed=0, 
     fit_off, _ = fit_decay_rate(record, np.clip(jz_off, 1e-300, None), window=(0.0, 1.0))
     return ErrorRateReport(
         epsilon, params.dim, kappa1, on_rate, off_rate, ratio, fit_on, fit_off,
-        record, jz_on, jz_off, logicals.convergence_residual, traj_on, traj_off,
+        record, logicals.convergence_residual, traj_on, traj_off,
     )
 
 

@@ -6,10 +6,10 @@ Every parameter is defined once, in PARAMS. A run resolves the ones its
 subcommand reads as CLI flag > config-file value > default into one dict,
 reads them from it, and echoes the config text and that same dict into a
 JSON envelope next to the CSV outputs. It exits with 0 (success), 2
-(usage/config: bad flags, config files or parameter values, each reported
-as one `error:` line), 3 (numeric failure, a package error or an
-arithmetic overflow, reported as one JSON line), or 4 (verification
-failure).
+(usage/config: bad flags, config files or parameter values, a rejected
+truncation among them, each reported as one `error:` line), 3 (numeric
+failure, any other package error or an arithmetic overflow, reported as
+one JSON line), or 4 (verification failure).
 The default output directory comes from $GKPSTAB_OUTDIR.
 """
 
@@ -37,7 +37,7 @@ from .codes import (
     kernel_codewords,
     mean_photon_number,
 )
-from .errors import GkpStabError
+from .errors import DimensionError, GkpStabError
 from .lindblad import logical_operators, stabilizer_model
 
 EXIT_OK = 0
@@ -249,9 +249,9 @@ def cmd_qec_sim(p, resolver):
     report = error_rate_experiment(p["epsilon"], dim=p["dim"], kappa1=p["kappa1"],
                                    n_records=p["records"])
     stem = _stem(p, "qec")
-    io.write_trajectory_csv(f"{stem}_on.csv", report.traj_on)
+    io.atomic_write_text(f"{stem}_on.csv", io.trajectory_csv_text(report.traj_on))
     if report.traj_off is not None:
-        io.write_trajectory_csv(f"{stem}_off.csv", report.traj_off)
+        io.atomic_write_text(f"{stem}_off.csv", io.trajectory_csv_text(report.traj_off))
     path = _finish(stem, resolver, p, report.scalar_payload())
     print(f"on_rate {report.on_rate:.6g}  off_rate {report.off_rate:.6g}  "
           f"suppression {report.suppression_ratio:.3f}; wrote {path}")
@@ -362,16 +362,23 @@ def main(argv=None):
     try:
         resolver = Resolver(args.command, args.config)
         return COMMANDS[args.command][0](resolver.resolve(args), resolver)
-    # ahead of ValueError, which several GkpStabErrors subclass; an
+    # a rejected truncation is a usage error; any other package error is
+    # numeric (caught ahead of ValueError, which several subclass), and an
     # ArithmeticError is a double-precision overflow of the numerics
+    except DimensionError as exc:
+        return _usage_error(exc)
     except (GkpStabError, ArithmeticError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return EXIT_NUMERIC
     except (UsageError, FileNotFoundError, configparser.Error, ValueError) as exc:
         # parameter values the model rejects, e.g. epsilon < 0 or kappa <= 0
-        print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
+
+
+def _usage_error(exc):
+    print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

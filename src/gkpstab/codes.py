@@ -1,6 +1,11 @@
 """Grid-code constructions: conjugated quadratures, stabilizing dissipators,
 the Lyapunov operator, finite-energy codewords, and the certified decay rate.
 
+Each part is built from what it depends on: the four dissipators (one π/2
+rotation orbit) from one real matrix exponential, W from the first of them,
+the codewords from the lattice combs, and the logical basis from the two
+codewords where lindblad.logical_operators marches it.
+
 Two lattice constants are supported: ETA_QUBIT = 2√π (square lattice, two
 codewords) and ETA_SENSOR = √(2π) (self-dual lattice, a single comb state).
 Other values are accepted but flagged uncertified.
@@ -11,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGapError, DimensionError, InvalidInputError
-from .fock import hermitian_part, make_quadratures, matrix_exponential, rotate, twirl
+from .errors import DegenerateGapError, DimensionError
+from .fock import _check_dim, hermitian_part, make_quadratures, matrix_exponential, rotate, twirl
 from .hermite import hermite_functions
 
 ETA_QUBIT = 2.0 * math.sqrt(math.pi)
@@ -47,8 +52,10 @@ class GkpParams:
     """Regularization strength, lattice constant, and Fock truncation.
 
     epsilon must be finite and non-negative and eta finite (ValueError
-    otherwise). dim=None applies the 20/eps rule; passing dim explicitly
-    overrides it (smaller values are accepted but degrade codeword quality).
+    otherwise). dim=None applies the 20/eps rule (DimensionError at
+    epsilon = 0); passing dim explicitly overrides it (smaller values are
+    accepted but degrade codeword quality). Either way dim is held to
+    fock's truncation rule, an integer >= 2 (DimensionError).
     """
 
     epsilon: float
@@ -61,8 +68,7 @@ class GkpParams:
             if self.epsilon == 0:
                 raise DimensionError("epsilon=0 has no default truncation; pass dim explicitly")
             object.__setattr__(self, "dim", default_dim(self.epsilon))
-        if self.dim < 2:
-            raise DimensionError(f"dim must be >= 2, got {self.dim}")
+        _check_dim(self.dim)
 
     @property
     def lattice(self):
@@ -172,28 +178,23 @@ def build_dissipators(params):
     return tuple(rotate(v, k) for k in range(4))
 
 
-def build_lyapunov(dissipators):
-    """W = sum_k V_k† V_k, symmetrized to exact Hermiticity, as a complex
-    matrix.
+def build_lyapunov(v0):
+    """W = sum_k V_k† V_k over the F-orbit V_k = F^k V_0 F^-k of the square
+    matrix V_0 (DimensionError otherwise), symmetrized to exact
+    Hermiticity, as a complex matrix: the orbit fixes W, so V_0 is all it
+    reads.
 
-    The dissipators must be the F-orbit of the first, V_k = F^k V_0 F^-k
-    bitwise (fock.rotate, as build_dissipators makes them);
-    InvalidInputError otherwise. Entry (m, n) of V_k† V_k is
-    i^(k(m-n)) (V_0† V_0)_mn, and the phases sum to 4 when m ≡ n (mod 4)
-    and to 0 otherwise, so W is fock.twirl(4 V_0† V_0): one product, and W
-    commutes with F exactly. With U = F^-1 V_0 F, (U† U)_mn is
-    i^(n-m) (V_0† V_0)_mn, the same on m ≡ n (mod 4), so W is also
-    fock.twirl(4 U† U). The product is taken on U, in real arithmetic when
-    U's imaginary part is all zero, as it is for the built dissipators.
+    Entry (m, n) of V_k† V_k is i^(k(m-n)) (V_0† V_0)_mn, and the phases
+    sum to 4 when m ≡ n (mod 4) and to 0 otherwise, so W is
+    fock.twirl(4 V_0† V_0): one product, and W commutes with F exactly.
+    With U = F^-1 V_0 F, (U† U)_mn is i^(n-m) (V_0† V_0)_mn, the same on
+    m ≡ n (mod 4), so W is also fock.twirl(4 U† U). The product is taken on
+    U, in real arithmetic when U's imaginary part is all zero, as it is for
+    the built V_0.
     """
-    dims = {v.shape for v in dissipators}
-    if len(dims) != 1 or any(s[0] != s[1] for s in dims):
-        raise DimensionError(f"dissipators must share a square shape, got {dims}")
-    v0 = dissipators[0]
-    if len(dissipators) != 4 or not all(
-            np.array_equal(dissipators[k], rotate(v0, k)) for k in (1, 2, 3)):
-        raise InvalidInputError(
-            "dissipators must be the π/2 rotation orbit F^k V_0 F^-k of the first")
+    shape = np.shape(v0)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionError(f"V_0 must be a square matrix, got shape {shape}")
     u = rotate(v0, -1)
     if not u.imag.any():
         u = u.real
@@ -303,18 +304,16 @@ def mean_photon_number(vec):
 
 @dataclass(frozen=True)
 class GkpCode:
-    """Bundle of everything derived from one parameter set.
-
-    For the sensor lattice there is a single codeword and no logical basis.
+    """Everything derived from one parameter set: the four dissipators
+    (build_dissipators), W from the first of them (build_lyapunov) and the
+    codewords from the lattice combs (build_codewords), one for the sensor
+    lattice and two for the qubit lattice.
     """
 
     params: GkpParams
     dissipators: tuple
     lyapunov: np.ndarray
     codewords: tuple
-    sx: np.ndarray = None
-    sy: np.ndarray = None
-    sz: np.ndarray = None
 
     @property
     def dim(self):
@@ -330,18 +329,9 @@ class GkpCode:
 def build_code(params):
     """Construct the full GkpCode bundle for one parameter set."""
     dissipators = build_dissipators(params)
-    lyap = build_lyapunov(dissipators)
-    codewords = tuple(build_codewords(params))
-    if params.lattice == "qubit":
-        sx, sy, sz = logical_basis(list(codewords))
-    else:
-        sx = sy = sz = None
     return GkpCode(
         params=params,
         dissipators=dissipators,
-        lyapunov=lyap,
-        codewords=codewords,
-        sx=sx,
-        sy=sy,
-        sz=sz,
+        lyapunov=build_lyapunov(dissipators[0]),
+        codewords=tuple(build_codewords(params)),
     )

@@ -82,10 +82,6 @@ def trajectory_csv_text(traj):
     return table_csv_text(CSV_COLUMNS, zip(*cols))
 
 
-def write_trajectory_csv(path, traj):
-    atomic_write_text(path, trajectory_csv_text(traj))
-
-
 def table_csv_text(columns, rows):
     buf = _io.StringIO()
     buf.write(",".join(columns) + "\n")

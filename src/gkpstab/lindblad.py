@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codes import convergence_rate
+from .codes import convergence_rate, logical_basis
 from .errors import (
     ConvergenceWarning,
     InvalidInputError,
@@ -334,6 +334,9 @@ STATIONARY_HORIZON = 20.0
 def logical_operators(model, code):
     """Evolve S_z, S_x, S_y under the adjoint flow until stationary.
 
+    S_x, S_y, S_z are codes.logical_basis of the two codewords, built here
+    where they are marched; the one-codeword sensor lattice is a ValueError.
+
     Fixed exponential steps Phi_h, h = 0.4/kappa(eps, eta), until the step
     defect ||Phi_h(X) - X||_F / (h ||Phi_h(X)||_F) of the last iterate or
     of the march's extrapolated point (SplitPropagator.run_to_stationary)
@@ -370,12 +373,13 @@ def logical_operators(model, code):
         resids.append(resid)
         return x
 
-    jz = stationary(code.sz)
+    sx, sy, sz = logical_basis(code.codewords)
+    jz = stationary(sz)
     # the limit P* is linear and commutes with the rotation F, so
     # P*(S_x + F(J_z - S_z)F†) = P*(S_x); the codewords are real and
     # parity-even, so J_z - S_z is too and its rotation is real
-    jx = stationary(code.sx.real + rotate(jz.real - code.sz.real, 1).real)
-    jy = stationary(code.sy)
+    jx = stationary(sx.real + rotate(jz.real - sz.real, 1).real)
+    jy = stationary(sy)
     worst = max(resids)
     if worst > tol:
         warnings.warn(

@@ -8,7 +8,7 @@ from gkpstab import (
     stabilizer_model,
 )
 from gkpstab import lindblad
-from gkpstab.codes import ETA_SENSOR
+from gkpstab.codes import ETA_SENSOR, logical_basis
 
 
 # --- small, rule-compliant parameter set for fast functional tests ---------
@@ -18,6 +18,12 @@ def small_code():
     """Certified-regime working point at the 20/eps truncation (dim=143),
     small enough for seconds-scale builds and evolutions."""
     return build_code(GkpParams(0.14))
+
+
+@pytest.fixture(scope="session")
+def small_basis(small_code):
+    """(S_x, S_y, S_z) of the small code's two codewords."""
+    return logical_basis(small_code.codewords)
 
 
 @pytest.fixture(scope="session")

@@ -260,7 +260,7 @@ def test_criterion_7_off_rate_matches_loss_rate(fig_experiment, code200, logical
         return float(np.real(np.sum(logicals200.jz * rho.T)))
 
     expected = np.array([jz_after_loss(math.exp(-r.kappa1 * t)) for t in r.times])
-    record_dev = float(np.abs(r.jz_off - expected).max())
+    record_dev = float(np.abs(r.traj_off.column("jz") - expected).max())
     expected_rate = r.kappa1 * (1.0 - jz_after_loss(math.exp(-1.0)))
     rate_dev = abs(r.off_rate - expected_rate)
     ok = record_dev <= 1e-8 and rate_dev <= 1e-8 * r.kappa1

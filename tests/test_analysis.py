@@ -200,7 +200,7 @@ def test_identity_checks_read_the_bundle(code200):
     v0 = code200.dissipators[0].copy()
     v0[10, 12] += 1e-3
     orbit = tuple(rotate(v0, k) for k in range(4))
-    broken = dataclasses.replace(code200, dissipators=orbit, lyapunov=build_lyapunov(orbit))
+    broken = dataclasses.replace(code200, dissipators=orbit, lyapunov=build_lyapunov(v0))
     for check in (verify_lyapunov_derivative_identity, verify_lambda_identity):
         assert check(code200).passed
         report = check(broken)
@@ -304,7 +304,7 @@ def test_error_rate_experiment_no_loss(small_code):
     report = error_rate_experiment(0.14, dim=small_code.dim, kappa1=0.0,
                                    n_records=9, code=small_code)
     assert report.on_rate == 0.0
-    assert np.abs(report.jz_on - 1.0).max() <= 1e-5
+    assert np.abs(report.traj_on.column("jz") - 1.0).max() <= 1e-5
 
 
 def test_experiments_accept_the_benchmark_calls():
@@ -400,8 +400,8 @@ def truncation_convergence_check(epsilon, eta=ETA_QUBIT, dim=None, factor=1.5):
     coeff_dev = max(
         float(np.abs(bw[: params.dim] - sw).max()) for sw, bw in zip(small_words, big_words)
     )
-    gap_small = np.linalg.eigvalsh(build_lyapunov(build_dissipators(params)))
-    gap_big = np.linalg.eigvalsh(build_lyapunov(build_dissipators(big)))
+    gap_small = np.linalg.eigvalsh(build_lyapunov(build_dissipators(params)[0]))
+    gap_big = np.linalg.eigvalsh(build_lyapunov(build_dissipators(big)[0]))
     n_kernel = len(small_words)  # one kernel vector per codeword
     gap_shift = abs(float(gap_small[n_kernel]) - float(gap_big[n_kernel]))
     return {"coefficient_deviation": coeff_dev, "gap_shift": gap_shift,

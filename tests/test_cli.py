@@ -189,6 +189,11 @@ def test_check_failure_exit_code(capsys):
     ("[run]\nepsilon = abc\n", ["codewords"]),
     (None, ["codewords", "--epsilon", "-0.1"]),
     (None, ["codewords", "--epsilon", "0", "--dim", "10"]),
+    (None, ["codewords", "--epsilon", "0"]),  # truncations the model rejects
+    (None, ["check", "--epsilon", "0"]),
+    (None, ["logical-ops", "--epsilon", "0"]),
+    (None, ["qec-sim", "--epsilon", "0.15", "--dim", "1"]),
+    (None, ["codewords", "--epsilon", "0.2", "--dim=-3"]),
     (None, ["lyapunov", "--epsilon", "0.3"]),  # kappa <= 0 from here on
     (None, ["qec-sim", "--epsilon", "0.3"]),
     (None, ["logical-ops", "--epsilon", "0.3"]),
@@ -202,7 +207,9 @@ def test_check_failure_exit_code(capsys):
     (None, ["logical-ops", "--epsilon", "nan", "--dim", "30"]),
     (None, ["kappa", "--epsilons", "0.1", "--eta", "nan"]),
     (None, ["kappa", "--epsilons", "0.1", "--eta", "inf"]),
-], ids=["no-section", "bad-value", "negative-eps", "zero-eps", "lyapunov-kappa",
+], ids=["no-section", "bad-value", "negative-eps", "zero-eps", "zero-eps-rule-dim",
+        "check-zero-eps-rule-dim", "logical-ops-zero-eps-rule-dim", "qec-dim-1",
+        "negative-dim", "lyapunov-kappa",
         "qec-kappa", "logical-ops-kappa", "qec-negative-kappa1", "qec-nan-kappa1",
         "nan-eps", "nan-eps-rule-dim", "inf-eps", "nan-eta", "check-nan-eps",
         "logical-ops-nan-eps", "kappa-nan-eta", "kappa-inf-eta"])

@@ -17,7 +17,7 @@ from gkpstab import GkpParams, build_code, build_dissipators, evolve
 from gkpstab import etd, ode
 from gkpstab.etd import SplitPropagator, _phi123
 from gkpstab.analysis import random_density_matrix
-from gkpstab.codes import ETA_SENSOR
+from gkpstab.codes import ETA_SENSOR, logical_basis
 from gkpstab.fock import make_ladder, make_quadratures, rotate
 from gkpstab.errors import SymmetryError
 from gkpstab.lindblad import LindbladModel, ObservableSpec, lindblad_rhs
@@ -245,7 +245,8 @@ def test_half_layout_matches_the_full_layout(small_code, dim, adjoint, with_loss
                         lambda sectors, sign: SplitPropagator._set_layout(full, sectors, 0))
     c0 = code.codewords[0]
     y = np.random.default_rng(16).standard_normal((dim, dim))
-    for x, blocks in ((np.outer(c0, c0), (6, 8)), (code.sx, (6, 8)), (code.sy, (6, 8)),
+    sx, sy, _sz = logical_basis(code.codewords)
+    for x, blocks in ((np.outer(c0, c0), (6, 8)), (sx, (6, 8)), (sy, (6, 8)),
                       (y + y.T, (10, 16))):
         outs = []
         for prop in (half, full):
@@ -299,7 +300,7 @@ def test_in_place_step_matches_the_expression_form_bitwise(small_code, dim):
             xb = got
 
 
-def test_extrapolated_stop_is_the_same_on_the_half_layout(small_code, monkeypatch):
+def test_extrapolated_stop_is_the_same_on_the_half_layout(small_code, small_basis, monkeypatch):
     # the extrapolation's Gram matrix is taken in _inner, in which a block
     # carried without its mirror counts twice, so S_z's march stops at the
     # same step on the same point whichever layout carries it
@@ -312,7 +313,7 @@ def test_extrapolated_stop_is_the_same_on_the_half_layout(small_code, monkeypatc
     monkeypatch.setattr(full, "_set_layout",
                         lambda sectors, sign: SplitPropagator._set_layout(full, sectors, 0))
     (x_half, r_half, _t, n_half), (x_full, r_full, _t, n_full) = (
-        prop.run_to_stationary(small_code.sz, h=h, residual_tol=1e-10, t_max=50 * h)
+        prop.run_to_stationary(small_basis[2], h=h, residual_tol=1e-10, t_max=50 * h)
         for prop in (half, full))
     assert n_half == n_full < 16 and max(r_half, r_full) <= 1e-10
     assert abs(r_half - r_full) <= 1e-3 * r_full
@@ -686,7 +687,7 @@ def test_adjoint_run_matches_dense_propagator(tiny_model, monkeypatch):
     assert stats["trace_defect"] == 0.0
 
 
-def test_stationary_fixed_point_h_independent(small_code):
+def test_stationary_fixed_point_h_independent(small_code, small_basis):
     # at a truncation that resolves the codespace, the stationary march lands
     # on the same element whatever the step (exact kernels are fixed points);
     # severely under-truncated generators have quasi-kernel junk instead,
@@ -696,12 +697,12 @@ def test_stationary_fixed_point_h_independent(small_code):
     outs = []
     for h in (0.9, 2.7):
         x, _resid, _t, _n = prop.run_to_stationary(
-            small_code.sz.astype(complex), h=h, residual_tol=1e-14, t_max=250.0)
+            small_basis[2].astype(complex), h=h, residual_tol=1e-14, t_max=250.0)
         outs.append(x)
     assert np.abs(outs[0] - outs[1]).max() <= 1e-8
 
 
-def test_stationary_march_stops_on_its_step_defect(small_code):
+def test_stationary_march_stops_on_its_step_defect(small_code, small_basis):
     # the step damps the truncation corner, so at eps = 0.14, dim 143 the
     # defect falls past 1e-10 well inside the horizon; the generator
     # residual ||L*(X)||_F / ||X||_F stops near 1e-5 there
@@ -710,16 +711,17 @@ def test_stationary_march_stops_on_its_step_defect(small_code):
     rate = kappa(small_code.params.epsilon)
     vs = list(small_code.dissipators)
     prop = SplitPropagator(vs, [1.0] * len(vs), adjoint=True)
-    _x, resid, _t, steps = prop.run_to_stationary(small_code.sz, h=0.4 / rate,
+    sz = small_basis[2]
+    _x, resid, _t, steps = prop.run_to_stationary(sz, h=0.4 / rate,
                                                   residual_tol=1e-10, t_max=20.0 / rate)
     assert resid <= 1e-10 and steps < 50
     # 50 steps of h sum to 1e-13 short of 20/kappa; a march to the horizon
     # ends there and returns its last iterate, not an extrapolated point,
     # with the defect of its last full step, not that of a sliver
-    x, resid, _t, steps = prop.run_to_stationary(small_code.sz, h=0.4 / rate,
+    x, resid, _t, steps = prop.run_to_stationary(sz, h=0.4 / rate,
                                                  residual_tol=0.0, t_max=20.0 / rate)
     assert steps == 50 and resid <= 1e-10
-    xb = prop.to_basis(small_code.sz)
+    xb = prop.to_basis(sz)
     for _ in range(50):
         xb = prop.step(xb, 0.4 / rate)
     assert np.array_equal(x, prop.from_basis(xb))
